@@ -46,9 +46,11 @@ from .mechanism import (
 from .models import (
     Architecture,
     Batch,
+    GradientFactors,
     Model,
     accuracy,
     apply_update,
+    backprop,
     evaluate,
     init_model,
     logistic_regression,

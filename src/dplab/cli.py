@@ -37,7 +37,7 @@ from .runio import (
     read_perp_snapshot,
     write_run,
 )
-from .trainers import METHODS, TrainConfig, privacy_schedule, resolve_noise, train
+from .trainers import METHODS, TrainConfig, privacy_schedule, train
 
 __all__ = ["main"]
 
@@ -300,9 +300,8 @@ def _run_one(config: TrainConfig, dataset_spec: dict, out_dir: Path) -> dict:
     dataset = build_dataset(dataset_spec)
     if config.batch > dataset.n:
         raise _fail(f"config: batch {config.batch} exceeds dataset size {dataset.n}")
-    noise = resolve_noise(config, dataset.n)
     result = train(config, dataset)
-    echo = _echo_with_noise(config_echo(config, dataset_spec), noise)
+    echo = _echo_with_noise(config_echo(config, dataset_spec), result.noise)
     write_run(out_dir, result, echo)
     from .runio import build_summary
 

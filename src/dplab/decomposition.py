@@ -6,6 +6,10 @@ alpha_l = <g_l, b_l> and an orthogonal remainder g_l - alpha_l * b_l; the
 two privatized channels are recombined by reconstruct(). Layers whose base
 block is (near-)zero are degenerate: they contribute alpha 0 and pass the
 gradient through the orthogonal channel untouched.
+
+:func:`coefficients` computes every sample's alphas from per-layer gradient
+factors; :func:`decompose` and :func:`decompose_batch` split materialized
+vectors and are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+from .models import GradientFactors
 from .vectors import LayeredVector, l2_norm, l2_norm_layer
 
 __all__ = [
     "Decomposition",
     "GdrBase",
+    "coefficients",
     "decompose",
     "decompose_batch",
     "normalize_base",
@@ -123,3 +129,14 @@ def reconstruct(
 def decompose_batch(per_sample: list[LayeredVector], base: GdrBase) -> list[Decomposition]:
     """Element-wise decompose, order preserving."""
     return [decompose(g, base) for g in per_sample]
+
+
+def coefficients(grads: GradientFactors, base: GdrBase) -> np.ndarray:
+    """(B, layers) parallel coefficients <g_il, b_l> from gradient factors.
+
+    Weight blocks give rowsum((a_k @ B_k) * delta_k), bias blocks
+    delta_k @ b; degenerate layers get 0.
+    """
+    alphas = grads.block_dots(base.b)
+    alphas[:, sorted(base.degenerate_layers)] = 0.0
+    return alphas

@@ -6,6 +6,14 @@ keeps per-sample gradients exact and dependency-free. Parameters live in a
 LayeredVector with one block per weight matrix and one per bias vector;
 that block structure defines the layer count used by the decomposition
 machinery.
+
+Every model is a stack of dense layers, so one backward pass
+(:func:`backprop`) yields each sample's gradient in factored form: per
+layer, the input a_i the layer saw and the signal delta_i at its output.
+The weight gradient is their outer product, with norm ||a_i|| ||delta_i||
+(Goodfellow 2015, "Efficient per-example gradient computations").
+:func:`mean_gradient` and :func:`per_sample_gradients` are derived from
+the factors.
 """
 
 from __future__ import annotations
@@ -21,9 +29,11 @@ from .vectors import LayeredVector, RngStream, axpy
 __all__ = [
     "Architecture",
     "Batch",
+    "GradientFactors",
     "Model",
     "accuracy",
     "apply_update",
+    "backprop",
     "evaluate",
     "init_model",
     "logistic_regression",
@@ -224,58 +234,107 @@ def _softmax_delta(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return delta
 
 
+@dataclass(frozen=True, eq=False)
+class GradientFactors:
+    """Per-sample gradients of a dense stack, held as per-layer factors.
+
+    For dense layer k, ``inputs[k]`` is the (B, fan_in) array of the inputs
+    a_ik the layer saw and ``signals[k]`` the (B, fan_out) array of the
+    backpropagated signals delta_ik at its output. Sample i's gradient of the
+    weight block is the outer product a_ik delta_ik^T (flattened row-major,
+    like the parameter block) and its gradient of the bias block is delta_ik.
+    Norms, weighted sums and projections are computed from the factors, so
+    no (B, D) array is needed; :meth:`block_rows` expands rows on demand.
+    """
+
+    inputs: tuple[np.ndarray, ...]
+    signals: tuple[np.ndarray, ...]
+
+    @property
+    def size(self) -> int:
+        return self.signals[0].shape[0]
+
+    @property
+    def layer_dims(self) -> tuple[int, ...]:
+        dims: list[int] = []
+        for a, d in zip(self.inputs, self.signals):
+            dims.append(a.shape[1] * d.shape[1])
+            dims.append(d.shape[1])
+        return tuple(dims)
+
+    def block_rows(self, block: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Dense (hi - lo, d) rows of parameter block ``block`` for samples
+        lo..hi, as a new array."""
+        d = self.signals[block // 2][lo:hi]
+        if block % 2:
+            return d.copy()
+        a = self.inputs[block // 2][lo:hi]
+        return np.einsum("bi,bo->bio", a, d).reshape(d.shape[0], -1)
+
+    def norms(self) -> np.ndarray:
+        """(B,) global L2 norms from sum_k ||a_ik||^2 ||delta_ik||^2 + ||delta_ik||^2,
+        blocks summed left to right."""
+        total = np.zeros(self.size)
+        for a, d in zip(self.inputs, self.signals):
+            d_sq = np.sum(d * d, axis=1)
+            total += np.sum(a * a, axis=1) * d_sq
+            total += d_sq
+        return np.sqrt(total)
+
+    def weighted_sum(self, f: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Blocks of sum_i f_i g_i: a_k^T (f * delta_k) and f @ delta_k."""
+        blocks: list[np.ndarray] = []
+        for a, d in zip(self.inputs, self.signals):
+            blocks.append((a.T @ (f[:, None] * d)).ravel())
+            blocks.append(f @ d)
+        return tuple(blocks)
+
+    def block_dots(self, v: LayeredVector) -> np.ndarray:
+        """(B, blocks) inner products <g_i block, v block>."""
+        if v.layer_dims != self.layer_dims:
+            raise ContractViolation(f"shape mismatch: {v.layer_dims} vs {self.layer_dims}")
+        cols: list[np.ndarray] = []
+        for k, (a, d) in enumerate(zip(self.inputs, self.signals)):
+            w = v.blocks[2 * k].reshape(a.shape[1], d.shape[1])
+            cols.append(np.sum((a @ w) * d, axis=1))
+            cols.append(d @ v.blocks[2 * k + 1])
+        return np.stack(cols, axis=1)
+
+
+def backprop(model: Model, batch: Batch) -> GradientFactors:
+    """Per-sample gradient factors of each example's own cross-entropy."""
+    _check_batch(model, batch)
+    z, hidden_zs, layer_inputs = _forward(model, batch.inputs)
+    n_layers = len(model.arch.weight_shapes())
+    delta = _softmax_delta(z, batch.labels)
+    signals: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+    for k in range(n_layers - 1, -1, -1):
+        signals[k] = delta
+        if k > 0:
+            upstream = delta @ _weight(model, k).T
+            delta = upstream * _activation_grad(
+                model.arch.activation, hidden_zs[k - 1], layer_inputs[k]
+            )
+    return GradientFactors(tuple(layer_inputs), tuple(signals))
+
+
 def per_sample_gradients(model: Model, batch: Batch) -> list[LayeredVector]:
     """One gradient per example, of that example's own cross-entropy.
 
     The mean of the returned list equals the gradient of :func:`loss`.
-    Results are returned in sample order.
+    Results are returned in sample order. This expands every sample into
+    its own vector; the trainers work on :func:`backprop`'s factors instead.
     """
-    _check_batch(model, batch)
-    z, hidden_zs, layer_inputs = _forward(model, batch.inputs)
-    n_layers = len(model.arch.weight_shapes())
-    b = batch.size
-    delta = _softmax_delta(z, batch.labels)
-
-    # per-layer stacked gradients, filled back to front
-    grads_w: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    grads_b: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    for k in range(n_layers - 1, -1, -1):
-        grads_w[k] = np.einsum("bi,bo->bio", layer_inputs[k], delta).reshape(b, -1)
-        grads_b[k] = delta
-        if k > 0:
-            upstream = delta @ _weight(model, k).T
-            delta = upstream * _activation_grad(
-                model.arch.activation, hidden_zs[k - 1], layer_inputs[k]
-            )
-
-    out: list[LayeredVector] = []
-    for i in range(b):
-        blocks: list[np.ndarray] = []
-        for k in range(n_layers):
-            blocks.append(grads_w[k][i])
-            blocks.append(grads_b[k][i])
-        out.append(LayeredVector(tuple(blocks)))
-    return out
+    grads = backprop(model, batch)
+    rows = [grads.block_rows(j) for j in range(len(grads.layer_dims))]
+    return [LayeredVector(tuple(r[i] for r in rows)) for i in range(grads.size)]
 
 
 def mean_gradient(model: Model, batch: Batch) -> LayeredVector:
     """Gradient of the mean cross-entropy over the batch."""
-    _check_batch(model, batch)
-    z, hidden_zs, layer_inputs = _forward(model, batch.inputs)
-    n_layers = len(model.arch.weight_shapes())
-    b = batch.size
-    delta = _softmax_delta(z, batch.labels)
-
-    blocks: list[np.ndarray] = [None] * (2 * n_layers)  # type: ignore[list-item]
-    for k in range(n_layers - 1, -1, -1):
-        blocks[2 * k] = (layer_inputs[k].T @ delta).ravel() / b
-        blocks[2 * k + 1] = delta.sum(axis=0) / b
-        if k > 0:
-            upstream = delta @ _weight(model, k).T
-            delta = upstream * _activation_grad(
-                model.arch.activation, hidden_zs[k - 1], layer_inputs[k]
-            )
-    return LayeredVector(tuple(blocks))
+    grads = backprop(model, batch)
+    total = grads.weighted_sum(np.ones(grads.size))
+    return LayeredVector(tuple(t / grads.size for t in total))
 
 
 def apply_update(model: Model, direction: LayeredVector, lr: float) -> Model:

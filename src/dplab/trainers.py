@@ -6,6 +6,12 @@ against the previous released gradient for steps 2..s, then falls back to
 DP-SGD for the rest of the run. Every private step emits exactly one
 ledger event; batch sampling and noise use disjoint stream tags so methods
 compared at the same seed see identical batch sequences.
+
+Each step works on the batch's gradient factors (:func:`dplab.models.backprop`)
+and releases through :func:`dplab.mechanism.privatize`: norms, clipped sums
+and coefficients of the g_i come from the factors; norms and sums of the
+differences g_i - p and g_i - alpha_i b come from dense rows built chunk by
+chunk. No step builds a per-sample vector or a full (B, D) array.
 """
 
 from __future__ import annotations
@@ -26,26 +32,28 @@ from .accountant import (
     effective_sigma,
 )
 from .datasets import Dataset, poisson_sample
-from .decomposition import GdrBase, decompose_batch, normalize_base, reconstruct
+from .decomposition import GdrBase, coefficients, normalize_base, reconstruct
 from .diagnostics import MetricsRow, coherence_stats
 from .errors import ContractViolation
 from .mechanism import (
     ClipSpec,
+    DenseRows,
+    DifferenceRows,
+    GradientRows,
     NoisePlan,
-    aggregate_and_perturb,
-    aggregate_and_perturb_scalars,
+    privatize,
 )
 from .models import (
     Architecture,
     Batch,
     Model,
     apply_update,
+    backprop,
     evaluate,
     init_model,
     logistic_regression,
-    per_sample_gradients,
 )
-from .vectors import LayeredVector, RngStream, gaussian_sample, l2_norm, scale, sub
+from .vectors import LayeredVector, RngStream, gaussian_sample, scale
 
 __all__ = [
     "METHODS",
@@ -148,26 +156,14 @@ def _blank_row(step: int) -> MetricsRow:
     return MetricsRow(step, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _norm_median(vectors: list[LayeredVector]) -> float:
-    return float(np.median([l2_norm(v) for v in vectors]))
-
-
-def _mean_of(vectors: list[LayeredVector]) -> LayeredVector:
-    acc = [b.copy() for b in vectors[0].blocks]
-    for v in vectors[1:]:
-        for a, b in zip(acc, v.blocks):
-            a += b
-    n = len(vectors)
-    return LayeredVector(tuple(a / n for a in acc))
-
-
 def sgd_step(model: Model, batch: Batch) -> StepOutcome:
     """Non-private baseline: release the exact batch-mean gradient."""
     if batch.size == 0:
         raise ContractViolation("sgd_step requires a non-empty batch")
-    grads = per_sample_gradients(model, batch)
-    released = _mean_of(grads)
-    row = replace(_blank_row(0), grad_norm_median=_norm_median(grads))
+    grads = backprop(model, batch)
+    total = grads.weighted_sum(np.ones(batch.size))
+    released = LayeredVector(tuple(t / batch.size for t in total))
+    row = replace(_blank_row(0), grad_norm_median=float(np.median(grads.norms())))
     return StepOutcome(released, row, None)
 
 
@@ -183,22 +179,23 @@ def dpsgd_step(
     """Clip per-sample gradients to c_g, perturb the sum, average.
 
     ``prev_release`` is telemetry-only: when given, the median per-sample
-    difference norm against it is recorded.
+    difference norm against it is recorded. Clip norms and the gradient
+    norm median come from the factors either way.
     """
     if batch.size == 0:
         raise ContractViolation("dpsgd_step requires a non-empty batch")
-    grads = per_sample_gradients(model, batch)
-    released = aggregate_and_perturb(grads, c_g, sigma_g, stream)
+    grads = backprop(model, batch)
+    blocks, norms = privatize(GradientRows(grads), c_g, sigma_g, stream, batch.size)
     diff_median = 0.0
     if prev_release is not None:
-        diff_median = float(np.median([l2_norm(sub(g, prev_release)) for g in grads]))
+        diff_median = float(np.median(DifferenceRows(grads, prev_release).norms()))
     row = replace(
         _blank_row(stream.step),
-        grad_norm_median=_norm_median(grads),
+        grad_norm_median=float(np.median(norms)),
         diff_norm_median=diff_median,
     )
     event = ReleaseEvent(q, sigma_g, 1) if sigma_g > 0 else None
-    return StepOutcome(released, row, event)
+    return StepOutcome(LayeredVector(blocks), row, event)
 
 
 def diff_step(
@@ -212,19 +209,16 @@ def diff_step(
 ) -> StepOutcome:
     """Perturb per-sample differences against the previous release, then add
     the previous release back. Staleness shows up as a difference norm
-    larger than the gradient norm."""
+    larger than the gradient norm; both norms come from the same dense rows."""
     if batch.size == 0:
         raise ContractViolation("diff_step requires a non-empty batch")
-    grads = per_sample_gradients(model, batch)
-    diffs = [sub(g, prev_release) for g in grads]
-    noisy_diff = aggregate_and_perturb(diffs, c_d, sigma_d, stream)
-    released = LayeredVector(
-        tuple(db + pb for db, pb in zip(noisy_diff.blocks, prev_release.blocks))
-    )
+    diffs = DifferenceRows(backprop(model, batch), prev_release)
+    noisy_diff, diff_norms = privatize(diffs, c_d, sigma_d, stream, batch.size)
+    released = LayeredVector(tuple(d + p for d, p in zip(noisy_diff, prev_release.blocks)))
     row = replace(
         _blank_row(stream.step),
-        grad_norm_median=_norm_median(grads),
-        diff_norm_median=_norm_median(diffs),
+        grad_norm_median=float(np.median(diffs.grad_norms())),
+        diff_norm_median=float(np.median(diff_norms)),
     )
     event = ReleaseEvent(q, sigma_d, 1) if sigma_d > 0 else None
     return StepOutcome(released, row, event)
@@ -245,20 +239,20 @@ def gdr_step(
     next base."""
     if batch.size == 0:
         raise ContractViolation("gdr_step requires a non-empty batch")
-    grads = per_sample_gradients(model, batch)
-    decs = decompose_batch(grads, base)
-    perp_list = [d.g_perp for d in decs]
-    alpha_list = [d.alphas for d in decs]
-    noisy_perp = aggregate_and_perturb(perp_list, clip.c_perp, noise.sigma_perp, perp_stream)
-    noisy_alpha = aggregate_and_perturb_scalars(
-        alpha_list, clip.c_alpha, noise.sigma_alpha, alpha_stream
+    grads = backprop(model, batch)
+    alphas = coefficients(grads, base)
+    noisy_perp, perp_norms = privatize(
+        DifferenceRows(grads, base.b, alphas),
+        clip.c_perp, noise.sigma_perp, perp_stream, batch.size,
     )
-    released = reconstruct(noisy_alpha, noisy_perp, base)
+    (noisy_alpha,), _ = privatize(
+        DenseRows(alphas), clip.c_alpha, noise.sigma_alpha, alpha_stream, batch.size
+    )
+    released = reconstruct(noisy_alpha, LayeredVector(noisy_perp), base)
     new_base = normalize_base(released, perp_stream.step)
-    perp_norms = np.array([l2_norm(p) for p in perp_list])
     row = replace(
         _blank_row(perp_stream.step),
-        grad_norm_median=_norm_median(grads),
+        grad_norm_median=float(np.median(grads.norms())),
         perp_norm_median=float(np.median(perp_norms)),
         alpha_vec_norm=float(math.sqrt(np.sum(noisy_alpha * noisy_alpha))),
     )

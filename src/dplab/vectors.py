@@ -1,8 +1,11 @@
 """Layered vectors and deterministic Gaussian streams.
 
-Every parameter vector, gradient, and noise draw in this package is a
-``LayeredVector``: float64 coordinates split into per-layer blocks. Values
-are immutable after construction and safe to share across threads.
+Parameters, released gradients and decomposition bases are
+``LayeredVector``s: float64 coordinates split into per-layer blocks.
+Values are immutable after construction and safe to share across threads.
+Per-sample gradients are not: the trainers keep them as per-layer factors
+(:class:`dplab.models.GradientFactors`) and only the reference path
+(:func:`dplab.models.per_sample_gradients`) expands them into vectors.
 
 Reductions run per layer and then left-to-right across layers. Within a
 layer they use numpy's fixed pairwise summation, so results do not depend

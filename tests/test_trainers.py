@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dplab import (
+    Architecture,
     Batch,
     ClipSpec,
     ContractViolation,
@@ -11,15 +13,21 @@ from dplab import (
     NoisePlan,
     RngStream,
     TrainConfig,
+    add,
+    aggregate_and_perturb,
+    aggregate_and_perturb_scalars,
+    decompose_batch,
     diff_step,
     dpdr_train,
     dpsgd_step,
     gdr_step,
     gen_synthetic,
+    init_model,
     l2_norm,
     normalize_base,
     per_sample_gradients,
     privacy_schedule,
+    reconstruct,
     scale,
     sub,
     train,
@@ -120,8 +128,9 @@ class TestGdrStep:
             expected = mean_of(per_sample_gradients(model, batch))
             assert l2_norm(sub(out.released, expected)) <= 1e-10 * max(1.0, l2_norm(expected))
 
-    def test_parallel_batch_updates_along_base_only(self):
-        model, batch = random_problem(7, batch=3)
+    @pytest.mark.parametrize("seed", range(50))
+    def test_parallel_batch_updates_along_base_only(self, seed):
+        model, batch = random_problem(seed, batch=3)
         grad = mean_of(per_sample_gradients(model, Batch(batch.inputs[:1], batch.labels[:1])))
         base = normalize_base(grad, 0)
         single = Batch(
@@ -376,3 +385,180 @@ class TestGdrTelemetryInvariant:
         assert any(r.perp_norm_median > 0 for r in gdr_rows)
         for row in gdr_rows:
             assert row.perp_norm_median <= row.grad_norm_median * (1 + 1e-12)
+
+
+class TestDifferenceChannelSensitivity:
+    """A clipped difference channel must release what it measured: each
+    sample's contribution stays within its clip bound even when the
+    difference is a tiny remainder of two large, nearly equal vectors."""
+
+    ANGLE = 1e-9  # radians between each gradient layer and its base layer
+
+    def tilted_base(self, g, seed):
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        blocks = []
+        for block in g.blocks:
+            u = gen.standard_normal(block.size)
+            u -= (u @ block) / (block @ block) * block
+            u *= np.linalg.norm(block) / np.linalg.norm(u)
+            blocks.append(block * math.cos(self.ANGLE) + u * math.sin(self.ANGLE))
+        return normalize_base(LayeredVector(tuple(blocks)), 0)
+
+    def test_near_parallel_sample_keeps_orthogonal_release_within_c_perp(self):
+        for seed in range(20):
+            model, batch = random_problem(seed + 900, batch=1)
+            g = per_sample_gradients(model, batch)[0]
+            base = self.tilted_base(g, seed)
+            assert not base.degenerate_layers
+            c = 0.5 * math.sin(self.ANGLE) * l2_norm(g)  # below the orthogonal norm
+            # c_alpha = c keeps the parallel part of the release small, so the
+            # projection below does not add rounding relative to ||g||
+            out, _ = gdr_step(
+                model, batch, base, ClipSpec(1.0, c, c), SILENT, 0.1,
+                RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"),
+            )
+            assert out.metrics.perp_norm_median > c
+            sq = 0.0
+            for r, b in zip(out.released.blocks, base.b.blocks):
+                orth = r - (r @ b) * b
+                sq += float(orth @ orth)
+            assert math.sqrt(sq) <= c * (1 + 1e-12)
+
+
+# --- factored steps against the list-based reference ----------------------
+
+TOL = 1e-12
+
+
+def assert_close_vector(actual, expected):
+    assert l2_norm(sub(actual, expected)) <= TOL * max(1.0, l2_norm(expected))
+
+
+def assert_close_scalar(actual, expected):
+    assert abs(actual - expected) <= TOL * max(1.0, abs(expected))
+
+
+def median_norm(vectors):
+    return float(np.median([l2_norm(v) for v in vectors]))
+
+
+def clip_bound(norms, regime):
+    """A positive bound that clips no sample, about half of them, or every
+    one with a nonzero norm."""
+    norms = np.asarray(norms)
+    if regime == "none":
+        return 2.0 * float(norms.max()) + 1.0
+    if regime == "some":
+        return max(float(np.median(norms)), 1e-6)
+    positive = norms[norms > 0]
+    return 0.5 * float(positive.min()) if positive.size else 1.0
+
+
+@st.composite
+def step_problems(draw):
+    kind = draw(st.sampled_from(["logistic", "relu", "tanh"]))
+    d_in = draw(st.integers(1, 5))
+    n_classes = draw(st.integers(2, 4))
+    hidden = () if kind == "logistic" else (draw(st.integers(1, 4)),)
+    arch = Architecture(d_in, hidden, n_classes, "tanh" if kind == "tanh" else "relu")
+    size = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    model = init_model(arch, seed)
+    batch = Batch(gen.standard_normal((size, d_in)), gen.integers(0, n_classes, size=size))
+    other = LayeredVector(
+        tuple(gen.standard_normal(d) * 0.3 for d in model.params.layer_dims)
+    )
+    return model, batch, other, seed
+
+
+REGIMES = st.sampled_from(["none", "some", "all"])
+SIGMAS = st.sampled_from([0.0, 1.3])
+
+
+class TestFactoredStepsMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(step_problems())
+    def test_sgd(self, problem):
+        model, batch, _, _ = problem
+        grads = per_sample_gradients(model, batch)
+        norms = [l2_norm(g) for g in grads]
+        out = sgd_step(model, batch)
+        expected = aggregate_and_perturb(grads, clip_bound(norms, "none"), 0.0)
+        assert_close_vector(out.released, expected)
+        assert_close_scalar(out.metrics.grad_norm_median, float(np.median(norms)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_problems(), REGIMES, SIGMAS)
+    def test_dpsgd_with_and_without_telemetry(self, problem, regime, sigma):
+        model, batch, prev, seed = problem
+        grads = per_sample_gradients(model, batch)
+        norms = [l2_norm(g) for g in grads]
+        c = clip_bound(norms, regime)
+        stream = RngStream(seed, 3, "noise-g")
+        plain = dpsgd_step(model, batch, c, sigma, 0.1, stream)
+        tracked = dpsgd_step(model, batch, c, sigma, 0.1, stream, prev)
+        assert_close_vector(plain.released, aggregate_and_perturb(grads, c, sigma, stream))
+        assert_close_scalar(plain.metrics.grad_norm_median, float(np.median(norms)))
+        assert_close_scalar(
+            tracked.metrics.diff_norm_median, median_norm([sub(g, prev) for g in grads])
+        )
+        # the telemetry never changes what is clipped or released
+        assert tracked.released.equals(plain.released)
+        assert tracked.metrics.grad_norm_median == plain.metrics.grad_norm_median
+        assert plain.metrics.diff_norm_median == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_problems(), REGIMES, SIGMAS)
+    def test_diff(self, problem, regime, sigma):
+        model, batch, prev, seed = problem
+        grads = per_sample_gradients(model, batch)
+        diffs = [sub(g, prev) for g in grads]
+        diff_norms = [l2_norm(d) for d in diffs]
+        c = clip_bound(diff_norms, regime)
+        stream = RngStream(seed, 4, "noise-g")
+        out = diff_step(model, batch, prev, c, sigma, 0.1, stream)
+        expected = add(aggregate_and_perturb(diffs, c, sigma, stream), prev)
+        assert_close_vector(out.released, expected)
+        assert_close_scalar(out.metrics.grad_norm_median, median_norm(grads))
+        assert_close_scalar(out.metrics.diff_norm_median, median_norm(diffs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_problems(), REGIMES, SIGMAS, st.data())
+    def test_gdr(self, problem, regime, sigma, data):
+        model, batch, raw_base, seed = problem
+        # zero some layers of the base so that they are degenerate
+        zeroed = data.draw(st.sets(st.integers(0, raw_base.layer_count - 1)))
+        base = normalize_base(
+            LayeredVector(
+                tuple(
+                    np.zeros_like(b) if layer in zeroed else b.copy()
+                    for layer, b in enumerate(raw_base.blocks)
+                )
+            ),
+            0,
+        )
+        assert base.degenerate_layers == frozenset(zeroed)
+        grads = per_sample_gradients(model, batch)
+        decs = decompose_batch(grads, base)
+        perps = [d.g_perp for d in decs]
+        alphas = [d.alphas for d in decs]
+        perp_norms = [l2_norm(p) for p in perps]
+        clip = ClipSpec(
+            1.0,
+            clip_bound(perp_norms, regime),
+            clip_bound([math.sqrt(float(a @ a)) for a in alphas], regime),
+        )
+        noise = NoisePlan(sigma, sigma, 2.0 * sigma)
+        perp_stream = RngStream(seed, 5, "noise-perp")
+        alpha_stream = RngStream(seed, 5, "noise-alpha")
+        out, _ = gdr_step(model, batch, base, clip, noise, 0.1, perp_stream, alpha_stream)
+        noisy_perp = aggregate_and_perturb(perps, clip.c_perp, noise.sigma_perp, perp_stream)
+        noisy_alpha = aggregate_and_perturb_scalars(
+            alphas, clip.c_alpha, noise.sigma_alpha, alpha_stream
+        )
+        assert_close_vector(out.released, reconstruct(noisy_alpha, noisy_perp, base))
+        assert_close_scalar(out.metrics.grad_norm_median, median_norm(grads))
+        assert_close_scalar(out.metrics.perp_norm_median, median_norm(perps))
+        assert_close_scalar(out.metrics.alpha_vec_norm, float(np.linalg.norm(noisy_alpha)))
+        np.testing.assert_allclose(out.perp_norms, perp_norms, rtol=TOL, atol=TOL)
