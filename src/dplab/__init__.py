@@ -12,9 +12,7 @@ from .accountant import (
     ReleaseEvent,
     calibrate_sigma,
     effective_sigma,
-    ledger_append,
     rdp_subsampled_gaussian,
-    to_eps_delta,
 )
 from .datasets import Dataset, gen_synthetic, load_cache, load_idx_pair, poisson_sample, save_cache
 from .decomposition import Decomposition, GdrBase, decompose, decompose_batch, normalize_base, reconstruct

@@ -35,9 +35,7 @@ __all__ = [
     "ReleaseEvent",
     "calibrate_sigma",
     "effective_sigma",
-    "ledger_append",
     "rdp_subsampled_gaussian",
-    "to_eps_delta",
 ]
 
 DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 257))
@@ -182,14 +180,6 @@ class PrivacyLedger:
         eps_all = _eps_from_rdp(self._rdp, self._orders_arr, self.delta)
         idx = int(np.argmin(eps_all))
         return float(eps_all[idx]), self.orders[idx]
-
-
-def ledger_append(ledger: PrivacyLedger, event: ReleaseEvent) -> PrivacyLedger:
-    return ledger.append(event)
-
-
-def to_eps_delta(ledger: PrivacyLedger) -> tuple[float, int]:
-    return ledger.epsilon()
 
 
 def _schedule_eps(

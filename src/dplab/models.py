@@ -14,6 +14,11 @@ The weight gradient is their outer product, with norm ||a_i|| ||delta_i||
 (Goodfellow 2015, "Efficient per-example gradient computations").
 :func:`mean_gradient` and :func:`per_sample_gradients` are derived from
 the factors.
+
+Inference (:func:`evaluate`, :func:`loss`, :func:`accuracy`,
+:func:`logits`) runs the forward pass class-major, on the transposed
+inputs: the (n_classes, n) logits come from products with the small weight
+matrices on the left, which is faster for many rows and few classes.
 """
 
 from __future__ import annotations
@@ -177,9 +182,27 @@ def _forward(model: Model, inputs: np.ndarray):
     raise AssertionError("unreachable")
 
 
+def _class_logits(model: Model, inputs: np.ndarray) -> np.ndarray:
+    """(n_classes, n) logits of the n rows of ``inputs``.
+
+    Inference runs class-major: z_k = W_k^T a_k on the transposed view of
+    ``inputs`` (no copy), so each layer is one product with the small
+    weight matrix on the left. :func:`_forward` keeps the row-major layout
+    that :func:`backprop` needs for its per-sample factors.
+    """
+    n_layers = len(model.arch.weight_shapes())
+    a = inputs.T
+    for k in range(n_layers):
+        z = _weight(model, k).T @ a
+        z += _bias(model, k)[:, None]
+        if k < n_layers - 1:
+            a = _activate(model.arch.activation, z)
+    return z
+
+
 def logits(model: Model, inputs: np.ndarray) -> np.ndarray:
-    out, _, _ = _forward(model, np.asarray(inputs, dtype=np.float64))
-    return out
+    """(n, n_classes) logits of the rows of ``inputs``."""
+    return _class_logits(model, np.asarray(inputs, dtype=np.float64)).T
 
 
 def _check_batch(model: Model, batch: Batch) -> None:
@@ -195,34 +218,32 @@ def _check_batch(model: Model, batch: Batch) -> None:
         )
 
 
-def _log_softmax_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.sum(np.exp(z - m), axis=1))
-    return lse, m
+def evaluate(model: Model, batch: Batch) -> tuple[float, float]:
+    """(mean cross-entropy, accuracy) with one forward pass.
+
+    Ties in the logits go to the lowest class index.
+    """
+    _check_batch(model, batch)
+    z = _class_logits(model, batch.inputs)
+    m = z.max(axis=0)
+    lse = m + np.log(np.sum(np.exp(z - m), axis=0))
+    picked = z[batch.labels, np.arange(batch.size)]
+    acc = float(np.mean(np.argmax(z, axis=0) == batch.labels))
+    return float(np.mean(lse - picked)), acc
 
 
 def loss(model: Model, batch: Batch) -> float:
     """Mean cross-entropy over the batch; nonnegative."""
-    _check_batch(model, batch)
-    z, _, _ = _forward(model, batch.inputs)
-    lse, _ = _log_softmax_terms(z)
-    picked = z[np.arange(batch.size), batch.labels]
-    return float(np.mean(lse - picked))
+    return evaluate(model, batch)[0]
 
 
 def accuracy(model: Model, inputs: np.ndarray, labels: np.ndarray) -> float:
-    z = logits(model, inputs)
-    return float(np.mean(np.argmax(z, axis=1) == np.asarray(labels)))
+    """Fraction of rows whose largest logit is at their label.
 
-
-def evaluate(model: Model, batch: Batch) -> tuple[float, float]:
-    """(mean cross-entropy, accuracy) with one forward pass."""
-    _check_batch(model, batch)
-    z, _, _ = _forward(model, batch.inputs)
-    lse, _ = _log_softmax_terms(z)
-    picked = z[np.arange(batch.size), batch.labels]
-    acc = float(np.mean(np.argmax(z, axis=1) == batch.labels))
-    return float(np.mean(lse - picked)), acc
+    The batch is built on views, so the caller's arrays stay writable.
+    """
+    inputs, labels = np.asarray(inputs, dtype=np.float64), np.asarray(labels)
+    return evaluate(model, Batch(inputs.view(), labels.view()))[1]
 
 
 def _softmax_delta(z: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dplab import Architecture, Batch, LayeredVector, init_model
+from dplab.models import _forward
 
 
 def random_vector(layer_dims, seed, scale=1.0) -> LayeredVector:
@@ -22,6 +23,17 @@ def random_problem(seed, d_in=None, hidden=None, n_classes=None, batch=None, act
     inputs = gen.standard_normal((batch, d_in))
     labels = gen.integers(0, n_classes, size=batch)
     return model, Batch(inputs, labels)
+
+
+def row_major_evaluate(model, batch):
+    """Reference (mean cross-entropy, accuracy): the row-major forward
+    (n, d_in) @ W_k, then a log-sum-exp and argmax over each row."""
+    z, _, _ = _forward(model, batch.inputs)
+    m = z.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.sum(np.exp(z - m), axis=1))
+    picked = z[np.arange(batch.size), batch.labels]
+    acc = float(np.mean(np.argmax(z, axis=1) == batch.labels))
+    return float(np.mean(lse - picked)), acc
 
 
 @pytest.fixture

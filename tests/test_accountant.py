@@ -11,9 +11,7 @@ from dplab import (
     ReleaseEvent,
     calibrate_sigma,
     effective_sigma,
-    ledger_append,
     rdp_subsampled_gaussian,
-    to_eps_delta,
 )
 from dplab.accountant import DEFAULT_ORDERS
 from dplab.errors import CalibrationError
@@ -128,7 +126,7 @@ class TestLedger:
     def test_single_event_scan_oracle(self):
         led = PrivacyLedger(1e-5)
         led.append(ReleaseEvent(1.0, 1.0, 1))
-        eps, order = to_eps_delta(led)
+        eps, order = led.epsilon()
         oracle = min((improved_eps(o / 2, o, 1e-5), o) for o in DEFAULT_ORDERS)
         assert eps == pytest.approx(oracle[0], rel=1e-12)
         assert order == oracle[1] == 5
@@ -156,7 +154,7 @@ class TestLedger:
         led = PrivacyLedger(1e-5)
         led.append(ReleaseEvent(0.05, 1.0, 7))
         before = led.epsilon()[0]
-        ledger_append(led, ReleaseEvent(0.0, 1.0, 100))
+        led.append(ReleaseEvent(0.0, 1.0, 100))
         assert led.epsilon()[0] == before
 
     def test_append_order_commutes(self):

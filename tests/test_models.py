@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dplab import (
     Architecture,
     Batch,
     ContractViolation,
     LayeredVector,
+    accuracy,
     apply_update,
     init_model,
     l2_norm,
@@ -19,7 +21,7 @@ from dplab import (
     sub,
 )
 from dplab.models import evaluate
-from tests.conftest import random_problem
+from tests.conftest import random_problem, random_vector, row_major_evaluate
 
 
 def loss_oracle(model, batch):
@@ -221,3 +223,67 @@ class TestEvaluate:
         ls, acc = evaluate(model, batch)
         assert ls == pytest.approx(loss(model, batch), rel=1e-12)
         assert 0.0 <= acc <= 1.0
+        assert acc == accuracy(model, batch.inputs, batch.labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d_in=st.integers(1, 12),
+        hidden=st.sampled_from([(), (1,), (5,), (16,), (7, 3)]),
+        n_classes=st.integers(2, 12),
+        n=st.integers(1, 300),
+        activation=st.sampled_from(["relu", "tanh"]),
+        zero=st.booleans(),
+    )
+    def test_matches_row_major_reference(self, seed, d_in, hidden, n_classes, n, activation,
+                                         zero):
+        arch = Architecture(d_in, hidden, n_classes, activation)
+        scale = 0.0 if zero else 1.0
+        model = type(init_model(arch, 0))(
+            arch, random_vector(arch.parameter_layer_dims(), seed, scale)
+        )
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        batch = Batch(gen.standard_normal((n, d_in)), gen.integers(0, n_classes, size=n))
+        ls, acc = evaluate(model, batch)
+        ref_ls, ref_acc = row_major_evaluate(model, batch)
+        assert ls == pytest.approx(ref_ls, rel=1e-12)
+        assert acc == ref_acc
+        if zero:  # every logit ties, so both layouts pick class 0
+            assert ls == pytest.approx(math.log(n_classes), rel=1e-15)
+            assert acc == float(np.mean(batch.labels == 0))
+
+
+class TestAccuracy:
+    def setup_method(self):
+        self.model, self.batch = random_problem(4, d_in=3, hidden=(), n_classes=3, batch=6)
+
+    def test_scalar_label_rejected(self):
+        with pytest.raises(ContractViolation):
+            accuracy(self.model, self.batch.inputs[:1], 0)
+
+    def test_out_of_range_label_rejected(self):
+        with pytest.raises(ContractViolation):
+            accuracy(self.model, self.batch.inputs, np.full(self.batch.size, 3))
+
+    def test_non_finite_input_rejected(self):
+        inputs = self.batch.inputs.copy()
+        inputs[0, 0] = np.nan
+        with pytest.raises(ContractViolation):
+            accuracy(self.model, inputs, self.batch.labels)
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ContractViolation):
+            accuracy(self.model, self.batch.inputs, self.batch.labels[:-1])
+
+    def test_input_dimension_mismatch_rejected(self):
+        with pytest.raises(ContractViolation):
+            accuracy(self.model, self.batch.inputs[:, :2], self.batch.labels)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractViolation):
+            accuracy(self.model, np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+    def test_caller_arrays_stay_writable(self):
+        inputs, labels = self.batch.inputs.copy(), self.batch.labels.copy()
+        accuracy(self.model, inputs, labels)
+        assert inputs.flags.writeable and labels.flags.writeable

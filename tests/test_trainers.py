@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dplab import (
     gen_synthetic,
     init_model,
     l2_norm,
+    mlp,
     normalize_base,
     per_sample_gradients,
     privacy_schedule,
@@ -33,7 +35,7 @@ from dplab import (
     train,
 )
 from dplab.trainers import sgd_step
-from tests.conftest import random_problem, random_vector
+from tests.conftest import random_problem, random_vector, row_major_evaluate
 
 LOOSE = ClipSpec(1e9, 1e9, 1e9)
 SILENT = NoisePlan(0.0, 0.0, 0.0)
@@ -385,6 +387,27 @@ class TestGdrTelemetryInvariant:
         assert any(r.perp_norm_median > 0 for r in gdr_rows)
         for row in gdr_rows:
             assert row.perp_norm_median <= row.grad_norm_median * (1 + 1e-12)
+
+
+class TestEvaluationNeverFeedsTrajectory:
+    """The per-step full-dataset evaluation is telemetry only: swapping it for
+    the row-major reference changes nothing but the loss in its last bits."""
+
+    @pytest.mark.parametrize("method", ["dpsgd", "diff", "dpdr"])
+    @pytest.mark.parametrize("arch", [None, mlp(6, (5,), 3, "relu"), mlp(6, (4,), 3, "tanh")])
+    def test_row_major_reference_leaves_run_unchanged(self, method, arch, monkeypatch):
+        dataset = gen_synthetic(128, 6, 3, margin=6.0, seed=11)
+        config = make_config(method, total_steps=6, seed=17, arch=arch)
+        fast = train(config, dataset)
+        monkeypatch.setattr("dplab.trainers.evaluate", row_major_evaluate)
+        ref = train(config, dataset)
+        assert fast.model.params.equals(ref.model.params)
+        assert fast.ledger.events == ref.ledger.events
+        assert len(fast.rows) == len(ref.rows) == 6
+        telemetry_only = dict(train_loss=0.0, train_accuracy=0.0, wall_ms=0.0)
+        for a, b in zip(fast.rows, ref.rows):
+            assert replace(a, **telemetry_only) == replace(b, **telemetry_only)
+            assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
 
 
 class TestDifferenceChannelSensitivity:
