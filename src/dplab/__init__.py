@@ -63,7 +63,6 @@ from .trainers import (
     TrainConfig,
     TrainResult,
     diff_step,
-    dpdr_train,
     dpsgd_step,
     gdr_step,
     privacy_schedule,

@@ -33,6 +33,10 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """A labelled dataset. It holds read-only views of the given arrays,
+    sharing their memory when no conversion is needed; the caller's arrays
+    stay writable."""
+
     name: str
     inputs: np.ndarray  # (n, d_in) float64
     labels: np.ndarray  # (n,) int64
@@ -41,8 +45,8 @@ class Dataset:
     def __post_init__(self):
         if "," in self.name or "\n" in self.name:
             raise ContractViolation("dataset name must not contain commas or newlines")
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        inputs = np.asarray(self.inputs, dtype=np.float64).view()
+        labels = np.asarray(self.labels, dtype=np.int64).view()
         if inputs.ndim != 2 or inputs.shape[0] < 1:
             raise ContractViolation("dataset must contain at least one example")
         if labels.shape != (inputs.shape[0],):
@@ -161,7 +165,8 @@ def gen_synthetic(
 def poisson_sample(dataset: Dataset, q: float, stream: RngStream) -> Batch:
     """Include each example independently with probability q, in index order.
 
-    The result may be empty; callers decide what an empty batch means.
+    The result may be empty; the trainers release an empty draw as pure
+    noise over the expected batch size (see :mod:`dplab.trainers`).
     """
     if not 0.0 <= q <= 1.0:
         raise ContractViolation(f"sampling ratio must be in [0, 1], got {q!r}")

@@ -137,8 +137,9 @@ def aggregate_and_perturb(
     """Clip each vector to c, sum, add N(0, (sigma*c)^2 I), divide by the count.
 
     With sigma == 0 this is exactly the mean of the clipped vectors and the
-    stream is not consumed. An empty list is a contract violation: empty
-    sampled batches are the trainer's responsibility.
+    stream is not consumed. An empty list is a contract violation; the
+    trainers release an empty Poisson batch through :func:`privatize` over
+    zero rows, divided by the expected batch size.
     """
     if not per_sample:
         raise ContractViolation("aggregate_and_perturb requires at least one vector")
@@ -313,7 +314,8 @@ def privatize(
     or :class:`DenseRows`). Returns the released blocks and the per-sample
     norms the clip measured. Noise is drawn as :func:`gaussian_sample` draws
     it, so this and :func:`aggregate_and_perturb` consume a stream
-    identically; sigma == 0 consumes none.
+    identically; sigma == 0 consumes none. A source with zero rows has a
+    zero sum, so its release is the noise alone.
     """
     _require_sigma(sigma)
     if sigma > 0 and stream is None:

@@ -106,15 +106,16 @@ class Model:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """A batch of examples. May be empty (a Poisson draw can come up empty);
-    model operations themselves require at least one example."""
+    """A batch of examples; empty when a Poisson draw comes up empty. It
+    holds read-only views of the given arrays, sharing their memory when no
+    conversion is needed; the caller's arrays stay writable."""
 
     inputs: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        inputs = np.asarray(self.inputs, dtype=np.float64).view()
+        labels = np.asarray(self.labels, dtype=np.int64).view()
         if inputs.ndim != 2:
             raise ContractViolation(f"inputs must be 2-d (batch, d_in), got shape {inputs.shape}")
         if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
@@ -206,13 +207,11 @@ def logits(model: Model, inputs: np.ndarray) -> np.ndarray:
 
 
 def _check_batch(model: Model, batch: Batch) -> None:
-    if batch.size == 0:
-        raise ContractViolation("batch must contain at least one example")
     if batch.inputs.shape[1] != model.arch.d_in:
         raise ContractViolation(
             f"input dimension {batch.inputs.shape[1]} does not match d_in={model.arch.d_in}"
         )
-    if int(batch.labels.max()) >= model.arch.n_classes:
+    if batch.size and int(batch.labels.max()) >= model.arch.n_classes:
         raise ContractViolation(
             f"label {int(batch.labels.max())} out of range [0, {model.arch.n_classes})"
         )
@@ -223,6 +222,8 @@ def evaluate(model: Model, batch: Batch) -> tuple[float, float]:
 
     Ties in the logits go to the lowest class index.
     """
+    if batch.size == 0:
+        raise ContractViolation("batch must contain at least one example")
     _check_batch(model, batch)
     z = _class_logits(model, batch.inputs)
     m = z.max(axis=0)
@@ -238,12 +239,8 @@ def loss(model: Model, batch: Batch) -> float:
 
 
 def accuracy(model: Model, inputs: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose largest logit is at their label.
-
-    The batch is built on views, so the caller's arrays stay writable.
-    """
-    inputs, labels = np.asarray(inputs, dtype=np.float64), np.asarray(labels)
-    return evaluate(model, Batch(inputs.view(), labels.view()))[1]
+    """Fraction of rows whose largest logit is at their label."""
+    return evaluate(model, Batch(inputs, labels))[1]
 
 
 def _softmax_delta(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -323,7 +320,8 @@ class GradientFactors:
 
 
 def backprop(model: Model, batch: Batch) -> GradientFactors:
-    """Per-sample gradient factors of each example's own cross-entropy."""
+    """Per-sample gradient factors of each example's own cross-entropy;
+    (0, .) factors for an empty batch."""
     _check_batch(model, batch)
     z, hidden_zs, layer_inputs = _forward(model, batch.inputs)
     n_layers = len(model.arch.weight_shapes())
@@ -352,7 +350,9 @@ def per_sample_gradients(model: Model, batch: Batch) -> list[LayeredVector]:
 
 
 def mean_gradient(model: Model, batch: Batch) -> LayeredVector:
-    """Gradient of the mean cross-entropy over the batch."""
+    """Gradient of the mean cross-entropy over a non-empty batch."""
+    if batch.size == 0:
+        raise ContractViolation("batch must contain at least one example")
     grads = backprop(model, batch)
     total = grads.weighted_sum(np.ones(grads.size))
     return LayeredVector(tuple(t / grads.size for t in total))

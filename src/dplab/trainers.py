@@ -12,6 +12,12 @@ and releases through :func:`dplab.mechanism.privatize`: norms, clipped sums
 and coefficients of the g_i come from the factors; norms and sums of the
 differences g_i - p and g_i - alpha_i b come from dense rows built chunk by
 chunk. No step builds a per-sample vector or a full (B, D) array.
+
+A release is divided by the realized Poisson batch size, or by the expected
+size ``config.batch`` when the draw is empty (one line in :func:`train`). An
+empty draw runs the same step on zero rows: the sums are zero, the release is
+the noise alone (plus the previous release for diff), one ledger event is
+spent, and per-sample medians read 0.0.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from .models import (
     init_model,
     logistic_regression,
 )
-from .vectors import LayeredVector, RngStream, gaussian_sample, scale
+from .vectors import LayeredVector, RngStream
 
 __all__ = [
     "METHODS",
@@ -61,7 +67,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "diff_step",
-    "dpdr_train",
     "dpsgd_step",
     "gdr_step",
     "privacy_schedule",
@@ -156,14 +161,25 @@ def _blank_row(step: int) -> MetricsRow:
     return MetricsRow(step, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def sgd_step(model: Model, batch: Batch) -> StepOutcome:
-    """Non-private baseline: release the exact batch-mean gradient."""
-    if batch.size == 0:
-        raise ContractViolation("sgd_step requires a non-empty batch")
+def _median(values: np.ndarray) -> float:
+    """Median of per-sample values; 0.0 for an empty batch."""
+    return float(np.median(values)) if values.size else 0.0
+
+
+def _denominator(batch: Batch, denom: float | None) -> float:
+    """``denom``, or by default the size of the batch, which must then be non-empty."""
+    if denom is None and batch.size == 0:
+        raise ContractViolation("an empty batch needs an explicit denom")
+    return batch.size if denom is None else denom
+
+
+def sgd_step(model: Model, batch: Batch, denom: float | None = None) -> StepOutcome:
+    """Non-private baseline: release the exact gradient sum over ``denom``."""
+    denom = _denominator(batch, denom)
     grads = backprop(model, batch)
     total = grads.weighted_sum(np.ones(batch.size))
-    released = LayeredVector(tuple(t / batch.size for t in total))
-    row = replace(_blank_row(0), grad_norm_median=float(np.median(grads.norms())))
+    released = LayeredVector(tuple(t / denom for t in total))
+    row = replace(_blank_row(0), grad_norm_median=_median(grads.norms()))
     return StepOutcome(released, row, None)
 
 
@@ -175,23 +191,23 @@ def dpsgd_step(
     q: float,
     stream: RngStream,
     prev_release: LayeredVector | None = None,
+    denom: float | None = None,
 ) -> StepOutcome:
-    """Clip per-sample gradients to c_g, perturb the sum, average.
+    """Clip per-sample gradients to c_g, perturb the sum, divide by ``denom``.
 
     ``prev_release`` is telemetry-only: when given, the median per-sample
     difference norm against it is recorded. Clip norms and the gradient
     norm median come from the factors either way.
     """
-    if batch.size == 0:
-        raise ContractViolation("dpsgd_step requires a non-empty batch")
+    denom = _denominator(batch, denom)
     grads = backprop(model, batch)
-    blocks, norms = privatize(GradientRows(grads), c_g, sigma_g, stream, batch.size)
+    blocks, norms = privatize(GradientRows(grads), c_g, sigma_g, stream, denom)
     diff_median = 0.0
     if prev_release is not None:
-        diff_median = float(np.median(DifferenceRows(grads, prev_release).norms()))
+        diff_median = _median(DifferenceRows(grads, prev_release).norms())
     row = replace(
         _blank_row(stream.step),
-        grad_norm_median=float(np.median(norms)),
+        grad_norm_median=_median(norms),
         diff_norm_median=diff_median,
     )
     event = ReleaseEvent(q, sigma_g, 1) if sigma_g > 0 else None
@@ -206,19 +222,19 @@ def diff_step(
     sigma_d: float,
     q: float,
     stream: RngStream,
+    denom: float | None = None,
 ) -> StepOutcome:
     """Perturb per-sample differences against the previous release, then add
     the previous release back. Staleness shows up as a difference norm
     larger than the gradient norm; both norms come from the same dense rows."""
-    if batch.size == 0:
-        raise ContractViolation("diff_step requires a non-empty batch")
+    denom = _denominator(batch, denom)
     diffs = DifferenceRows(backprop(model, batch), prev_release)
-    noisy_diff, diff_norms = privatize(diffs, c_d, sigma_d, stream, batch.size)
+    noisy_diff, diff_norms = privatize(diffs, c_d, sigma_d, stream, denom)
     released = LayeredVector(tuple(d + p for d, p in zip(noisy_diff, prev_release.blocks)))
     row = replace(
         _blank_row(stream.step),
-        grad_norm_median=float(np.median(diffs.grad_norms())),
-        diff_norm_median=float(np.median(diff_norms)),
+        grad_norm_median=_median(diffs.grad_norms()),
+        diff_norm_median=_median(diff_norms),
     )
     event = ReleaseEvent(q, sigma_d, 1) if sigma_d > 0 else None
     return StepOutcome(released, row, event)
@@ -233,27 +249,27 @@ def gdr_step(
     q: float,
     perp_stream: RngStream,
     alpha_stream: RngStream,
+    denom: float | None = None,
 ) -> tuple[StepOutcome, GdrBase]:
     """Decompose per-sample gradients against the base, privatize the two
     channels separately, reconstruct, and renormalize the release into the
     next base."""
-    if batch.size == 0:
-        raise ContractViolation("gdr_step requires a non-empty batch")
+    denom = _denominator(batch, denom)
     grads = backprop(model, batch)
     alphas = coefficients(grads, base)
     noisy_perp, perp_norms = privatize(
         DifferenceRows(grads, base.b, alphas),
-        clip.c_perp, noise.sigma_perp, perp_stream, batch.size,
+        clip.c_perp, noise.sigma_perp, perp_stream, denom,
     )
     (noisy_alpha,), _ = privatize(
-        DenseRows(alphas), clip.c_alpha, noise.sigma_alpha, alpha_stream, batch.size
+        DenseRows(alphas), clip.c_alpha, noise.sigma_alpha, alpha_stream, denom
     )
     released = reconstruct(noisy_alpha, LayeredVector(noisy_perp), base)
     new_base = normalize_base(released, perp_stream.step)
     row = replace(
         _blank_row(perp_stream.step),
-        grad_norm_median=float(np.median(grads.norms())),
-        perp_norm_median=float(np.median(perp_norms)),
+        grad_norm_median=_median(grads.norms()),
+        perp_norm_median=_median(perp_norms),
         alpha_vec_norm=float(math.sqrt(np.sum(noisy_alpha * noisy_alpha))),
     )
     event = None
@@ -327,18 +343,6 @@ class TrainResult:
     config: TrainConfig = field(repr=False, default=None)  # type: ignore[assignment]
 
 
-def _noise_only_vector(layer_dims, c: float, sigma: float, stream: RngStream, b: int) -> LayeredVector:
-    if sigma <= 0:
-        return LayeredVector.zeros(layer_dims)
-    return scale(1.0 / b, gaussian_sample(stream, layer_dims, sigma * c))
-
-
-def _noise_only_scalars(m: int, c: float, sigma: float, stream: RngStream, b: int) -> np.ndarray:
-    if sigma <= 0:
-        return np.zeros(m)
-    return stream.generator().standard_normal(m) * (sigma * c) / b
-
-
 def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     """Run one seeded experiment and return its artifacts in memory."""
     if config.batch > dataset.n:
@@ -350,7 +354,6 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     method = config.method
     q = config.batch / dataset.n
     total = config.total_steps
-    switch = config.switch_step if method == "dpdr" else None
     dims = arch.parameter_layer_dims()
 
     started = time.perf_counter()
@@ -362,86 +365,44 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     prev_release: LayeredVector | None = None
     base: GdrBase | None = None
     snapshot: np.ndarray | None = None
-    phase_steps = {"first": 0, "gdr": 0, "dpsgd": 0}
+    # steps per phase of a dpsgd or dpdr run; sgd and diff steps count in none
+    phase_steps = {ROLE_FIRST: 0, ROLE_GDR: 0, ROLE_DPSGD: 0}
 
     for t in range(1, total + 1):
         step_started = time.perf_counter()
         batch = poisson_sample(dataset, q, RngStream(config.seed, t, BATCH_TAG))
-        empty = batch.size == 0
+        # the realized Poisson size; an empty draw divides by the expected size
+        denom = batch.size if batch.size else config.batch
+        phase = method
+        if method == "dpdr":
+            phase = ROLE_FIRST if t == 1 else ROLE_GDR if t <= config.switch_step else ROLE_DPSGD
+        noise_g = RngStream(config.seed, t, NOISE_G_TAG)
 
-        if method == "sgd":
-            if empty:
-                outcome = StepOutcome(LayeredVector.zeros(dims), _blank_row(t), None)
-            else:
-                outcome = sgd_step(model, batch)
-        elif method == "diff":
+        if phase == "sgd":
+            outcome = sgd_step(model, batch, denom)
+        elif phase == "diff":
             prev = prev_release if prev_release is not None else LayeredVector.zeros(dims)
-            stream = RngStream(config.seed, t, NOISE_G_TAG)
-            if empty:
-                rel = LayeredVector(
-                    tuple(
-                        nb + pb
-                        for nb, pb in zip(
-                            _noise_only_vector(
-                                dims, config.clip.c_g, noise.sigma_g, stream, config.batch
-                            ).blocks,
-                            prev.blocks,
-                        )
-                    )
-                )
-                event = ReleaseEvent(q, noise.sigma_g, 1) if noise.sigma_g > 0 else None
-                outcome = StepOutcome(rel, _blank_row(t), event)
-            else:
-                outcome = diff_step(
-                    model, batch, prev, config.clip.c_g, noise.sigma_g, q, stream
-                )
-        else:  # dpsgd, or a dpsgd-phase / first step of dpdr
-            gdr_phase = method == "dpdr" and 2 <= t <= switch
-            if not gdr_phase:
-                stream = RngStream(config.seed, t, NOISE_G_TAG)
-                if empty:
-                    rel = _noise_only_vector(
-                        dims, config.clip.c_g, noise.sigma_g, stream, config.batch
-                    )
-                    event = ReleaseEvent(q, noise.sigma_g, 1) if noise.sigma_g > 0 else None
-                    outcome = StepOutcome(rel, _blank_row(t), event)
-                else:
-                    track_diff = prev_release if method == "dpsgd" else None
-                    outcome = dpsgd_step(
-                        model, batch, config.clip.c_g, noise.sigma_g, q, stream, track_diff
-                    )
-                if method == "dpdr":
-                    phase_steps["first" if t == 1 else "dpsgd"] += 1
-                else:
-                    phase_steps["dpsgd"] += 1
-                if method == "dpdr" and t == 1:
-                    base = normalize_base(outcome.released, 1)
-            else:
-                perp_stream = RngStream(config.seed, t, NOISE_PERP_TAG)
-                alpha_stream = RngStream(config.seed, t, NOISE_ALPHA_TAG)
-                if empty:
-                    noisy_perp = _noise_only_vector(
-                        dims, config.clip.c_perp, noise.sigma_perp, perp_stream, config.batch
-                    )
-                    noisy_alpha = _noise_only_scalars(
-                        len(dims), config.clip.c_alpha, noise.sigma_alpha, alpha_stream,
-                        config.batch,
-                    )
-                    rel = reconstruct(noisy_alpha, noisy_perp, base)
-                    event = None
-                    if noise.sigma_perp > 0 and noise.sigma_alpha > 0:
-                        event = ReleaseEvent(
-                            q, effective_sigma(noise.sigma_perp, noise.sigma_alpha), 1
-                        )
-                    outcome = StepOutcome(rel, _blank_row(t), event)
-                    base = normalize_base(rel, t)
-                else:
-                    outcome, base = gdr_step(
-                        model, batch, base, config.clip, noise, q, perp_stream, alpha_stream
-                    )
-                    if outcome.perp_norms is not None and outcome.perp_norms.size:
-                        snapshot = outcome.perp_norms
-                phase_steps["gdr"] += 1
+            outcome = diff_step(
+                model, batch, prev, config.clip.c_g, noise.sigma_g, q, noise_g, denom
+            )
+        elif phase == ROLE_GDR:
+            outcome, base = gdr_step(
+                model, batch, base, config.clip, noise, q,
+                RngStream(config.seed, t, NOISE_PERP_TAG),
+                RngStream(config.seed, t, NOISE_ALPHA_TAG),
+                denom,
+            )
+            if outcome.perp_norms.size:
+                snapshot = outcome.perp_norms
+        else:  # dpsgd, or the first and tail steps of dpdr
+            track_diff = prev_release if method == "dpsgd" else None
+            outcome = dpsgd_step(
+                model, batch, config.clip.c_g, noise.sigma_g, q, noise_g, track_diff, denom
+            )
+            if phase == ROLE_FIRST:
+                base = normalize_base(outcome.released, 1)
+        if phase in phase_steps:
+            phase_steps[phase] += 1
 
         if outcome.event is not None:
             ledger.append(outcome.event)
@@ -483,19 +444,3 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
         runtime_ms=runtime_ms,
         config=config,
     )
-
-
-def dpdr_train(config: TrainConfig, dataset: Dataset, ledger: PrivacyLedger | None = None):
-    """Run the mixed-schedule method; returns (final model, rows, ledger).
-
-    A caller-provided ledger receives this run's events on top of whatever
-    it already holds.
-    """
-    if config.method != "dpdr":
-        raise ContractViolation(f"dpdr_train requires method='dpdr', got {config.method!r}")
-    result = train(config, dataset)
-    if ledger is not None:
-        for event in result.ledger.events:
-            ledger.append(event)
-        return result.model, result.rows, ledger
-    return result.model, result.rows, result.ledger

@@ -200,6 +200,14 @@ class TestCacheFormat:
 
 
 class TestDatasetInvariants:
+    def test_caller_arrays_stay_writable(self):
+        inputs, labels = np.zeros((2, 3)), np.array([0, 1], dtype=np.int64)
+        batch, ds = Batch(inputs, labels), Dataset("x", inputs, labels, 2)
+        assert inputs.flags.writeable and labels.flags.writeable
+        for held in (batch.inputs, batch.labels, ds.inputs, ds.labels):
+            assert not held.flags.writeable
+            assert np.shares_memory(held, inputs) or np.shares_memory(held, labels)
+
     def test_requires_examples(self):
         with pytest.raises(ContractViolation):
             Dataset("x", np.zeros((0, 3)), np.zeros(0, dtype=int), 2)

@@ -19,8 +19,8 @@ from dplab import (
     aggregate_and_perturb_scalars,
     decompose_batch,
     diff_step,
-    dpdr_train,
     dpsgd_step,
+    gaussian_sample,
     gdr_step,
     gen_synthetic,
     init_model,
@@ -28,6 +28,7 @@ from dplab import (
     mlp,
     normalize_base,
     per_sample_gradients,
+    poisson_sample,
     privacy_schedule,
     reconstruct,
     scale,
@@ -247,17 +248,35 @@ class TestTrainLoop:
         for a, b in zip(sgd.rows, dpsgd.rows):
             assert a.train_loss == pytest.approx(b.train_loss, rel=1e-10)
 
-    def test_ledger_complete_despite_empty_batches(self):
+    @pytest.mark.parametrize("method, events", [("sgd", 0), ("dpsgd", 40), ("diff", 40),
+                                                ("dpdr", 40)])
+    def test_ledger_complete_despite_empty_batches(self, method, events):
         tiny = gen_synthetic(64, 4, 2, margin=6.0, seed=3)
-        config = make_config("dpsgd", total_steps=40, batch=1, seed=13)
+        switch = {"switch_step": 20} if method == "dpdr" else {}
+        config = make_config(method, total_steps=40, batch=1, seed=13, **switch)
         result = train(config, tiny)
-        # q = 1/64 makes empty draws near-certain somewhere in 40 steps
-        sizes = [
-            len(np.nonzero(RngStream(13, t, "batch").generator().random(64) < 1 / 64)[0])
-            for t in range(1, 41)
+        # q = 1/64 makes empty draws near-certain somewhere in 40 steps; at
+        # this seed they land in every dpdr phase: first, gdr and dpsgd
+        empty = [
+            t for t in range(1, 41)
+            if not np.any(RngStream(13, t, "batch").generator().random(64) < 1 / 64)
         ]
-        assert 0 in sizes
-        assert len(result.ledger.events) == 40
+        assert 1 in empty
+        assert any(2 <= t <= 20 for t in empty) and any(t > 20 for t in empty)
+        assert len(result.ledger.events) == events
+        assert all(np.all(np.isfinite(b)) for b in result.model.params.blocks)
+
+    def test_empty_draw_divides_noise_by_expected_batch(self):
+        tiny = gen_synthetic(64, 4, 2, margin=6.0, seed=3)
+        config = make_config("dpsgd", total_steps=3, batch=3, seed=11)
+        # at this seed step 3 draws no example at q = 3/64
+        assert poisson_sample(tiny, 3 / 64, RngStream(11, 3, "batch")).size == 0
+        before = train(replace(config, total_steps=2), tiny).model.params
+        after = train(config, tiny).model.params
+        std = config.clip.c_g * config.noise.sigma_g
+        noise = gaussian_sample(RngStream(11, 3, "noise-g"), before.layer_dims, std)
+        expected = sub(before, scale(config.lr / config.batch, noise))
+        assert l2_norm(sub(after, expected)) <= 1e-14 * l2_norm(expected)
 
     def test_eps_monotone_and_reported(self):
         result = train(make_config("dpsgd", total_steps=8, seed=4), self.dataset)
@@ -312,12 +331,6 @@ class TestTrainLoop:
         result = train(make_config("diff", total_steps=4, seed=9), self.dataset)
         assert result.rows[0].diff_norm_median > 0  # vs zero initial release
 
-    def test_dpdr_train_wrapper(self):
-        config = make_config("dpdr", total_steps=4, seed=10)
-        model, rows, ledger = dpdr_train(config, self.dataset)
-        assert len(rows) == 4
-        assert len(ledger.events) == 4
-
     def test_batch_larger_than_dataset_rejected(self):
         config = make_config("dpsgd", batch=4096)
         with pytest.raises(ContractViolation):
@@ -348,6 +361,68 @@ class TestConfigValidation:
     def test_calibrated_dpdr_needs_sigma_alpha(self):
         with pytest.raises(ContractViolation):
             make_config("dpdr", noise=None, eps_target=3.0)
+
+
+class TestEmptyBatchSteps:
+    """At B = 0 with an explicit denom b, every step releases its noise alone
+    over b: (1/b) N sigma c per block, plus the previous release for diff."""
+
+    B = 7  # not a power of two, so x / b and (1/b) x may differ in the last bit
+
+    def setup_method(self):
+        self.model, self.batch = random_problem(30, batch=5)
+        self.empty = Batch(np.zeros((0, self.model.arch.d_in)), np.zeros(0, dtype=int))
+        self.dims = self.model.params.layer_dims
+
+    def noise_only(self, c, sigma, stream):
+        return scale(1.0 / self.B, gaussian_sample(stream, self.dims, sigma * c))
+
+    def assert_rel_close(self, actual, expected):
+        assert l2_norm(sub(actual, expected)) <= 1e-15 * l2_norm(expected)
+
+    def assert_medians_zero(self, row):
+        assert row.grad_norm_median == row.perp_norm_median == row.diff_norm_median == 0.0
+
+    def test_sgd(self):
+        out = sgd_step(self.model, self.empty, self.B)
+        assert out.released.equals(LayeredVector.zeros(self.dims))
+        assert out.event is None
+        self.assert_medians_zero(out.metrics)
+
+    def test_dpsgd(self):
+        stream = RngStream(4, 3, "noise-g")
+        prev = random_vector(self.dims, 31)
+        out = dpsgd_step(self.model, self.empty, 1.5, 1.1, 0.1, stream, prev, self.B)
+        self.assert_rel_close(out.released, self.noise_only(1.5, 1.1, stream))
+        assert out.event == dpsgd_step(self.model, self.batch, 1.5, 1.1, 0.1, stream).event
+        self.assert_medians_zero(out.metrics)
+
+    def test_diff(self):
+        stream = RngStream(4, 3, "noise-g")
+        prev = random_vector(self.dims, 31)
+        out = diff_step(self.model, self.empty, prev, 1.5, 1.1, 0.1, stream, self.B)
+        self.assert_rel_close(out.released, add(self.noise_only(1.5, 1.1, stream), prev))
+        full = diff_step(self.model, self.batch, prev, 1.5, 1.1, 0.1, stream)
+        assert out.event == full.event
+        self.assert_medians_zero(out.metrics)
+
+    def test_gdr(self):
+        base = normalize_base(random_vector(self.dims, 32), 0)
+        clip, noise = ClipSpec(1.0, 0.5, 1.5), NoisePlan(1.0, 1.2, 2.0)
+        streams = RngStream(4, 3, "noise-perp"), RngStream(4, 3, "noise-alpha")
+        out, _ = gdr_step(self.model, self.empty, base, clip, noise, 0.1, *streams, self.B)
+        noisy_perp = self.noise_only(clip.c_perp, noise.sigma_perp, streams[0])
+        noisy_alpha = (
+            streams[1].generator().standard_normal(base.layer_count)
+            * (noise.sigma_alpha * clip.c_alpha) / self.B
+        )
+        self.assert_rel_close(out.released, reconstruct(noisy_alpha, noisy_perp, base))
+        # the reported alpha norm is that of the released noisy coefficients
+        assert out.metrics.alpha_vec_norm == pytest.approx(np.linalg.norm(noisy_alpha), rel=1e-15)
+        full, _ = gdr_step(self.model, self.batch, base, clip, noise, 0.1, *streams)
+        assert out.event == full.event
+        assert out.perp_norms.size == 0
+        self.assert_medians_zero(out.metrics)
 
 
 class TestSgdStep:
