@@ -26,6 +26,7 @@ from .models import GradientFactors
 from .vectors import LayeredVector, RngStream, gaussian_sample, l2_norm
 
 __all__ = [
+    "CANCELLATION_TAU",
     "ClipSpec",
     "DenseRows",
     "DifferenceRows",
@@ -42,6 +43,10 @@ __all__ = [
 
 # bytes of dense difference rows built at once; a chunk holds at least one sample
 ROW_CHUNK_BYTES = 1 << 20
+
+# a factored squared difference norm below this share of ||g_i||^2 + ||s_i v||^2
+# is measured on its dense row instead (DifferenceRows.norms)
+CANCELLATION_TAU = 1e-2
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -242,13 +247,23 @@ class DifferenceRows:
     """Per-sample differences g_i - coeffs[i, j] * v_j (block j) against a
     dense vector v; without ``coeffs`` every coefficient is 1.
 
-    Norms and clipped sums come from the dense difference rows, built block
+    Clipped sums (the releases of the diff channel and of the dpdr
+    orthogonal channel) come from the dense difference rows, built block
     by block for chunks of samples of about ROW_CHUNK_BYTES, so each clip
     scales exactly the row it measured and a contribution exceeds its bound
     by rounding relative to the bound. Expanding the norm as
     ||g||^2 - 2<g, v> + ||v||^2 cancels catastrophically when g_i lies close
     to s_i v, and summing f_i g_i and (sum f_i s_i) v separately leaves
     rounding relative to ||g_i||, which can exceed a small bound.
+
+    :meth:`norms` is telemetry only: nothing it measures is clipped or
+    released. It expands the norm from the factors, with ||g_i||^2 from
+    :meth:`GradientFactors.sq_norms` and the cross terms from
+    :meth:`GradientFactors.block_dots`, and builds no dense row. The
+    expansion rounds by about eps (||g_i||^2 + ||s_i v||^2), so a sample whose
+    expanded square falls below CANCELLATION_TAU times that scale (a square
+    rounded below zero included) is measured on its dense row instead; the
+    relative error of every other norm stays near eps / CANCELLATION_TAU.
     """
 
     grads: GradientFactors
@@ -288,10 +303,24 @@ class DifferenceRows:
         return np.sqrt(out)
 
     def norms(self) -> np.ndarray:
-        return self._norms(True)
+        """Difference norms from the factors, guarded against cancellation
+        by dense rows for the samples that need them (see the class docstring)."""
+        n = self.grads.size
+        s = np.ones((n, self.v.layer_count)) if self.coeffs is None else self.coeffs
+        v_sq = np.array([np.einsum("i,i->", b, b) for b in self.v.blocks])
+        offset = np.sum(s * s * v_sq, axis=1)
+        g_sq = self.grads.sq_norms()
+        sq = g_sq - 2.0 * np.sum(s * self.grads.block_dots(self.v), axis=1) + offset
+        out = np.empty(n)
+        kept = sq >= CANCELLATION_TAU * (g_sq + offset)
+        out[kept] = np.sqrt(sq[kept])
+        dense = np.flatnonzero(~kept)
+        coeffs = None if self.coeffs is None else self.coeffs[dense]
+        out[dense] = DifferenceRows(self.grads.take(dense), self.v, coeffs)._norms(True)
+        return out
 
     def grad_norms(self) -> np.ndarray:
-        """Norms of the g_i themselves, from the same dense rows as :meth:`norms`."""
+        """Norms of the g_i themselves, from dense rows chunked as in :meth:`clipped_sum`."""
         return self._norms(False)
 
     def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

@@ -289,15 +289,25 @@ class GradientFactors:
         a = self.inputs[block // 2][lo:hi]
         return np.einsum("bi,bo->bio", a, d).reshape(d.shape[0], -1)
 
-    def norms(self) -> np.ndarray:
-        """(B,) global L2 norms from sum_k ||a_ik||^2 ||delta_ik||^2 + ||delta_ik||^2,
+    def take(self, idx: np.ndarray) -> GradientFactors:
+        """Factors of the samples ``idx``, in that order."""
+        return GradientFactors(
+            tuple(a[idx] for a in self.inputs), tuple(d[idx] for d in self.signals)
+        )
+
+    def sq_norms(self) -> np.ndarray:
+        """(B,) squared global L2 norms, sum_k ||a_ik||^2 ||delta_ik||^2 + ||delta_ik||^2,
         blocks summed left to right."""
         total = np.zeros(self.size)
         for a, d in zip(self.inputs, self.signals):
             d_sq = np.sum(d * d, axis=1)
             total += np.sum(a * a, axis=1) * d_sq
             total += d_sq
-        return np.sqrt(total)
+        return total
+
+    def norms(self) -> np.ndarray:
+        """(B,) global L2 norms, the square roots of :meth:`sq_norms`."""
+        return np.sqrt(self.sq_norms())
 
     def weighted_sum(self, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """Blocks of sum_i f_i g_i: a_k^T (f * delta_k) and f @ delta_k."""

@@ -9,9 +9,12 @@ compared at the same seed see identical batch sequences.
 
 Each step works on the batch's gradient factors (:func:`dplab.models.backprop`)
 and releases through :func:`dplab.mechanism.privatize`: norms, clipped sums
-and coefficients of the g_i come from the factors; norms and sums of the
-differences g_i - p and g_i - alpha_i b come from dense rows built chunk by
-chunk. No step builds a per-sample vector or a full (B, D) array.
+and coefficients of the g_i come from the factors; the clipped sums of the
+differences g_i - p and g_i - alpha_i b, and the norms they clip, come from
+dense rows built chunk by chunk. The dpsgd difference-norm telemetry comes
+from the factors, with dense rows only for samples too close to p for the
+factored form (:meth:`dplab.mechanism.DifferenceRows.norms`). No step builds
+a per-sample vector or a full (B, D) array.
 
 A release is divided by the realized Poisson batch size, or by the expected
 size ``config.batch`` when the draw is empty (one line in :func:`train`). An
@@ -196,8 +199,10 @@ def dpsgd_step(
     """Clip per-sample gradients to c_g, perturb the sum, divide by ``denom``.
 
     ``prev_release`` is telemetry-only: when given, the median per-sample
-    difference norm against it is recorded. Clip norms and the gradient
-    norm median come from the factors either way.
+    difference norm against it is recorded, computed from the factors with a
+    dense fallback for near-parallel samples (:meth:`DifferenceRows.norms`).
+    Clip norms and the gradient norm median come from the factors either way
+    and do not depend on it.
     """
     denom = _denominator(batch, denom)
     grads = backprop(model, batch)
@@ -365,8 +370,10 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     prev_release: LayeredVector | None = None
     base: GdrBase | None = None
     snapshot: np.ndarray | None = None
-    # steps per phase of a dpsgd or dpdr run; sgd and diff steps count in none
+    # steps per accounting role of the run's release schedule (none for sgd)
     phase_steps = {ROLE_FIRST: 0, ROLE_GDR: 0, ROLE_DPSGD: 0}
+    for _, steps, role in privacy_schedule(method, q, total, config.switch_step):
+        phase_steps[role] += steps
 
     for t in range(1, total + 1):
         step_started = time.perf_counter()
@@ -401,8 +408,6 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
             )
             if phase == ROLE_FIRST:
                 base = normalize_base(outcome.released, 1)
-        if phase in phase_steps:
-            phase_steps[phase] += 1
 
         if outcome.event is not None:
             ledger.append(outcome.event)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,19 @@ def random_problem(seed, d_in=None, hidden=None, n_classes=None, batch=None, act
     inputs = gen.standard_normal((batch, d_in))
     labels = gen.integers(0, n_classes, size=batch)
     return model, Batch(inputs, labels)
+
+
+def tilted(g, angle, seed) -> LayeredVector:
+    """g with every block turned by ``angle`` radians towards a random
+    orthogonal direction, each block keeping its norm."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    blocks = []
+    for block in g.blocks:
+        u = gen.standard_normal(block.size)
+        u -= (u @ block) / (block @ block) * block
+        u *= np.linalg.norm(block) / np.linalg.norm(u)
+        blocks.append(block * math.cos(angle) + u * math.sin(angle))
+    return LayeredVector(tuple(blocks))
 
 
 def row_major_evaluate(model, batch):

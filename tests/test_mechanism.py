@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dplab import (
+    Batch,
     ClipSpec,
     ContractViolation,
     LayeredVector,
@@ -12,12 +13,17 @@ from dplab import (
     RngStream,
     aggregate_and_perturb,
     aggregate_and_perturb_scalars,
+    backprop,
     clip_alpha_vec,
     clip_to_norm,
     dot,
     l2_norm,
+    per_sample_gradients,
+    scale,
+    sub,
 )
-from tests.conftest import random_vector
+from dplab.mechanism import DifferenceRows
+from tests.conftest import random_problem, random_vector, tilted
 
 
 class TestClipToNorm:
@@ -159,3 +165,58 @@ class TestSpecs:
         with pytest.raises(ContractViolation):
             NoisePlan(-0.1, 1.0, 1.0)
         NoisePlan(0.0, 0.0, 0.0)
+
+
+class TestFactoredDifferenceNorms:
+    """DifferenceRows.norms() expands ||g_i - p||^2 from the gradient
+    factors; samples where that expansion cancels must be measured on their
+    dense rows, so every norm matches the dense rows sample by sample."""
+
+    @staticmethod
+    def previous_release(kind, g, dims, seed):
+        if kind == "equal":
+            return g
+        if kind == "scaled":
+            return scale(1 + 1e-9, g)
+        if kind == "tilted":
+            return tilted(g, 1e-9, seed)
+        if kind == "zero":
+            return LayeredVector.zeros(dims)
+        return random_vector(dims, seed, scale=0.3)
+
+    @pytest.mark.parametrize("kind", ["equal", "scaled", "tilted", "zero", "random"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_dense_rows(self, kind, seed):
+        model, batch = random_problem(seed + 300, batch=5)
+        grads = per_sample_gradients(model, batch)
+        p = self.previous_release(kind, grads[seed % 5], model.params.layer_dims, seed)
+        factored = DifferenceRows(backprop(model, batch), p).norms()
+        dense = np.array([l2_norm(sub(g, p)) for g in grads])
+        np.testing.assert_allclose(factored, dense, rtol=1e-12, atol=0.0)
+        if kind == "equal":
+            assert factored[seed % 5] == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coefficients_match_dense_rows(self, seed):
+        # sample 0 lies exactly on s_0 v: its blocks are 0.5 * (2 g_0)
+        model, batch = random_problem(seed + 400, batch=4)
+        grads = per_sample_gradients(model, batch)
+        v = scale(2.0, grads[0])
+        coeffs = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+            (batch.size, v.layer_count)
+        )
+        coeffs[0] = 0.5
+        factored = DifferenceRows(backprop(model, batch), v, coeffs).norms()
+        dense = np.array([
+            l2_norm(LayeredVector(tuple(b - s * vb for b, s, vb in zip(g.blocks, c, v.blocks))))
+            for g, c in zip(grads, coeffs)
+        ])
+        np.testing.assert_allclose(factored, dense, rtol=1e-12, atol=0.0)
+        assert factored[0] == 0.0
+
+    def test_empty_batch(self):
+        model, batch = random_problem(5, batch=1)
+        empty = Batch(batch.inputs[:0], batch.labels[:0])
+        p = random_vector(model.params.layer_dims, 5)
+        norms = DifferenceRows(backprop(model, empty), p).norms()
+        assert norms.shape == (0,)

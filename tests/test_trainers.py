@@ -10,6 +10,7 @@ from dplab import (
     Batch,
     ClipSpec,
     ContractViolation,
+    GradientFactors,
     LayeredVector,
     NoisePlan,
     RngStream,
@@ -36,7 +37,7 @@ from dplab import (
     train,
 )
 from dplab.trainers import sgd_step
-from tests.conftest import random_problem, random_vector, row_major_evaluate
+from tests.conftest import random_problem, random_vector, row_major_evaluate, tilted
 
 LOOSE = ClipSpec(1e9, 1e9, 1e9)
 SILENT = NoisePlan(0.0, 0.0, 0.0)
@@ -94,6 +95,29 @@ class TestDpsgdStep:
         empty = Batch(np.zeros((0, 3)), np.zeros(0, dtype=int))
         with pytest.raises(ContractViolation):
             dpsgd_step(model, empty, 1.0, 1.0, 0.1, RngStream(0, 1, "noise-g"))
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_telemetry_expands_rows_only_for_near_parallel_samples(self, parallel, monkeypatch):
+        # the difference norms come from the factors; a dense row is built
+        # only for the one sample that equals the previous release
+        model, batch = random_problem(4, hidden=(3,), batch=6)
+        dims = model.params.layer_dims
+        prev = (
+            per_sample_gradients(model, batch)[2] if parallel
+            else random_vector(dims, 4, scale=0.3)
+        )
+        expanded = []
+        block_rows = GradientFactors.block_rows
+
+        def counting(self, block, lo=0, hi=None):
+            rows = block_rows(self, block, lo, hi)
+            expanded.append(rows.shape[0])
+            return rows
+
+        monkeypatch.setattr(GradientFactors, "block_rows", counting)
+        out = dpsgd_step(model, batch, 1.0, 1.0, 0.1, RngStream(0, 1, "noise-g"), prev)
+        assert expanded == ([1] * len(dims) if parallel else [])
+        assert out.metrics.diff_norm_median > 0
 
 
 class TestDiffStep:
@@ -277,6 +301,12 @@ class TestTrainLoop:
         noise = gaussian_sample(RngStream(11, 3, "noise-g"), before.layer_dims, std)
         expected = sub(before, scale(config.lr / config.batch, noise))
         assert l2_norm(sub(after, expected)) <= 1e-14 * l2_norm(expected)
+
+    @pytest.mark.parametrize("method", ["dpsgd", "diff", "dpdr"])
+    def test_phase_steps_count_every_ledger_event(self, method):
+        result = train(make_config(method, total_steps=6, seed=4), self.dataset)
+        assert len(result.ledger.events) == 6
+        assert sum(result.phase_steps.values()) == len(result.ledger.events)
 
     def test_eps_monotone_and_reported(self):
         result = train(make_config("dpsgd", total_steps=8, seed=4), self.dataset)
@@ -493,14 +523,7 @@ class TestDifferenceChannelSensitivity:
     ANGLE = 1e-9  # radians between each gradient layer and its base layer
 
     def tilted_base(self, g, seed):
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        blocks = []
-        for block in g.blocks:
-            u = gen.standard_normal(block.size)
-            u -= (u @ block) / (block @ block) * block
-            u *= np.linalg.norm(block) / np.linalg.norm(u)
-            blocks.append(block * math.cos(self.ANGLE) + u * math.sin(self.ANGLE))
-        return normalize_base(LayeredVector(tuple(blocks)), 0)
+        return normalize_base(tilted(g, self.ANGLE, seed), 0)
 
     def test_near_parallel_sample_keeps_orthogonal_release_within_c_perp(self):
         for seed in range(20):
