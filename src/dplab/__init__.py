@@ -13,6 +13,7 @@ from .accountant import (
     calibrate_sigma,
     effective_sigma,
     rdp_subsampled_gaussian,
+    schedule_ledger,
 )
 from .datasets import Dataset, gen_synthetic, load_cache, load_idx_pair, poisson_sample, save_cache
 from .decomposition import Decomposition, GdrBase, decompose, decompose_batch, normalize_base, reconstruct
@@ -20,10 +21,8 @@ from .diagnostics import (
     CSV_COLUMNS,
     CoherenceStats,
     MetricsRow,
-    SensitivityProbe,
     coherence_stats,
     histogram,
-    sensitivity_probe,
     steps_to_target_loss,
 )
 from .errors import (

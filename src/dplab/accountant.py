@@ -30,15 +30,24 @@ import numpy as np
 from .errors import CalibrationError, CalibrationInfeasible, ContractViolation
 
 __all__ = [
+    "CALIBRATION_MAX_ITER",
+    "CALIBRATION_REL_TOL",
     "DEFAULT_ORDERS",
     "PrivacyLedger",
     "ReleaseEvent",
     "calibrate_sigma",
     "effective_sigma",
     "rdp_subsampled_gaussian",
+    "schedule_ledger",
 ]
 
 DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 257))
+_ORDERS_ARR = np.array(DEFAULT_ORDERS, dtype=np.float64)
+
+# calibration stops once eps is within this share of the target, and gives
+# up after this many evaluations
+CALIBRATION_REL_TOL = 1e-3
+CALIBRATION_MAX_ITER = 200
 
 ROLE_FIRST = "first"
 ROLE_GDR = "gdr"
@@ -143,20 +152,16 @@ class PrivacyLedger:
 
     Append mutates under exclusive access and also returns the ledger for
     chaining; queries are pure. Accumulated RDP is additive over events, so
-    the query result does not depend on append order.
+    the query result does not depend on append order. Orders are
+    :data:`DEFAULT_ORDERS`.
     """
 
-    def __init__(self, delta: float, orders: tuple[int, ...] = DEFAULT_ORDERS):
+    def __init__(self, delta: float):
         if not 0.0 < delta < 1.0:
             raise ContractViolation(f"delta must be in (0, 1), got {delta!r}")
-        if len(orders) == 0 or any(
-            isinstance(o, bool) or not isinstance(o, (int, np.integer)) or o < 2 for o in orders
-        ):
-            raise ContractViolation("orders must be integers >= 2")
         self.delta = float(delta)
-        self.orders = tuple(int(o) for o in orders)
+        self.orders = DEFAULT_ORDERS
         self.events: list[ReleaseEvent] = []
-        self._orders_arr = np.array(self.orders, dtype=np.float64)
         self._rdp = np.zeros(len(self.orders))
         self._per_step_cache: dict[tuple[float, float], np.ndarray] = {}
 
@@ -177,23 +182,29 @@ class PrivacyLedger:
         """(eps, minimizing order) at the ledger's delta."""
         if not self.events:
             raise ContractViolation("cannot convert an empty ledger")
-        eps_all = _eps_from_rdp(self._rdp, self._orders_arr, self.delta)
+        eps_all = _eps_from_rdp(self._rdp, _ORDERS_ARR, self.delta)
         idx = int(np.argmin(eps_all))
         return float(eps_all[idx]), self.orders[idx]
 
 
-def _schedule_eps(
+def schedule_ledger(
     schedule: list[tuple[float, int, str]],
     delta: float,
-    scale: float,
+    sigma_perp: float,
     sigma_alpha: float,
     ratio_g: float,
-) -> float:
+) -> PrivacyLedger:
+    """Ledger of a release schedule of (q, steps, role) entries: "gdr"
+    entries are accounted at effective_sigma(sigma_perp, sigma_alpha),
+    "dpsgd"/"first" entries at sigma_g = ratio_g * sigma_perp."""
     ledger = PrivacyLedger(delta)
     for q, steps, role in schedule:
-        sigma = effective_sigma(scale, sigma_alpha) if role == ROLE_GDR else ratio_g * scale
+        if role == ROLE_GDR:
+            sigma = effective_sigma(sigma_perp, sigma_alpha)
+        else:
+            sigma = ratio_g * sigma_perp
         ledger.append(ReleaseEvent(q, sigma, steps))
-    return ledger.epsilon()[0]
+    return ledger
 
 
 def calibrate_sigma(
@@ -202,19 +213,16 @@ def calibrate_sigma(
     schedule: list[tuple[float, int, str]],
     sigma_alpha: float,
     ratio_g: float = 1.0,
-    *,
-    rel_tol: float = 1e-3,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Find (sigma_perp, sigma_g) hitting eps_target at delta.
 
-    One scale s is bisected with sigma_perp = s and sigma_g = ratio_g * s;
-    "gdr" schedule entries are accounted at effective_sigma(s, sigma_alpha),
-    "dpsgd"/"first" entries at sigma_g. sigma_alpha is fixed by the caller.
+    One scale s is bisected with sigma_perp = s and sigma_g = ratio_g * s,
+    accounted by :func:`schedule_ledger`. sigma_alpha is fixed by the caller.
 
     Raises CalibrationInfeasible when the target lies below what the fixed
     sigma_alpha (or the order grid) can ever reach, CalibrationError when
-    bracketing/bisection does not converge within max_iter evaluations.
+    bracketing/bisection does not converge within CALIBRATION_MAX_ITER
+    evaluations.
     """
     if not math.isfinite(eps_target) or eps_target <= 0:
         raise ContractViolation(f"eps target must be positive, got {eps_target!r}")
@@ -233,8 +241,7 @@ def calibrate_sigma(
             raise ContractViolation(f"unknown schedule role {role!r}")
 
     # the conversion of a vanishing RDP curve: what an unbounded scale approaches
-    orders = np.array(DEFAULT_ORDERS, dtype=np.float64)
-    grid_floor = float(np.min(_eps_from_rdp(np.zeros_like(orders), orders, delta)))
+    grid_floor = float(np.min(_eps_from_rdp(np.zeros_like(_ORDERS_ARR), _ORDERS_ARR, delta)))
     if eps_target <= grid_floor:
         raise CalibrationInfeasible(
             f"eps target {eps_target:g} is at or below the conversion floor "
@@ -255,16 +262,18 @@ def calibrate_sigma(
             )
 
     def eps_at(scale: float) -> float:
-        return _schedule_eps(schedule, delta, scale, sigma_alpha, ratio_g)
+        return schedule_ledger(schedule, delta, scale, sigma_alpha, ratio_g).epsilon()[0]
 
-    tol = rel_tol * eps_target
+    tol = CALIBRATION_REL_TOL * eps_target
     iters = 0
 
     def budget() -> None:
         nonlocal iters
         iters += 1
-        if iters > max_iter:
-            raise CalibrationError(f"calibration did not converge within {max_iter} iterations")
+        if iters > CALIBRATION_MAX_ITER:
+            raise CalibrationError(
+                f"calibration did not converge within {CALIBRATION_MAX_ITER} iterations"
+            )
 
     lo = hi = 1.0
     budget()

@@ -16,11 +16,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .accountant import PrivacyLedger, ReleaseEvent, calibrate_sigma, effective_sigma
+from .accountant import calibrate_sigma, effective_sigma, schedule_ledger
 from .datasets import Dataset, gen_synthetic, load_idx_pair
 from .diagnostics import histogram, steps_to_target_loss
 from .errors import (
@@ -33,11 +34,12 @@ from .errors import (
 from .mechanism import ClipSpec, NoisePlan
 from .runio import (
     PERP_SNAPSHOT_FILENAME,
+    build_summary,
     read_metrics_csv,
     read_perp_snapshot,
     write_run,
 )
-from .trainers import METHODS, TrainConfig, privacy_schedule, train
+from .trainers import TrainConfig, privacy_schedule, train
 
 __all__ = ["main"]
 
@@ -61,16 +63,12 @@ _TOP_KEYS = {
 }
 
 
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
-
-
 def _require(doc: dict, key: str, types, where: str = "config"):
     if key not in doc:
-        raise _fail(f"{where}: missing required key '{key}'")
+        raise ConfigError(f"{where}: missing required key '{key}'")
     value = doc[key]
     if not isinstance(value, types) or isinstance(value, bool):
-        raise _fail(f"{where}: key '{key}' has the wrong type")
+        raise ConfigError(f"{where}: key '{key}' has the wrong type")
     return value
 
 
@@ -79,126 +77,85 @@ def _optional(doc: dict, key: str, types, default, where: str = "config"):
         return default
     value = doc[key]
     if not isinstance(value, types) or isinstance(value, bool):
-        raise _fail(f"{where}: key '{key}' has the wrong type")
+        raise ConfigError(f"{where}: key '{key}' has the wrong type")
     return value
 
 
 def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
     for key in doc:
         if key not in allowed:
-            raise _fail(f"{where}: unknown key '{key}'")
+            raise ConfigError(f"{where}: unknown key '{key}'")
+
+
+def _number(doc: dict, key: str, where: str, default=None) -> float:
+    """A required number, or an optional one when ``default`` is given."""
+    if default is None:
+        return float(_require(doc, key, (int, float), where))
+    return float(_optional(doc, key, (int, float), default, where))
 
 
 def parse_config(doc: dict, seed_override: int | None = None) -> tuple[TrainConfig, dict]:
-    """Validate a config document; returns (TrainConfig, dataset spec)."""
+    """Check a config document's keys and types; returns (TrainConfig, dataset spec).
+
+    How the values fit together (which blocks a method needs, switch step,
+    value ranges) is checked by :class:`TrainConfig` and the clip and noise
+    specs; their ContractViolation becomes a ConfigError here. A method other
+    than dpdr may leave out the channels it does not use: c_perp defaults to
+    c_g, c_alpha to 1, sigma_perp and sigma_alpha to 0.
+    """
     if not isinstance(doc, dict):
-        raise _fail("config: document must be a JSON object")
+        raise ConfigError("config: document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "config")
 
     method = _require(doc, "method", str)
-    if method not in METHODS:
-        raise _fail(f"config: method must be one of {METHODS}, got '{method}'")
-    total_steps = _require(doc, "total_steps", int)
-    batch = _require(doc, "batch", int)
-    lr = float(_require(doc, "lr", (int, float)))
-    seed = _require(doc, "seed", int) if seed_override is None else seed_override
+    if method == "sgd":
+        for key in ("clip", "noise", "privacy"):
+            if key in doc:
+                raise ConfigError(f"config: key '{key}' is not used by method=sgd")
+    fields = {
+        "method": method,
+        "total_steps": _require(doc, "total_steps", int),
+        "switch_step": _optional(doc, "switch_step", int, None),
+        "batch": _require(doc, "batch", int),
+        "lr": _number(doc, "lr", "config"),
+        "seed": _require(doc, "seed", int) if seed_override is None else seed_override,
+    }
     dataset_spec = _require(doc, "dataset", dict)
     _validate_dataset_spec(dataset_spec)
+    clip_doc = _optional(doc, "clip", dict, None)
+    noise_doc = _optional(doc, "noise", dict, None)
+    privacy_doc = _optional(doc, "privacy", dict, None)
 
-    clip = None
-    noise = None
-    eps_target = None
-    delta = 1e-5
-    sigma_alpha = None
-    ratio_g = 1.0
-    switch_step = None
-
-    if method == "sgd":
-        for key in ("clip", "noise", "privacy", "switch_step"):
-            if key in doc:
-                raise _fail(f"config: key '{key}' is not used by method=sgd")
-    else:
-        clip_doc = _require(doc, "clip", dict)
-        _check_keys(clip_doc, {"c_g", "c_perp", "c_alpha"}, "config.clip")
-        c_g = float(_require(clip_doc, "c_g", (int, float), "config.clip"))
-        if method == "dpdr":
-            c_perp = float(_require(clip_doc, "c_perp", (int, float), "config.clip"))
-            c_alpha = float(_require(clip_doc, "c_alpha", (int, float), "config.clip"))
-        else:
-            c_perp = float(_optional(clip_doc, "c_perp", (int, float), c_g, "config.clip"))
-            c_alpha = float(_optional(clip_doc, "c_alpha", (int, float), 1.0, "config.clip"))
-        try:
-            clip = ClipSpec(c_g=c_g, c_perp=c_perp, c_alpha=c_alpha)
-        except ContractViolation as exc:
-            raise _fail(f"config.clip: {exc}") from exc
-
-        if "noise" in doc and "privacy" in doc:
-            raise _fail("config: give either 'noise' or 'privacy', not both")
-        if "noise" not in doc and "privacy" not in doc:
-            raise _fail(f"config: method={method} needs a 'noise' or 'privacy' block")
-        if "noise" in doc:
-            noise_doc = doc["noise"]
-            if not isinstance(noise_doc, dict):
-                raise _fail("config: key 'noise' has the wrong type")
-            _check_keys(noise_doc, {"sigma_g", "sigma_perp", "sigma_alpha"}, "config.noise")
-            sigma_g = float(_require(noise_doc, "sigma_g", (int, float), "config.noise"))
-            if method == "dpdr":
-                sigma_perp = float(
-                    _require(noise_doc, "sigma_perp", (int, float), "config.noise")
-                )
-                sigma_a = float(
-                    _require(noise_doc, "sigma_alpha", (int, float), "config.noise")
-                )
-            else:
-                sigma_perp = float(
-                    _optional(noise_doc, "sigma_perp", (int, float), 0.0, "config.noise")
-                )
-                sigma_a = float(
-                    _optional(noise_doc, "sigma_alpha", (int, float), 0.0, "config.noise")
-                )
-            try:
-                noise = NoisePlan(sigma_g=sigma_g, sigma_perp=sigma_perp, sigma_alpha=sigma_a)
-            except ContractViolation as exc:
-                raise _fail(f"config.noise: {exc}") from exc
-        else:
-            priv = doc["privacy"]
-            if not isinstance(priv, dict):
-                raise _fail("config: key 'privacy' has the wrong type")
-            _check_keys(priv, {"eps", "delta", "sigma_alpha", "ratio_g"}, "config.privacy")
-            eps_target = float(_require(priv, "eps", (int, float), "config.privacy"))
-            delta = float(_require(priv, "delta", (int, float), "config.privacy"))
-            if method == "dpdr":
-                sigma_alpha = float(
-                    _require(priv, "sigma_alpha", (int, float), "config.privacy")
-                )
-            else:
-                raw = _optional(priv, "sigma_alpha", (int, float), None, "config.privacy")
-                sigma_alpha = float(raw) if raw is not None else None
-            ratio_g = float(_optional(priv, "ratio_g", (int, float), 1.0, "config.privacy"))
-
-        if method == "dpdr":
-            switch_step = _require(doc, "switch_step", int)
-        elif "switch_step" in doc:
-            raise _fail("config: switch_step is only valid for method=dpdr")
+    def channel(block: dict, key: str, where: str, fill: float) -> float:
+        # dpdr uses every channel, so it must give each one
+        return _number(block, key, where, None if method == "dpdr" else fill)
 
     try:
-        config = TrainConfig(
-            method=method,
-            total_steps=total_steps,
-            batch=batch,
-            lr=lr,
-            seed=seed,
-            clip=clip,
-            noise=noise,
-            switch_step=switch_step,
-            eps_target=eps_target,
-            delta=delta,
-            sigma_alpha=sigma_alpha,
-            ratio_g=ratio_g,
-            dataset_ref=dataset_spec,
-        )
+        if clip_doc is not None:
+            _check_keys(clip_doc, {"c_g", "c_perp", "c_alpha"}, "config.clip")
+            c_g = _number(clip_doc, "c_g", "config.clip")
+            fields["clip"] = ClipSpec(
+                c_g=c_g,
+                c_perp=channel(clip_doc, "c_perp", "config.clip", c_g),
+                c_alpha=channel(clip_doc, "c_alpha", "config.clip", 1.0),
+            )
+        if noise_doc is not None:
+            _check_keys(noise_doc, {"sigma_g", "sigma_perp", "sigma_alpha"}, "config.noise")
+            fields["noise"] = NoisePlan(
+                sigma_g=_number(noise_doc, "sigma_g", "config.noise"),
+                sigma_perp=channel(noise_doc, "sigma_perp", "config.noise", 0.0),
+                sigma_alpha=channel(noise_doc, "sigma_alpha", "config.noise", 0.0),
+            )
+        if privacy_doc is not None:
+            _check_keys(privacy_doc, {"eps", "delta", "sigma_alpha", "ratio_g"}, "config.privacy")
+            fields["eps_target"] = _number(privacy_doc, "eps", "config.privacy")
+            fields["delta"] = _number(privacy_doc, "delta", "config.privacy")
+            for key in ("sigma_alpha", "ratio_g"):
+                if key in privacy_doc:
+                    fields[key] = _number(privacy_doc, key, "config.privacy")
+        config = TrainConfig(**fields, dataset_ref=dataset_spec)
     except ContractViolation as exc:
-        raise _fail(f"config: {exc}") from exc
+        raise ConfigError(f"config: {exc}") from exc
     return config, dataset_spec
 
 
@@ -217,7 +174,7 @@ def _validate_dataset_spec(spec: dict) -> None:
         _optional(params, "std", (int, float), 1.0, "config.dataset.params")
         _optional(params, "seed", int, 0, "config.dataset.params")
         if "path" in spec:
-            raise _fail("config.dataset: synthetic datasets take 'params', not 'path'")
+            raise ConfigError("config.dataset: synthetic datasets take 'params', not 'path'")
     elif kind == "idx":
         path = _require(spec, "path", dict, "config.dataset")
         _check_keys(path, {"images", "labels", "limit"}, "config.dataset.path")
@@ -225,9 +182,9 @@ def _validate_dataset_spec(spec: dict) -> None:
         _require(path, "labels", str, "config.dataset.path")
         _optional(path, "limit", int, None, "config.dataset.path")
         if "params" in spec:
-            raise _fail("config.dataset: idx datasets take 'path', not 'params'")
+            raise ConfigError("config.dataset: idx datasets take 'path', not 'params'")
     else:
-        raise _fail(f"config.dataset: unknown kind '{kind}' (expected 'synthetic' or 'idx')")
+        raise ConfigError(f"config.dataset: unknown kind '{kind}' (expected 'synthetic' or 'idx')")
 
 
 def build_dataset(spec: dict) -> Dataset:
@@ -243,68 +200,51 @@ def build_dataset(spec: dict) -> Dataset:
                 std=float(params.get("std", 1.0)),
             )
         except ContractViolation as exc:
-            raise _fail(f"config.dataset.params: {exc}") from exc
+            raise ConfigError(f"config.dataset.params: {exc}") from exc
     path = spec["path"]
     return load_idx_pair(path["images"], path["labels"], path.get("limit"))
 
 
-def config_echo(config: TrainConfig, dataset_spec: dict) -> dict:
-    """Fully resolved config: feeding it back reproduces the run."""
+def config_echo(
+    config: TrainConfig, dataset_spec: dict, noise: NoisePlan | None = None
+) -> dict:
+    """Fully resolved config: feeding it back reproduces the run. ``noise`` is
+    the run's resolved noise plan, echoed in place of a privacy block."""
     echo: dict = {"method": config.method, "total_steps": config.total_steps}
-    if config.method == "dpdr":
+    if config.switch_step is not None:
         echo["switch_step"] = config.switch_step
     echo["batch"] = config.batch
     echo["lr"] = config.lr
     if config.clip is not None:
-        echo["clip"] = {
-            "c_g": config.clip.c_g,
-            "c_perp": config.clip.c_perp,
-            "c_alpha": config.clip.c_alpha,
-        }
+        echo["clip"] = asdict(config.clip)
+    if noise is not None:
+        echo["noise"] = asdict(noise)
     echo["dataset"] = dataset_spec
     echo["seed"] = config.seed
     return echo
-
-
-def _echo_with_noise(echo: dict, noise: NoisePlan | None) -> dict:
-    if noise is None:
-        return echo
-    out = dict(echo)
-    out["noise"] = {
-        "sigma_g": noise.sigma_g,
-        "sigma_perp": noise.sigma_perp,
-        "sigma_alpha": noise.sigma_alpha,
-    }
-    # fixed key order: method, total_steps, switch_step, batch, lr, clip, noise, dataset, seed
-    ordered = {}
-    for key in ("method", "total_steps", "switch_step", "batch", "lr", "clip", "noise",
-                "dataset", "seed"):
-        if key in out:
-            ordered[key] = out[key]
-    return ordered
 
 
 def _load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _fail(f"{path}: cannot read config: {exc}") from exc
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise ConfigError(
+            f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
 
 
 def _run_one(config: TrainConfig, dataset_spec: dict, out_dir: Path) -> dict:
     """Build the dataset, train, persist; returns the summary dict."""
     dataset = build_dataset(dataset_spec)
     if config.batch > dataset.n:
-        raise _fail(f"config: batch {config.batch} exceeds dataset size {dataset.n}")
+        raise ConfigError(f"config: batch {config.batch} exceeds dataset size {dataset.n}")
     result = train(config, dataset)
-    echo = _echo_with_noise(config_echo(config, dataset_spec), result.noise)
+    echo = config_echo(config, dataset_spec, result.noise)
     write_run(out_dir, result, echo)
-    from .runio import build_summary
-
     return build_summary(echo, result)
 
 
@@ -340,10 +280,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.eps <= 0 or not 0.0 < args.delta < 1.0 or args.sigma_alpha <= 0 or args.ratio_g <= 0:
-        print("error: eps, sigma-alpha, ratio-g must be positive and delta in (0, 1)",
-              file=sys.stderr)
-        return EXIT_CONFIG
     if args.batch < 1 or args.n < args.batch or args.steps < 1:
         print("error: need n >= batch >= 1 and steps >= 1", file=sys.stderr)
         return EXIT_CONFIG
@@ -356,6 +292,9 @@ def cmd_calibrate(args) -> int:
         sigma_perp, sigma_g = calibrate_sigma(
             args.eps, args.delta, schedule, args.sigma_alpha, args.ratio_g
         )
+    except ContractViolation as exc:  # eps, delta, sigma-alpha or ratio-g out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except CalibrationInfeasible as exc:
         print(f"error: calibration infeasible: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
@@ -363,11 +302,8 @@ def cmd_calibrate(args) -> int:
         print(f"error: calibration failed: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
 
-    ledger = PrivacyLedger(args.delta)
     uses_gdr = args.switch >= 2
-    for sq, steps, role in schedule:
-        sigma = effective_sigma(sigma_perp, args.sigma_alpha) if role == "gdr" else sigma_g
-        ledger.append(ReleaseEvent(sq, sigma, steps))
+    ledger = schedule_ledger(schedule, args.delta, sigma_perp, args.sigma_alpha, args.ratio_g)
     eps, order = ledger.epsilon()
     out = {
         "sigma_perp": sigma_perp if uses_gdr else None,
@@ -398,12 +334,10 @@ def cmd_compare(args) -> int:
     out_root = Path(args.out)
     completed: list[str] = []
     runs: dict[int, list[dict]] = {i: [] for i in range(len(parsed))}
-    from dataclasses import replace as dc_replace
-
     for idx, (stem, config, dataset_spec) in enumerate(parsed):
         for seed in range(args.seeds):
             run_dir = out_root / f"c{idx}_{stem}_seed{seed}"
-            run_config = dc_replace(config, seed=seed)
+            run_config = replace(config, seed=seed)
             try:
                 summary = _run_one(run_config, dataset_spec, run_dir)
             except (ConfigError, CalibrationInfeasible, CalibrationError, IdxFormatError,

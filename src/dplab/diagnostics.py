@@ -14,18 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import GdrBase, decompose_batch
 from .errors import ContractViolation
 from .vectors import LayeredVector, dot, l2_norm, sub
 
 __all__ = [
     "CSV_COLUMNS",
     "CoherenceStats",
+    "LOSS_WINDOW",
     "MetricsRow",
-    "SensitivityProbe",
     "coherence_stats",
     "histogram",
-    "sensitivity_probe",
     "steps_to_target_loss",
 ]
 
@@ -42,6 +40,9 @@ CSV_COLUMNS = (
     "eps_cum",
     "wall_ms",
 )
+
+# steps in the trailing mean that steps_to_target_loss compares with its target
+LOSS_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -87,48 +88,6 @@ def coherence_stats(prev: LayeredVector, curr: LayeredVector) -> CoherenceStats:
     return CoherenceStats(cosine, ratio, False)
 
 
-@dataclass(frozen=True)
-class SensitivityProbe:
-    """Batch-level quantiles of gradient norms before and after decomposition,
-    with the parameter step size recorded alongside for offline smoothness
-    estimation."""
-
-    grad_norm_q25: float
-    grad_norm_median: float
-    grad_norm_q75: float
-    perp_norm_q25: float
-    perp_norm_median: float
-    perp_norm_q75: float
-    alpha_abs_median: tuple[float, ...]
-    perp_to_grad_ratio_median: float
-    w_step_norm: float
-
-
-def sensitivity_probe(
-    per_sample: list[LayeredVector], base: GdrBase, w_step_norm: float
-) -> SensitivityProbe:
-    if not per_sample:
-        raise ContractViolation("sensitivity probe needs at least one gradient")
-    decs = decompose_batch(per_sample, base)
-    grad_norms = np.array([l2_norm(g) for g in per_sample])
-    perp_norms = np.array([l2_norm(d.g_perp) for d in decs])
-    alpha_abs = np.abs(np.stack([d.alphas for d in decs]))
-    ratios = np.where(grad_norms > 0.0, perp_norms / np.maximum(grad_norms, 1e-300), 0.0)
-    q25, q50, q75 = np.quantile(grad_norms, [0.25, 0.5, 0.75])
-    p25, p50, p75 = np.quantile(perp_norms, [0.25, 0.5, 0.75])
-    return SensitivityProbe(
-        float(q25),
-        float(q50),
-        float(q75),
-        float(p25),
-        float(p50),
-        float(p75),
-        tuple(float(v) for v in np.median(alpha_abs, axis=0)),
-        float(np.median(ratios)),
-        float(w_step_norm),
-    )
-
-
 def histogram(values: Sequence[float], bins: int) -> list[tuple[float, int]]:
     """Equal-width bins over [min, max]; returns (left edge, count) pairs."""
     vals = np.asarray(list(values), dtype=np.float64)
@@ -142,18 +101,16 @@ def histogram(values: Sequence[float], bins: int) -> list[tuple[float, int]]:
     return [(float(edges[i]), int(counts[i])) for i in range(bins)]
 
 
-def steps_to_target_loss(losses: Sequence[float], target: float, window: int = 5) -> int | None:
-    """First 1-based step whose trailing-``window`` mean loss is below target.
+def steps_to_target_loss(losses: Sequence[float], target: float) -> int | None:
+    """First 1-based step whose trailing-``LOSS_WINDOW`` mean loss is below target.
 
-    Averages over the available prefix while fewer than ``window`` steps
+    Averages over the available prefix while fewer than ``LOSS_WINDOW`` steps
     exist. Returns None when the run never crosses.
     """
-    if window < 1:
-        raise ContractViolation(f"window must be >= 1, got {window}")
     if not math.isfinite(target):
         raise ContractViolation(f"target must be finite, got {target!r}")
     for t in range(1, len(losses) + 1):
-        tail = losses[max(0, t - window) : t]
+        tail = losses[max(0, t - LOSS_WINDOW) : t]
         if sum(tail) / len(tail) < target:
             return t
     return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -109,25 +110,14 @@ def build_summary(config_echo: dict, result: TrainResult) -> dict:
     last = result.rows[-1]
     if result.config.method == "sgd":
         privacy = {"eps": None, "delta": None, "order": None}
-        resolved_noise = None
     elif result.non_private:
         privacy = {"eps": None, "delta": result.ledger.delta, "order": None}
-        resolved_noise = {
-            "sigma_g": result.noise.sigma_g,
-            "sigma_perp": result.noise.sigma_perp,
-            "sigma_alpha": result.noise.sigma_alpha,
-        }
     else:
         eps, order = result.ledger.epsilon()
         privacy = {"eps": eps, "delta": result.ledger.delta, "order": order}
-        resolved_noise = {
-            "sigma_g": result.noise.sigma_g,
-            "sigma_perp": result.noise.sigma_perp,
-            "sigma_alpha": result.noise.sigma_alpha,
-        }
     return {
         "config": config_echo,
-        "resolved_noise": resolved_noise,
+        "resolved_noise": None if result.noise is None else asdict(result.noise),
         "final": {"loss": last.train_loss, "accuracy": last.train_accuracy},
         "privacy": privacy,
         "phase_steps": dict(result.phase_steps),

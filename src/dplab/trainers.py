@@ -90,11 +90,14 @@ DEFAULT_DELTA = 1e-5
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Full experiment description.
+    """Full experiment description, and the one place that checks how its
+    values fit together.
 
     Either ``noise`` is given explicitly, or ``eps_target`` (with ``delta``
     and, for dpdr, ``sigma_alpha``) asks for calibration before training.
-    ``arch`` defaults to logistic regression sized from the dataset.
+    ``lr``, ``ratio_g`` and, when given, ``eps_target`` and ``sigma_alpha``
+    must be finite and positive. ``arch`` defaults to logistic regression
+    sized from the dataset.
     """
 
     method: str
@@ -119,8 +122,15 @@ class TrainConfig:
             raise ContractViolation(f"total_steps must be >= 1, got {self.total_steps}")
         if self.batch < 1:
             raise ContractViolation(f"batch must be >= 1, got {self.batch}")
-        if not math.isfinite(self.lr) or self.lr <= 0:
-            raise ContractViolation(f"lr must be positive, got {self.lr!r}")
+        positive = {
+            "lr": self.lr,
+            "ratio_g": self.ratio_g,
+            "eps target": self.eps_target,
+            "sigma_alpha": self.sigma_alpha,
+        }
+        for name, value in positive.items():
+            if value is not None and (not math.isfinite(value) or value <= 0):
+                raise ContractViolation(f"{name} must be positive and finite, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ContractViolation(f"delta must be in (0, 1), got {self.delta!r}")
         if self.method == "dpdr":
@@ -141,11 +151,8 @@ class TrainConfig:
                 )
             if self.noise is not None and self.eps_target is not None:
                 raise ContractViolation("give either noise multipliers or an eps target, not both")
-            if self.eps_target is not None:
-                if self.eps_target <= 0:
-                    raise ContractViolation(f"eps target must be positive, got {self.eps_target}")
-                if self.method == "dpdr" and self.sigma_alpha is None:
-                    raise ContractViolation("dpdr calibration requires sigma_alpha")
+            if self.eps_target is not None and self.method == "dpdr" and self.sigma_alpha is None:
+                raise ContractViolation("dpdr calibration requires sigma_alpha")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from dplab.cli import main
 from dplab.diagnostics import CSV_COLUMNS
 from dplab.runio import read_metrics_csv
@@ -19,48 +21,96 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+PRIVATE_METHODS = ("dpsgd", "diff", "dpdr")
+
+
+def method_doc(method, block="noise"):
+    """A small valid config for ``method``, with a ``noise`` or ``privacy`` block."""
+    doc = {"method": method, "total_steps": 6, "batch": 16, "lr": 0.5,
+           "dataset": synthetic_spec(), "seed": 1}
+    if method == "sgd":
+        return doc
+    dpdr = method == "dpdr"
+    doc["clip"] = {"c_g": 1.0, "c_perp": 0.5, "c_alpha": 1.0} if dpdr else {"c_g": 1.0}
+    if block == "noise":
+        doc["noise"] = (
+            {"sigma_g": 1.0, "sigma_perp": 1.0, "sigma_alpha": 2.0} if dpdr else {"sigma_g": 1.0}
+        )
+    else:
+        doc["privacy"] = {"eps": 3.0, "delta": 1e-5}
+        if dpdr:
+            doc["privacy"]["sigma_alpha"] = 2.0
+    if dpdr:
+        doc["switch_step"] = 4
+    return doc
+
+
 def sgd_config(tmp_path, **kw):
-    doc = {
-        "method": "sgd",
-        "total_steps": 5,
-        "batch": 16,
-        "lr": 0.5,
-        "dataset": synthetic_spec(),
-        "seed": 1,
-    }
-    doc.update(kw)
-    return write_config(tmp_path, doc)
+    return write_config(tmp_path, {**method_doc("sgd"), "total_steps": 5, **kw})
 
 
 def dpsgd_config(tmp_path, name="dpsgd.json", **kw):
-    doc = {
-        "method": "dpsgd",
-        "total_steps": 6,
-        "batch": 16,
-        "lr": 0.5,
-        "clip": {"c_g": 1.0},
-        "noise": {"sigma_g": 1.0},
-        "dataset": synthetic_spec(),
-        "seed": 1,
-    }
-    doc.update(kw)
-    return write_config(tmp_path, doc, name)
+    return write_config(tmp_path, {**method_doc("dpsgd"), **kw}, name)
 
 
 def dpdr_config(tmp_path, name="dpdr.json", **kw):
-    doc = {
-        "method": "dpdr",
-        "total_steps": 6,
-        "switch_step": 4,
-        "batch": 16,
-        "lr": 0.5,
-        "clip": {"c_g": 1.0, "c_perp": 0.5, "c_alpha": 1.0},
-        "noise": {"sigma_g": 1.0, "sigma_perp": 1.0, "sigma_alpha": 2.0},
-        "dataset": synthetic_spec(),
-        "seed": 1,
-    }
-    doc.update(kw)
-    return write_config(tmp_path, doc, name)
+    return write_config(tmp_path, {**method_doc("dpdr"), **kw}, name)
+
+
+def _rejections():
+    """(method, block, edit): ``edit`` turns the valid ``method_doc(method, block)``
+    into a document the CLI must reject."""
+    cases = [
+        pytest.param("sgd", None, lambda d: d.update(clip={"c_g": 1.0}), id="sgd-clip"),
+        pytest.param("sgd", None, lambda d: d.update(noise={"sigma_g": 1.0}), id="sgd-noise"),
+        pytest.param("sgd", None, lambda d: d.update(privacy={"eps": 3.0, "delta": 1e-5}),
+                     id="sgd-privacy"),
+        pytest.param("sgd", None, lambda d: d.update(switch_step=2), id="sgd-switch_step"),
+        pytest.param("sgd", None, lambda d: d.update(method="adam"), id="unknown-method"),
+    ]
+    for m in PRIVATE_METHODS:
+        cases += [
+            pytest.param(m, "noise", lambda d: d.update(privacy={"eps": 3.0, "delta": 1e-5,
+                                                                  "sigma_alpha": 2.0}),
+                         id=f"{m}-noise-and-privacy"),
+            pytest.param(m, "noise", lambda d: d.pop("noise"), id=f"{m}-neither"),
+            pytest.param(m, "noise", lambda d: d.pop("clip"), id=f"{m}-no-clip"),
+            pytest.param(m, "noise", lambda d: d["noise"].update(sigma_g=-1.0),
+                         id=f"{m}-negative-sigma_g"),
+            pytest.param(m, "privacy", lambda d: d["privacy"].pop("delta"), id=f"{m}-no-delta"),
+            pytest.param(m, "privacy", lambda d: d["privacy"].update(delta=1.0),
+                         id=f"{m}-delta-1"),
+            pytest.param(m, "privacy", lambda d: d["privacy"].update(eps=0.0), id=f"{m}-eps-0"),
+            pytest.param(m, "privacy", lambda d: d["privacy"].update(eps="3"),
+                         id=f"{m}-eps-string"),
+        ]
+    for m in ("dpsgd", "diff"):
+        cases.append(pytest.param(m, "noise", lambda d: d.update(switch_step=2),
+                                  id=f"{m}-switch_step"))
+    cases += [
+        pytest.param("dpdr", "noise", lambda d: d.pop("switch_step"), id="dpdr-no-switch_step"),
+        pytest.param("dpdr", "noise", lambda d: d.update(switch_step=0), id="dpdr-switch_step-0"),
+        pytest.param("dpdr", "noise", lambda d: d.update(switch_step=7),
+                     id="dpdr-switch_step-past-end"),
+        pytest.param("dpdr", "noise", lambda d: d.update(switch_step=True),
+                     id="dpdr-switch_step-bool"),
+        pytest.param("dpdr", "noise", lambda d: d["clip"].pop("c_perp"), id="dpdr-no-c_perp"),
+        pytest.param("dpdr", "noise", lambda d: d["noise"].pop("sigma_alpha"),
+                     id="dpdr-no-noise-sigma_alpha"),
+        pytest.param("dpdr", "privacy", lambda d: d["privacy"].pop("sigma_alpha"),
+                     id="dpdr-no-privacy-sigma_alpha"),
+    ]
+    return cases
+
+
+def _bad_privacy_values():
+    """Privacy values that calibration cannot use; each must exit 2 up front."""
+    cases = []
+    for m in PRIVATE_METHODS:
+        for key, value in (("eps", math.nan), ("eps", math.inf), ("ratio_g", 0.0),
+                           ("ratio_g", -1.0), ("sigma_alpha", 0.0), ("sigma_alpha", -2.0)):
+            cases.append(pytest.param(m, key, value, id=f"{m}-{key}={value}"))
+    return cases
 
 
 class TestTrain:
@@ -143,14 +193,14 @@ class TestTrain:
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
-    def test_config_echo_reproduces_run(self, tmp_path):
+    @pytest.mark.parametrize(
+        "method,block",
+        [("sgd", None)] + [(m, b) for m in PRIVATE_METHODS for b in ("noise", "privacy")],
+    )
+    def test_config_echo_reproduces_run(self, tmp_path, method, block):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        doc = json.loads(open(dpdr_config(tmp_path)).read())
-        del doc["noise"]
-        doc["total_steps"] = 30
-        doc["switch_step"] = 10
-        doc["privacy"] = {"eps": 3.0, "delta": 1e-5, "sigma_alpha": 2.0}
-        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out_a)]) == 0
+        cfg = write_config(tmp_path, method_doc(method, block))
+        assert main(["train", "--config", cfg, "--out", str(out_a)]) == 0
         echo = json.loads((out_a / "summary.json").read_text())["config"]
         echo_path = write_config(tmp_path, echo, "echo.json")
         assert main(["train", "--config", echo_path, "--out", str(out_b)]) == 0
@@ -166,6 +216,40 @@ class TestTrain:
         assert all(math.isinf(r["eps_cum"]) for r in rows)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["privacy"]["eps"] is None
+
+
+class TestConfigRules:
+    """How a document's values fit together: every rejection exits 2 and
+    writes nothing."""
+
+    @pytest.mark.parametrize("method,block,edit", _rejections())
+    def test_rejected_before_any_output(self, tmp_path, capsys, method, block, edit):
+        doc = method_doc(method, block)
+        edit(doc)
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("method,key,value", _bad_privacy_values())
+    def test_bad_privacy_value_exits_2(self, tmp_path, capsys, command, method, key, value):
+        doc = method_doc(method, "privacy")
+        doc["privacy"][key] = value
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--config", cfg, "--out", str(out)]
+        else:
+            good = write_config(tmp_path, method_doc("dpsgd"), "good.json")
+            argv = ["compare", "--configs", good, cfg, "--seeds", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 class TestCalibrate:
@@ -213,11 +297,17 @@ class TestCalibrate:
         assert code == 3
         assert "infeasible" in capsys.readouterr().err
 
-    def test_bad_arguments_exit_2(self):
-        assert main(self.BASE + ["--switch", "300"]) == 2
-        assert main(["calibrate", "--eps", "-1", "--delta", "1e-5", "--n", "100",
-                     "--batch", "10", "--steps", "10", "--switch", "5",
-                     "--sigma-alpha", "1.0"]) == 2
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--switch", "300"), ("--eps", "-1"), ("--eps", "nan"), ("--eps", "inf"),
+         ("--delta", "1"), ("--sigma-alpha", "0"), ("--sigma-alpha", "nan"),
+         ("--ratio-g", "-1"), ("--ratio-g", "inf"), ("--batch", "5000")],
+    )
+    def test_bad_arguments_exit_2(self, capsys, flag, value):
+        args = dict(zip(self.BASE[1::2], self.BASE[2::2]), **{"--switch": "50"})
+        args[flag] = value
+        assert main(["calibrate", *(part for pair in args.items() for part in pair)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCompare:

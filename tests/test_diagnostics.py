@@ -11,7 +11,6 @@ from dplab import (
     histogram,
     normalize_base,
     scale,
-    sensitivity_probe,
     steps_to_target_loss,
 )
 from tests.conftest import random_vector
@@ -60,35 +59,7 @@ class TestCoherenceStats:
             prev_grad = grad
 
 
-class TestSensitivityProbe:
-    def test_parallel_gradients_have_zero_perp(self):
-        direction = random_vector((4, 5), seed=1)
-        base = normalize_base(direction, 0)
-        grads = [scale(c, direction) for c in (0.5, 1.0, 2.0)]
-        probe = sensitivity_probe(grads, base, w_step_norm=0.1)
-        assert probe.perp_norm_median <= 1e-9
-        assert probe.perp_norm_q75 <= 1e-9
-
-    def test_fully_degenerate_base_passes_gradients_through(self):
-        base = normalize_base(LayeredVector.zeros((3, 3)), 0)
-        grads = [random_vector((3, 3), seed=i) for i in range(5)]
-        probe = sensitivity_probe(grads, base, w_step_norm=0.0)
-        assert probe.perp_norm_median == probe.grad_norm_median
-        assert probe.perp_to_grad_ratio_median == 1.0
-
-    def test_records_step_norm_and_alpha_levels(self):
-        base = normalize_base(random_vector((4,), seed=2), 0)
-        grads = [random_vector((4,), seed=i, scale=2.0) for i in range(7)]
-        probe = sensitivity_probe(grads, base, w_step_norm=0.37)
-        assert probe.w_step_norm == 0.37
-        assert len(probe.alpha_abs_median) == 1
-        assert probe.grad_norm_q25 <= probe.grad_norm_median <= probe.grad_norm_q75
-
-    def test_empty_rejected(self):
-        base = normalize_base(random_vector((2,), 0), 0)
-        with pytest.raises(ContractViolation):
-            sensitivity_probe([], base, 0.0)
-
+class TestOrthogonalShare:
     def test_coherent_run_keeps_orthogonal_share_small(self):
         # desk-scale decomposition run on a coherent task: the median
         # per-sample orthogonal share over steps 2..50 stays below 0.9
@@ -97,12 +68,11 @@ class TestSensitivityProbe:
             NoisePlan,
             RngStream,
             apply_update,
+            backprop,
             gdr_step,
             gen_synthetic,
             init_model,
-            l2_norm,
             logistic_regression,
-            per_sample_gradients,
             poisson_sample,
         )
         from dplab.trainers import dpsgd_step
@@ -119,19 +89,15 @@ class TestSensitivityProbe:
         )
         model = apply_update(model, first.released, lr)
         base = normalize_base(first.released, 1)
-        prev_release = first.released
         shares = []
         for t in range(2, 51):
             batch = poisson_sample(ds, q, RngStream(0, t, "batch"))
-            grads = per_sample_gradients(model, batch)
-            probe = sensitivity_probe(grads, base, lr * l2_norm(prev_release))
-            shares.append(probe.perp_to_grad_ratio_median)
             out, base = gdr_step(
                 model, batch, base, clip, noise, q,
                 RngStream(0, t, "noise-perp"), RngStream(0, t, "noise-alpha"),
             )
+            shares.append(float(np.median(out.perp_norms / backprop(model, batch).norms())))
             model = apply_update(model, out.released, lr)
-            prev_release = out.released
         assert float(np.median(shares)) < 0.9
 
 
