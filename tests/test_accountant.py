@@ -12,8 +12,10 @@ from dplab import (
     calibrate_sigma,
     effective_sigma,
     rdp_subsampled_gaussian,
+    schedule_ledger,
 )
-from dplab.accountant import DEFAULT_ORDERS
+from dplab import accountant
+from dplab.accountant import CALIBRATION_MAX_ITER, DEFAULT_ORDERS
 from dplab.errors import CalibrationError
 
 
@@ -276,6 +278,81 @@ class TestCalibrateSigma:
             calibrate_sigma(1.0, 1e-5, [(0.01, 1, "bogus")], 1.0)
         with pytest.raises(ContractViolation):
             calibrate_sigma(1.0, 1e-5, [(0.01, 1, "dpsgd")], -1.0)
+
+
+def _dpdr_schedule(q, total, switch):
+    schedule = [(q, 1, "first"), (q, switch - 1, "gdr")]
+    return schedule + [(q, total - switch, "dpsgd")]
+
+
+_REF_Q = 256 / 60000
+_REF_SCHEDULE = _dpdr_schedule(_REF_Q, 20 * math.ceil(60000 / 256), 50)
+_SHORT_DPDR = [(0.01, 1, "first"), (0.01, 49, "gdr"), (0.01, 450, "dpsgd")]
+
+
+def _eps_at(scale, schedule, sigma_alpha, ratio_g=1.0):
+    return schedule_ledger(schedule, 1e-5, scale, sigma_alpha, ratio_g).epsilon()[0]
+
+
+class TestCalibrationPinned:
+    """The exact sigma calibrate_sigma returns and how many schedule ledgers
+    it evaluates on the way. Scales start at 1, double or halve until the
+    target is bracketed, then bisect; every scale on that path is a dyadic
+    rational, so these values are exact."""
+
+    @pytest.mark.parametrize(
+        "target, schedule, sigma_alpha, ratio_g, expected, evals",
+        [
+            # scale 1 already meets the target: no further evaluation
+            (lambda: _eps_at(1.0, [(1.0, 1, "dpsgd")], 1.0), [(1.0, 1, "dpsgd")],
+             1.0, 1.0, (1.0, 1.0), 1),
+            # grow path, ending exactly on a doubled scale
+            (lambda: _eps_at(2.0, _SHORT_DPDR, 2.0), _SHORT_DPDR, 2.0, 1.0, (2.0, 2.0), 2),
+            # shrink path, ending exactly on a halved scale
+            (lambda: _eps_at(0.5, _SHORT_DPDR, 2.0), _SHORT_DPDR, 2.0, 1.0, (0.5, 0.5), 2),
+            # grow over four doublings, then bisect
+            (lambda: 0.5, [(0.05, 1000, "dpsgd")], 1.0, 1.0, (12.203125, 12.203125), 14),
+            # shrink (the MNIST reference row at eps 3, s=50), then bisect
+            (lambda: 3.0, _REF_SCHEDULE, 2.0, 1.0, (0.80712890625, 0.80712890625), 12),
+            # shrink twice, then bisect
+            (lambda: 30.0, [(0.01, 100, "dpsgd")], 1.0, 1.0,
+             (0.3604736328125, 0.3604736328125), 14),
+            (lambda: 8.0, _SHORT_DPDR, 2.0, 1.0, (0.58349609375, 0.58349609375), 12),
+            # ratio_g != 1: grow, then bisect
+            (lambda: 2.0, [(0.01, 100, "dpsgd")], 1.0, 0.5, (1.654296875, 0.8271484375), 11),
+            (lambda: 3.0, _REF_SCHEDULE, 2.0, 0.7, (1.14794921875, 0.7 * 1.14794921875), 13),
+        ],
+    )
+    def test_exact_sigma_and_evaluations(
+        self, monkeypatch, target, schedule, sigma_alpha, ratio_g, expected, evals
+    ):
+        eps_target = target()
+        scales = []
+
+        def spy(schedule, delta, sigma_perp, sigma_alpha, ratio_g):
+            scales.append(sigma_perp)
+            return schedule_ledger(schedule, delta, sigma_perp, sigma_alpha, ratio_g)
+
+        monkeypatch.setattr(accountant, "schedule_ledger", spy)
+        out = calibrate_sigma(eps_target, 1e-5, schedule, sigma_alpha, ratio_g)
+        assert out == expected
+        assert len(scales) == evals
+        assert scales[0] == 1.0 and scales[-1] == out[0]
+
+    def test_error_after_max_iter_evaluations(self, monkeypatch):
+        # every q is 0, so eps stays at the conversion floor below the target
+        # and the scale halves on every evaluation until the budget runs out
+        scales = []
+
+        def spy(*args):
+            scales.append(args[2])
+            return schedule_ledger(*args)
+
+        monkeypatch.setattr(accountant, "schedule_ledger", spy)
+        with pytest.raises(CalibrationError):
+            calibrate_sigma(1.0, 1e-5, [(0.0, 10, "dpsgd")], 1.0)
+        assert len(scales) == CALIBRATION_MAX_ITER == 200
+        assert scales == [0.5**i for i in range(200)]
 
 
 class TestReferenceRow:
