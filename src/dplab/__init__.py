@@ -19,7 +19,6 @@ from .datasets import Dataset, gen_synthetic, load_cache, load_idx_pair, poisson
 from .decomposition import Decomposition, GdrBase, decompose, decompose_batch, normalize_base, reconstruct
 from .diagnostics import (
     CSV_COLUMNS,
-    CoherenceStats,
     MetricsRow,
     coherence_stats,
     histogram,

@@ -261,51 +261,26 @@ def calibrate_sigma(
                 floor_eps,
             )
 
-    def eps_at(scale: float) -> float:
-        return schedule_ledger(schedule, delta, scale, sigma_alpha, ratio_g).epsilon()[0]
-
     tol = CALIBRATION_REL_TOL * eps_target
-    iters = 0
-
-    def budget() -> None:
-        nonlocal iters
-        iters += 1
-        if iters > CALIBRATION_MAX_ITER:
-            raise CalibrationError(
-                f"calibration did not converge within {CALIBRATION_MAX_ITER} iterations"
-            )
-
-    lo = hi = 1.0
-    budget()
-    e = eps_at(1.0)
-    if abs(e - eps_target) <= tol:
-        return 1.0, ratio_g * 1.0
-    if e > eps_target:
-        # too much privacy loss: grow the scale
-        while e > eps_target:
-            lo = hi
-            hi *= 2.0
-            budget()
-            e = eps_at(hi)
+    # lo: the largest scale seen whose eps is above the target; hi: the
+    # smallest seen below it. Double lo until the target is bracketed (or
+    # halve hi), then bisect.
+    lo = hi = None
+    scale = 1.0
+    for _ in range(CALIBRATION_MAX_ITER):
+        e = schedule_ledger(schedule, delta, scale, sigma_alpha, ratio_g).epsilon()[0]
         if abs(e - eps_target) <= tol:
-            return hi, ratio_g * hi
-    else:
-        while e < eps_target:
-            hi = lo
-            lo /= 2.0
-            budget()
-            e = eps_at(lo)
-        if abs(e - eps_target) <= tol:
-            return lo, ratio_g * lo
-
-    # invariant: eps(lo) >= eps_target >= eps(hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        budget()
-        e = eps_at(mid)
-        if abs(e - eps_target) <= tol:
-            return mid, ratio_g * mid
+            return scale, ratio_g * scale
         if e > eps_target:
-            lo = mid
+            lo = scale
         else:
-            hi = mid
+            hi = scale
+        if hi is None:
+            scale = 2.0 * lo
+        elif lo is None:
+            scale = 0.5 * hi
+        else:
+            scale = 0.5 * (lo + hi)
+    raise CalibrationError(
+        f"calibration did not converge within {CALIBRATION_MAX_ITER} iterations"
+    )

@@ -148,12 +148,14 @@ def parse_config(doc: dict, seed_override: int | None = None) -> tuple[TrainConf
             )
         if privacy_doc is not None:
             _check_keys(privacy_doc, {"eps", "delta", "sigma_alpha", "ratio_g"}, "config.privacy")
-            fields["eps_target"] = _number(privacy_doc, "eps", "config.privacy")
+            # delta alone goes beside explicit noise; anything else asks for calibration
+            if set(privacy_doc) != {"delta"}:
+                fields["eps_target"] = _number(privacy_doc, "eps", "config.privacy")
             fields["delta"] = _number(privacy_doc, "delta", "config.privacy")
             for key in ("sigma_alpha", "ratio_g"):
                 if key in privacy_doc:
                     fields[key] = _number(privacy_doc, key, "config.privacy")
-        config = TrainConfig(**fields, dataset_ref=dataset_spec)
+        config = TrainConfig(**fields)
     except ContractViolation as exc:
         raise ConfigError(f"config: {exc}") from exc
     return config, dataset_spec
@@ -189,16 +191,8 @@ def _validate_dataset_spec(spec: dict) -> None:
 
 def build_dataset(spec: dict) -> Dataset:
     if spec["kind"] == "synthetic":
-        params = spec["params"]
         try:
-            return gen_synthetic(
-                n=params["n"],
-                d_in=params["d_in"],
-                n_classes=params["n_classes"],
-                margin=float(params["margin"]),
-                seed=params.get("seed", 0),
-                std=float(params.get("std", 1.0)),
-            )
+            return gen_synthetic(**{"seed": 0, **spec["params"]})
         except ContractViolation as exc:
             raise ConfigError(f"config.dataset.params: {exc}") from exc
     path = spec["path"]
@@ -209,7 +203,8 @@ def config_echo(
     config: TrainConfig, dataset_spec: dict, noise: NoisePlan | None = None
 ) -> dict:
     """Fully resolved config: feeding it back reproduces the run. ``noise`` is
-    the run's resolved noise plan, echoed in place of a privacy block."""
+    the run's resolved noise plan, echoed with the run's delta in place of
+    the privacy block that asked for calibration."""
     echo: dict = {"method": config.method, "total_steps": config.total_steps}
     if config.switch_step is not None:
         echo["switch_step"] = config.switch_step
@@ -219,6 +214,7 @@ def config_echo(
         echo["clip"] = asdict(config.clip)
     if noise is not None:
         echo["noise"] = asdict(noise)
+        echo["privacy"] = {"delta": config.delta}
     echo["dataset"] = dataset_spec
     echo["seed"] = config.seed
     return echo

@@ -3,9 +3,10 @@
 The base is the previous released (noisy) gradient, normalized layer by
 layer. A gradient splits per layer into a scalar parallel coefficient
 alpha_l = <g_l, b_l> and an orthogonal remainder g_l - alpha_l * b_l; the
-two privatized channels are recombined by reconstruct(). Layers whose base
-block is (near-)zero are degenerate: they contribute alpha 0 and pass the
-gradient through the orthogonal channel untouched.
+two privatized channels are recombined by reconstruct(). A layer whose
+released block is (near-)zero is degenerate: its base block is exactly zero,
+so without any special case it gets alpha 0 and passes the gradient through
+the orthogonal channel untouched.
 
 :func:`coefficients` computes every sample's alphas from per-layer gradient
 factors; :func:`decompose` and :func:`decompose_batch` split materialized
@@ -38,24 +39,26 @@ DEGENERATE_REL_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GdrBase:
-    """Per-layer-normalized direction with staleness metadata."""
+    """Per-layer-normalized direction with staleness metadata. Every layer
+    block is unit-norm or, for a degenerate layer, exactly zero."""
 
     b: LayeredVector
     source_step: int
-    degenerate_layers: frozenset[int]
 
     def __post_init__(self):
-        for layer in range(self.b.layer_count):
+        for layer, block in enumerate(self.b.blocks):
             n = l2_norm_layer(self.b, layer)
-            if layer in self.degenerate_layers:
-                if n != 0.0:
-                    raise ContractViolation(f"degenerate layer {layer} must be exactly zero")
-            elif abs(n - 1.0) > 1e-12:
-                raise ContractViolation(f"layer {layer} is not unit-norm: {n!r}")
+            if block.any() and abs(n - 1.0) > 1e-12:
+                raise ContractViolation(f"layer {layer} is neither unit-norm nor zero: {n!r}")
 
     @property
     def layer_count(self) -> int:
         return self.b.layer_count
+
+    @property
+    def degenerate_layers(self) -> frozenset[int]:
+        """Layers whose base block is zero."""
+        return frozenset(layer for layer, b in enumerate(self.b.blocks) if not b.any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,31 +80,19 @@ def normalize_base(noisy_grad: LayeredVector, step: int) -> GdrBase:
     """Normalize each layer block to unit norm; zero out near-zero layers."""
     threshold = DEGENERATE_REL_TOL * max(1.0, l2_norm(noisy_grad))
     blocks: list[np.ndarray] = []
-    degenerate: set[int] = set()
     for layer, block in enumerate(noisy_grad.blocks):
         n = l2_norm_layer(noisy_grad, layer)
-        if n < threshold:
-            blocks.append(np.zeros_like(block))
-            degenerate.add(layer)
-        else:
-            blocks.append(block / n)
-    return GdrBase(LayeredVector(tuple(blocks)), step, frozenset(degenerate))
+        blocks.append(np.zeros_like(block) if n < threshold else block / n)
+    return GdrBase(LayeredVector(tuple(blocks)), step)
 
 
 def decompose(g: LayeredVector, base: GdrBase) -> Decomposition:
     """Split g per layer into <g_l, b_l> and the orthogonal remainder."""
     if g.layer_dims != base.b.layer_dims:
         raise ContractViolation(f"shape mismatch: {g.layer_dims} vs {base.b.layer_dims}")
-    alphas = np.zeros(g.layer_count)
-    perp_blocks: list[np.ndarray] = []
-    for layer, (g_block, b_block) in enumerate(zip(g.blocks, base.b.blocks)):
-        if layer in base.degenerate_layers:
-            perp_blocks.append(g_block)
-            continue
-        alpha = float(np.sum(g_block * b_block))
-        alphas[layer] = alpha
-        perp_blocks.append(g_block - alpha * b_block)
-    return Decomposition(alphas, LayeredVector(tuple(perp_blocks)))
+    alphas = np.array([np.sum(gb * bb) for gb, bb in zip(g.blocks, base.b.blocks)])
+    perp = tuple(gb - a * bb for gb, a, bb in zip(g.blocks, alphas, base.b.blocks))
+    return Decomposition(alphas, LayeredVector(perp))
 
 
 def reconstruct(
@@ -117,13 +108,9 @@ def reconstruct(
         raise ContractViolation(
             f"shape mismatch: {g_perp_noisy.layer_dims} vs {base.b.layer_dims}"
         )
-    blocks: list[np.ndarray] = []
-    for layer, (perp_block, b_block) in enumerate(zip(g_perp_noisy.blocks, base.b.blocks)):
-        if layer in base.degenerate_layers:
-            blocks.append(perp_block)
-        else:
-            blocks.append(alphas[layer] * b_block + perp_block)
-    return LayeredVector(tuple(blocks))
+    return LayeredVector(
+        tuple(a * bb + pb for a, bb, pb in zip(alphas, base.b.blocks, g_perp_noisy.blocks))
+    )
 
 
 def decompose_batch(per_sample: list[LayeredVector], base: GdrBase) -> list[Decomposition]:
@@ -135,8 +122,6 @@ def coefficients(grads: GradientFactors, base: GdrBase) -> np.ndarray:
     """(B, layers) parallel coefficients <g_il, b_l> from gradient factors.
 
     Weight blocks give rowsum((a_k @ B_k) * delta_k), bias blocks
-    delta_k @ b; degenerate layers get 0.
+    delta_k @ b; a degenerate layer's zero block gives 0.
     """
-    alphas = grads.block_dots(base.b)
-    alphas[:, sorted(base.degenerate_layers)] = 0.0
-    return alphas
+    return grads.block_dots(base.b)

@@ -9,37 +9,22 @@ since those are heavy-tailed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation
-from .vectors import LayeredVector, dot, l2_norm, sub
+from .vectors import LayeredVector, dot, l2_norm
 
 __all__ = [
     "CSV_COLUMNS",
-    "CoherenceStats",
     "LOSS_WINDOW",
     "MetricsRow",
     "coherence_stats",
     "histogram",
     "steps_to_target_loss",
 ]
-
-# fixed column order of the per-step metrics CSV
-CSV_COLUMNS = (
-    "step",
-    "train_loss",
-    "train_accuracy",
-    "grad_norm_median",
-    "perp_norm_median",
-    "diff_norm_median",
-    "alpha_vec_norm",
-    "cos_prev",
-    "eps_cum",
-    "wall_ms",
-)
 
 # steps in the trailing mean that steps_to_target_loss compares with its target
 LOSS_WINDOW = 5
@@ -65,27 +50,17 @@ class MetricsRow:
     wall_ms: float
 
 
-@dataclass(frozen=True)
-class CoherenceStats:
-    cosine: float
-    norm_ratio: float
-    degenerate: bool
+# fixed column order of the per-step metrics CSV
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
-def coherence_stats(prev: LayeredVector, curr: LayeredVector) -> CoherenceStats:
-    """Cosine between two vectors and the relative step ||curr - prev|| / ||curr||.
-
-    Either vector being zero makes the pair degenerate: both statistics are
-    reported as 0 with the flag set.
-    """
+def coherence_stats(prev: LayeredVector, curr: LayeredVector) -> float:
+    """Cosine between two vectors, clamped to [-1, 1]; 0 when either is zero."""
     n_prev = l2_norm(prev)
     n_curr = l2_norm(curr)
     if n_prev == 0.0 or n_curr == 0.0:
-        return CoherenceStats(0.0, 0.0, True)
-    cosine = dot(prev, curr) / (n_prev * n_curr)
-    cosine = min(1.0, max(-1.0, cosine))
-    ratio = l2_norm(sub(curr, prev)) / n_curr
-    return CoherenceStats(cosine, ratio, False)
+        return 0.0
+    return min(1.0, max(-1.0, dot(prev, curr) / (n_prev * n_curr)))
 
 
 def histogram(values: Sequence[float], bins: int) -> list[tuple[float, int]]:

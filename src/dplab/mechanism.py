@@ -9,9 +9,11 @@ multiplier sigma is the ratio of noise std to the clip bound.
 row source: per-sample gradients from their factors (:class:`GradientRows`),
 per-sample differences against a dense vector (:class:`DifferenceRows`),
 or small dense rows such as the coefficients (:class:`DenseRows`). The
-list-based functions (:func:`aggregate_and_perturb`, :func:`clip_to_norm`
-and their coefficient counterparts) clip one materialized vector at a time
-and serve as the reference the row sources are tested against.
+list-based functions (:func:`aggregate_and_perturb`, :func:`clip_to_norm`)
+clip one materialized vector at a time and serve as the reference the row
+sources are tested against; their coefficient counterparts
+(:func:`aggregate_and_perturb_scalars`, :func:`clip_alpha_vec`) call them
+on one-block vectors.
 """
 
 from __future__ import annotations
@@ -112,25 +114,15 @@ def clip_to_norm(v: LayeredVector, c: float) -> LayeredVector:
         w = LayeredVector(new_blocks)
 
 
+def _coefficient_vector(alphas) -> LayeredVector:
+    """A coefficient vector as a one-block vector over a copy of it."""
+    return LayeredVector((np.array(alphas, dtype=np.float64),))
+
+
 def clip_alpha_vec(alphas: np.ndarray, c: float) -> np.ndarray:
-    """Clip an m-length coefficient vector to L2 norm c, preserving signs."""
-    _require_positive("clip bound", c)
-    a = np.asarray(alphas, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise ContractViolation("coefficient vector must be 1-d and non-empty")
-    if not np.all(np.isfinite(a)):
-        raise ContractViolation("non-finite coefficient")
-    while True:
-        n = math.sqrt(float(np.sum(a * a)))
-        if n <= c:
-            return a
-        f = c / n
-        if f >= 1.0:
-            return a
-        scaled = a * f
-        if np.array_equal(scaled, a):
-            return a
-        a = scaled
+    """Clip an m-length coefficient vector to L2 norm c, preserving signs:
+    :func:`clip_to_norm` of it as a one-block vector."""
+    return clip_to_norm(_coefficient_vector(alphas), c).blocks[0]
 
 
 def aggregate_and_perturb(
@@ -177,24 +169,10 @@ def aggregate_and_perturb_scalars(
     sigma: float,
     stream: RngStream | None = None,
 ) -> np.ndarray:
-    """Coefficient-vector counterpart of :func:`aggregate_and_perturb`."""
-    if not per_sample:
-        raise ContractViolation("aggregate_and_perturb_scalars requires at least one vector")
-    _require_sigma(sigma)
-    if sigma > 0 and stream is None:
-        raise ContractViolation("a stream is required when sigma > 0")
-    first = np.asarray(per_sample[0], dtype=np.float64)
-    m = first.size
-    batch = len(per_sample)
-    acc = np.zeros(m, dtype=np.float64)
-    for a in per_sample:
-        arr = np.asarray(a, dtype=np.float64)
-        if arr.shape != (m,):
-            raise ContractViolation(f"shape mismatch: {arr.shape} vs {(m,)}")
-        acc += clip_alpha_vec(arr, c)
-    if sigma > 0:
-        acc += stream.generator().standard_normal(m) * (sigma * c)
-    return acc / batch
+    """Coefficient-vector counterpart of :func:`aggregate_and_perturb`: the
+    same release of the vectors as one-block vectors."""
+    vectors = [_coefficient_vector(a) for a in per_sample]
+    return aggregate_and_perturb(vectors, c, sigma, stream).blocks[0]
 
 
 def clip_factors(norms: np.ndarray, c: float) -> np.ndarray:

@@ -15,10 +15,10 @@ The weight gradient is their outer product, with norm ||a_i|| ||delta_i||
 :func:`mean_gradient` and :func:`per_sample_gradients` are derived from
 the factors.
 
-Inference (:func:`evaluate`, :func:`loss`, :func:`accuracy`,
-:func:`logits`) runs the forward pass class-major, on the transposed
-inputs: the (n_classes, n) logits come from products with the small weight
-matrices on the left, which is faster for many rows and few classes.
+Inference (:func:`evaluate`, :func:`loss`, :func:`accuracy`) runs the
+forward pass class-major, on the transposed inputs: the (n_classes, n)
+logits come from products with the small weight matrices on the left,
+which is faster for many rows and few classes.
 """
 
 from __future__ import annotations
@@ -199,11 +199,6 @@ def _class_logits(model: Model, inputs: np.ndarray) -> np.ndarray:
         if k < n_layers - 1:
             a = _activate(model.arch.activation, z)
     return z
-
-
-def logits(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """(n, n_classes) logits of the rows of ``inputs``."""
-    return _class_logits(model, np.asarray(inputs, dtype=np.float64)).T
 
 
 def _check_batch(model: Model, batch: Batch) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -53,22 +53,9 @@ def _atomic_write(path: Path, text: str) -> None:
 def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(r.step),
-                    _fmt(r.train_loss),
-                    _fmt(r.train_accuracy),
-                    _fmt(r.grad_norm_median),
-                    _fmt(r.perp_norm_median),
-                    _fmt(r.diff_norm_median),
-                    _fmt(r.alpha_vec_norm),
-                    _fmt(r.cos_prev),
-                    _fmt(r.eps_cum),
-                    "0",  # wall time is zeroed on disk to keep reruns byte-identical
-                )
-            )
-        )
+        step, *values, _wall_ms = astuple(r)
+        # wall time is zeroed on disk to keep reruns byte-identical
+        lines.append(",".join([str(step), *map(_fmt, values), "0"]))
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 

@@ -113,7 +113,6 @@ class TrainConfig:
     sigma_alpha: float | None = None
     ratio_g: float = 1.0
     arch: Architecture | None = None
-    dataset_ref: object = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -423,7 +422,7 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
         train_loss, train_acc = evaluate(model, eval_batch)
         cos_prev = 0.0
         if prev_release is not None:
-            cos_prev = coherence_stats(prev_release, outcome.released).cosine
+            cos_prev = coherence_stats(prev_release, outcome.released)
         if method == "sgd":
             eps_cum = 0.0
         elif non_private:

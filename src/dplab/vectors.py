@@ -191,10 +191,6 @@ class RngStream:
         if not isinstance(self.sample, int) or isinstance(self.sample, bool):
             raise ContractViolation("sample must be an integer")
 
-    @property
-    def stream_id(self) -> tuple[int, str, int]:
-        return (self.step, self.tag, self.sample)
-
     def _philox_key(self) -> int:
         h = hashlib.sha256()
         h.update((self.root_seed % (1 << 64)).to_bytes(8, "big"))

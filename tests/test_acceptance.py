@@ -23,8 +23,6 @@ from dplab import (
     ReleaseEvent,
     RngStream,
     TrainConfig,
-    aggregate_and_perturb,
-    aggregate_and_perturb_scalars,
     calibrate_sigma,
     decompose,
     dot_layer,
@@ -44,7 +42,10 @@ from dplab import (
     sub,
     train,
 )
+from dplab.decomposition import coefficients
 from dplab.diagnostics import steps_to_target_loss
+from dplab.mechanism import DenseRows, DifferenceRows, privatize
+from dplab.models import GradientFactors
 from tests.conftest import random_problem, random_vector
 from tests.test_models import finite_difference_gradient
 
@@ -169,37 +170,41 @@ class TestCriterion4ReferenceNoiseMultipliers:
 
 
 class TestCriterion5NoiseStatistics:
+    """Noise std of each released channel, measured through ``privatize`` over
+    the row sources ``gdr_step`` releases: the orthogonal remainders
+    (``DifferenceRows`` against the base) and the coefficients (``DenseRows``)."""
+
     B, SIGMA, C = 4, 1.0, 2.0
 
-    def test_vector_channel_noise_std(self):
-        vecs = [random_vector((5,), seed=i, scale=0.3) for i in range(self.B)]
-        clean = aggregate_and_perturb(vecs, self.C, 0.0).concat()
+    def noise_std_error(self, rows, tag):
+        clean = np.concatenate(privatize(rows, self.C, 0.0, None, self.B)[0])
         noise = np.concatenate(
             [
-                aggregate_and_perturb(vecs, self.C, self.SIGMA, RngStream(1, t, "noise-perp")).concat()
+                np.concatenate(
+                    privatize(rows, self.C, self.SIGMA, RngStream(tag[0], t, tag[1]), self.B)[0]
+                )
                 - clean
                 for t in range(2000)
             ]
         )
         assert noise.size == 10_000
         expected = self.SIGMA * self.C / self.B
-        err = abs(noise.std() - expected) / expected
+        return abs(noise.std() - expected) / expected
+
+    def test_vector_channel_noise_std(self):
+        # one dense layer with 4 inputs and 1 output: blocks (4, 1), 5 coordinates
+        gen = np.random.default_rng(0)
+        grads = GradientFactors((0.3 * gen.standard_normal((self.B, 4)),),
+                                (0.3 * gen.standard_normal((self.B, 1)),))
+        base = normalize_base(random_vector(grads.layer_dims, seed=1), 0)
+        rows = DifferenceRows(grads, base.b, coefficients(grads, base))
+        err = self.noise_std_error(rows, (1, "noise-perp"))
         report(5, err < 0.03, f"(orthogonal channel std error {err:.2%})")
         assert err < 0.03
 
     def test_scalar_channel_noise_std(self):
-        vecs = [np.array([0.4, -0.1, 0.2, 0.3, -0.25]) for _ in range(self.B)]
-        clean = aggregate_and_perturb_scalars(vecs, self.C, 0.0)
-        noise = np.concatenate(
-            [
-                aggregate_and_perturb_scalars(vecs, self.C, self.SIGMA, RngStream(2, t, "noise-alpha"))
-                - clean
-                for t in range(2000)
-            ]
-        )
-        assert noise.size == 10_000
-        expected = self.SIGMA * self.C / self.B
-        err = abs(noise.std() - expected) / expected
+        rows = DenseRows(np.array([[0.4, -0.1, 0.2, 0.3, -0.25]] * self.B))
+        err = self.noise_std_error(rows, (2, "noise-alpha"))
         report(5, err < 0.03, f"(coefficient channel std error {err:.2%})")
         assert err < 0.03
 

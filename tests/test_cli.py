@@ -78,6 +78,9 @@ def _rejections():
             pytest.param(m, "noise", lambda d: d["noise"].update(sigma_g=-1.0),
                          id=f"{m}-negative-sigma_g"),
             pytest.param(m, "privacy", lambda d: d["privacy"].pop("delta"), id=f"{m}-no-delta"),
+            pytest.param(m, "privacy", lambda d: d["privacy"].pop("eps"), id=f"{m}-no-eps"),
+            pytest.param(m, "noise", lambda d: d.update(privacy={"delta": 1e-5, "ratio_g": 0.5}),
+                         id=f"{m}-noise-and-ratio_g"),
             pytest.param(m, "privacy", lambda d: d["privacy"].update(delta=1.0),
                          id=f"{m}-delta-1"),
             pytest.param(m, "privacy", lambda d: d["privacy"].update(eps=0.0), id=f"{m}-eps-0"),
@@ -194,12 +197,19 @@ class TestTrain:
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
     @pytest.mark.parametrize(
-        "method,block",
-        [("sgd", None)] + [(m, b) for m in PRIVATE_METHODS for b in ("noise", "privacy")],
+        "method,block,delta",
+        [pytest.param("sgd", None, None, id="sgd-None")]
+        + [pytest.param(m, b, 1e-5, id=f"{m}-{b}")
+           for m in PRIVATE_METHODS for b in ("noise", "privacy")]
+        + [pytest.param(m, "privacy", 1e-7, id=f"{m}-privacy-delta=1e-07")
+           for m in PRIVATE_METHODS],
     )
-    def test_config_echo_reproduces_run(self, tmp_path, method, block):
+    def test_config_echo_reproduces_run(self, tmp_path, method, block, delta):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cfg = write_config(tmp_path, method_doc(method, block))
+        doc = method_doc(method, block)
+        if block == "privacy":
+            doc["privacy"]["delta"] = delta
+        cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", cfg, "--out", str(out_a)]) == 0
         echo = json.loads((out_a / "summary.json").read_text())["config"]
         echo_path = write_config(tmp_path, echo, "echo.json")
