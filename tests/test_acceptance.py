@@ -176,12 +176,12 @@ class TestCriterion5NoiseStatistics:
 
     B, SIGMA, C = 4, 1.0, 2.0
 
-    def noise_std_error(self, rows, tag):
+    def noise_std_error(self, rows, seed, tag):
         clean = np.concatenate(privatize(rows, self.C, 0.0, None, self.B)[0])
         noise = np.concatenate(
             [
                 np.concatenate(
-                    privatize(rows, self.C, self.SIGMA, RngStream(tag[0], t, tag[1]), self.B)[0]
+                    privatize(rows, self.C, self.SIGMA, RngStream(seed, t, tag), self.B)[0]
                 )
                 - clean
                 for t in range(2000)
@@ -198,13 +198,13 @@ class TestCriterion5NoiseStatistics:
                                 (0.3 * gen.standard_normal((self.B, 1)),))
         base = normalize_base(random_vector(grads.layer_dims, seed=1), 0)
         rows = DifferenceRows(grads, base.b, coefficients(grads, base))
-        err = self.noise_std_error(rows, (1, "noise-perp"))
+        err = self.noise_std_error(rows, 1, "noise-perp")
         report(5, err < 0.03, f"(orthogonal channel std error {err:.2%})")
         assert err < 0.03
 
     def test_scalar_channel_noise_std(self):
         rows = DenseRows(np.array([[0.4, -0.1, 0.2, 0.3, -0.25]] * self.B))
-        err = self.noise_std_error(rows, (2, "noise-alpha"))
+        err = self.noise_std_error(rows, 2, "noise-alpha")
         report(5, err < 0.03, f"(coefficient channel std error {err:.2%})")
         assert err < 0.03
 

@@ -11,6 +11,7 @@ from dplab import (
     ReleaseEvent,
     calibrate_sigma,
     effective_sigma,
+    privacy_schedule,
     rdp_subsampled_gaussian,
     schedule_ledger,
 )
@@ -280,13 +281,7 @@ class TestCalibrateSigma:
             calibrate_sigma(1.0, 1e-5, [(0.01, 1, "dpsgd")], -1.0)
 
 
-def _dpdr_schedule(q, total, switch):
-    schedule = [(q, 1, "first"), (q, switch - 1, "gdr")]
-    return schedule + [(q, total - switch, "dpsgd")]
-
-
-_REF_Q = 256 / 60000
-_REF_SCHEDULE = _dpdr_schedule(_REF_Q, 20 * math.ceil(60000 / 256), 50)
+_REF_SCHEDULE = privacy_schedule("dpdr", 256 / 60000, 20 * math.ceil(60000 / 256), 50)
 _SHORT_DPDR = [(0.01, 1, "first"), (0.01, 49, "gdr"), (0.01, 450, "dpsgd")]
 
 
