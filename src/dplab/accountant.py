@@ -264,17 +264,20 @@ def calibrate_sigma(
     tol = CALIBRATION_REL_TOL * eps_target
     # lo: the largest scale seen whose eps is above the target; hi: the
     # smallest seen below it. Double lo until the target is bracketed (or
-    # halve hi), then bisect.
+    # halve hi), then bisect. The tolerance is checked at scale 1 and once
+    # the target is met or bracketed, never on a scale passed while doubling
+    # or halving toward it.
     lo = hi = None
     scale = 1.0
-    for _ in range(CALIBRATION_MAX_ITER):
+    for i in range(CALIBRATION_MAX_ITER):
         e = schedule_ledger(schedule, delta, scale, sigma_alpha, ratio_g).epsilon()[0]
-        if abs(e - eps_target) <= tol:
-            return scale, ratio_g * scale
         if e > eps_target:
             lo = scale
-        else:
+        elif e < eps_target:
             hi = scale
+        bracketed = i == 0 or e == eps_target or (lo is not None and hi is not None)
+        if bracketed and abs(e - eps_target) <= tol:
+            return scale, ratio_g * scale
         if hi is None:
             scale = 2.0 * lo
         elif lo is None:

@@ -148,9 +148,7 @@ def parse_config(doc: dict, seed_override: int | None = None) -> tuple[TrainConf
             )
         if privacy_doc is not None:
             _check_keys(privacy_doc, {"eps", "delta", "sigma_alpha", "ratio_g"}, "config.privacy")
-            # delta alone goes beside explicit noise; anything else asks for calibration
-            if set(privacy_doc) != {"delta"}:
-                fields["eps_target"] = _number(privacy_doc, "eps", "config.privacy")
+            fields["eps_target"] = _number(privacy_doc, "eps", "config.privacy")
             fields["delta"] = _number(privacy_doc, "delta", "config.privacy")
             for key in ("sigma_alpha", "ratio_g"):
                 if key in privacy_doc:
@@ -199,12 +197,10 @@ def build_dataset(spec: dict) -> Dataset:
     return load_idx_pair(path["images"], path["labels"], path.get("limit"))
 
 
-def config_echo(
-    config: TrainConfig, dataset_spec: dict, noise: NoisePlan | None = None
-) -> dict:
-    """Fully resolved config: feeding it back reproduces the run. ``noise`` is
-    the run's resolved noise plan, echoed with the run's delta in place of
-    the privacy block that asked for calibration."""
+def config_echo(config: TrainConfig, dataset_spec: dict) -> dict:
+    """The run's config as a document: feeding it back reproduces the run. A
+    calibrated run echoes its privacy block (calibration is deterministic),
+    any other private run its noise block."""
     echo: dict = {"method": config.method, "total_steps": config.total_steps}
     if config.switch_step is not None:
         echo["switch_step"] = config.switch_step
@@ -212,9 +208,13 @@ def config_echo(
     echo["lr"] = config.lr
     if config.clip is not None:
         echo["clip"] = asdict(config.clip)
-    if noise is not None:
-        echo["noise"] = asdict(noise)
-        echo["privacy"] = {"delta": config.delta}
+    if config.noise is not None:
+        echo["noise"] = asdict(config.noise)
+    if config.eps_target is not None:
+        echo["privacy"] = {"eps": config.eps_target, "delta": config.delta}
+        if config.sigma_alpha is not None:
+            echo["privacy"]["sigma_alpha"] = config.sigma_alpha
+        echo["privacy"]["ratio_g"] = config.ratio_g
     echo["dataset"] = dataset_spec
     echo["seed"] = config.seed
     return echo
@@ -239,7 +239,7 @@ def _run_one(config: TrainConfig, dataset_spec: dict, out_dir: Path) -> dict:
     if config.batch > dataset.n:
         raise ConfigError(f"config: batch {config.batch} exceeds dataset size {dataset.n}")
     result = train(config, dataset)
-    echo = config_echo(config, dataset_spec, result.noise)
+    echo = config_echo(config, dataset_spec)
     write_run(out_dir, result, echo)
     return build_summary(echo, result)
 

@@ -305,6 +305,13 @@ class TestCalibrationPinned:
             (lambda: _eps_at(2.0, _SHORT_DPDR, 2.0), _SHORT_DPDR, 2.0, 1.0, (2.0, 2.0), 2),
             # shrink path, ending exactly on a halved scale
             (lambda: _eps_at(0.5, _SHORT_DPDR, 2.0), _SHORT_DPDR, 2.0, 1.0, (0.5, 0.5), 2),
+            # grow path passing a scale within the tolerance above the target:
+            # it is not returned, the doubling goes on and bisection follows
+            (lambda: _eps_at(2.0, _SHORT_DPDR, 2.0) / (1 + 5e-4), _SHORT_DPDR, 2.0, 1.0,
+             (2.001953125, 2.001953125), 13),
+            # shrink path passing a scale within the tolerance below the target
+            (lambda: _eps_at(0.5, _SHORT_DPDR, 2.0) / (1 - 5e-4), _SHORT_DPDR, 2.0, 1.0,
+             (0.499755859375, 0.499755859375), 13),
             # grow over four doublings, then bisect
             (lambda: 0.5, [(0.05, 1000, "dpsgd")], 1.0, 1.0, (12.203125, 12.203125), 14),
             # shrink (the MNIST reference row at eps 3, s=50), then bisect

@@ -79,8 +79,8 @@ def _rejections():
                          id=f"{m}-negative-sigma_g"),
             pytest.param(m, "privacy", lambda d: d["privacy"].pop("delta"), id=f"{m}-no-delta"),
             pytest.param(m, "privacy", lambda d: d["privacy"].pop("eps"), id=f"{m}-no-eps"),
-            pytest.param(m, "noise", lambda d: d.update(privacy={"delta": 1e-5, "ratio_g": 0.5}),
-                         id=f"{m}-noise-and-ratio_g"),
+            pytest.param(m, "noise", lambda d: d.update(privacy={"delta": 1e-5}),
+                         id=f"{m}-noise-and-delta"),
             pytest.param(m, "privacy", lambda d: d["privacy"].update(delta=1.0),
                          id=f"{m}-delta-1"),
             pytest.param(m, "privacy", lambda d: d["privacy"].update(eps=0.0), id=f"{m}-eps-0"),
