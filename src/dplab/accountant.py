@@ -275,8 +275,8 @@ def calibrate_sigma(
             lo = scale
         elif e < eps_target:
             hi = scale
-        bracketed = i == 0 or e == eps_target or (lo is not None and hi is not None)
-        if bracketed and abs(e - eps_target) <= tol:
+        may_stop = i == 0 or e == eps_target or (lo is not None and hi is not None)
+        if may_stop and abs(e - eps_target) <= tol:
             return scale, ratio_g * scale
         if hi is None:
             scale = 2.0 * lo
