@@ -6,8 +6,10 @@ subsampled Gaussian mechanism,
     RDP(lambda) = log( sum_{k=0}^{lambda} C(lambda,k) (1-q)^(lambda-k) q^k
                        exp(k(k-1) / (2 sigma^2)) ) / (lambda - 1),
 
-evaluated in log space, composed additively over release events, and
-converted to (eps, delta) by minimizing
+evaluated in log space for all orders at once: the terms of every order sit
+on one (order, k) grid whose log-binomial coefficients are built at import,
+and one masked log-sum-exp per row gives the curve. Curves are composed
+additively over release events and converted to (eps, delta) by minimizing
 
     eps(lambda) = RDP_total(lambda) + log((lambda - 1) / lambda)
                   - (log(delta) + log(lambda)) / (lambda - 1)
@@ -54,8 +56,19 @@ ROLE_GDR = "gdr"
 ROLE_DPSGD = "dpsgd"
 _ROLES = (ROLE_FIRST, ROLE_GDR, ROLE_DPSGD)
 
-# log(i!) for i = 0..256; enough for every order on the grid
+# The binomial sums of every order on one (order, k) grid: row i holds the
+# terms of order DEFAULT_ORDERS[i], column k = 0..256. Entries with k > order
+# (_ABOVE) lie outside the sum; their finite placeholders are masked per call.
+_K = np.arange(257.0)
+_KK1 = _K * (_K - 1.0)
+_NK = _ORDERS_ARR[:, None] - _K
+_ABOVE = _NK < 0
 _LOG_FACT = np.array([math.lgamma(i + 1) for i in range(257)])
+_LOG_BINOM = (
+    _LOG_FACT[_ORDERS_ARR.astype(np.intp), None]
+    - _LOG_FACT
+    - _LOG_FACT[np.maximum(_NK, 0.0).astype(np.intp)]
+)
 
 
 def _validate_q(q: float) -> None:
@@ -68,28 +81,6 @@ def _validate_sigma(sigma: float) -> None:
         raise ContractViolation(f"noise multiplier must be positive, got {sigma!r}")
 
 
-def _rdp_one(q: float, sigma: float, order: int) -> float:
-    """RDP at a single integer order; q and sigma already validated."""
-    if q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return order / (2.0 * sigma * sigma)
-    ks = np.arange(order + 1)
-    log_binom = _LOG_FACT[order] - _LOG_FACT[ks] - _LOG_FACT[order - ks]
-    log_terms = (
-        log_binom
-        + ks * math.log(q)
-        + (order - ks) * math.log1p(-q)
-        + ks * (ks - 1) / (2.0 * sigma * sigma)
-    )
-    peak = float(log_terms.max())
-    if not math.isfinite(peak):
-        return math.inf
-    log_total = peak + math.log(float(np.sum(np.exp(log_terms - peak))))
-    # the sum is >= 1 analytically; clamp rounding residue
-    return max(log_total / (order - 1), 0.0)
-
-
 def rdp_subsampled_gaussian(q: float, sigma: float, order: int) -> float:
     """RDP of one Poisson-subsampled Gaussian release at an integer order >= 2."""
     _validate_q(q)
@@ -100,11 +91,36 @@ def rdp_subsampled_gaussian(q: float, sigma: float, order: int) -> float:
         raise ContractViolation(f"order must be >= 2, got {order}")
     if order > 256:
         raise ContractViolation(f"order {order} beyond the supported grid (max 256)")
-    return _rdp_one(q, sigma, int(order))
+    return float(_rdp_vector(q, sigma)[order - 2])
 
 
-def _rdp_vector(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
-    return np.array([_rdp_one(q, sigma, order) for order in orders])
+def _rdp_vector(q: float, sigma: float) -> np.ndarray:
+    """RDP at every order of DEFAULT_ORDERS; q and sigma already validated.
+
+    One masked log-sum-exp over the (order, k) grid. An order whose largest
+    term overflows (a tiny sigma) has RDP inf.
+    """
+    if q == 0.0:
+        return np.zeros(len(DEFAULT_ORDERS))
+    two_var = 2.0 * sigma * sigma
+    # for a tiny sigma, k(k-1) / (2 sigma^2) overflows to inf (or is 0/0 once
+    # 2 sigma^2 underflows); the orders it reaches get RDP inf below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if q == 1.0:
+            return _ORDERS_ARR / two_var
+        gauss = _KK1 / two_var
+    log_terms = _LOG_BINOM + _K * math.log(q) + _NK * math.log1p(-q) + gauss
+    np.copyto(log_terms, -np.inf, where=_ABOVE)
+    peak = log_terms.max(axis=1)
+    overflowed = ~np.isfinite(peak)
+    log_terms[overflowed] = 0.0
+    peak[overflowed] = 0.0
+    log_terms -= peak[:, None]
+    log_total = peak + np.log(np.sum(np.exp(log_terms, out=log_terms), axis=1))
+    # the sum is >= 1 analytically; clamp rounding residue
+    rdp = np.maximum(log_total / (_ORDERS_ARR - 1.0), 0.0)
+    rdp[overflowed] = np.inf
+    return rdp
 
 
 def effective_sigma(sigma_perp: float, sigma_alpha: float) -> float:
@@ -169,7 +185,7 @@ class PrivacyLedger:
         key = (event.q, event.sigma_eff)
         per_step = self._per_step_cache.get(key)
         if per_step is None:
-            per_step = _rdp_vector(event.q, event.sigma_eff, self.orders)
+            per_step = _rdp_vector(event.q, event.sigma_eff)
             self._per_step_cache[key] = per_step
         self._rdp = self._rdp + event.steps * per_step
         self.events.append(event)

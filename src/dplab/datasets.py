@@ -141,6 +141,10 @@ def gen_synthetic(
     Centers sit at (margin/sqrt(2)) along distinct coordinate axes, so the
     pairwise center distance is exactly the margin; requires
     n_classes <= d_in. Linearly separable when margin >= 6 * std.
+
+    Built in place as std * z plus margin/sqrt(2) on each example's center
+    axis, which equals center + std * z except that an off-axis std * z
+    underflowing to -0.0 keeps its sign.
     """
     if n_classes < 2:
         raise ContractViolation(f"need at least 2 classes, got {n_classes}")
@@ -154,11 +158,11 @@ def gen_synthetic(
         raise ContractViolation(f"margin must be positive, got {margin!r}")
     if not math.isfinite(std) or std <= 0:
         raise ContractViolation(f"std must be positive, got {std!r}")
-    centers = np.zeros((n_classes, d_in))
-    np.fill_diagonal(centers[:, :n_classes], margin / math.sqrt(2.0))
     labels = np.arange(n, dtype=np.int64) % n_classes
     gen = RngStream(seed, 0, "synthetic-data").generator()
-    inputs = centers[labels] + std * gen.standard_normal((n, d_in))
+    inputs = gen.standard_normal((n, d_in))
+    inputs *= std
+    inputs[np.arange(n), labels] += margin / math.sqrt(2.0)
     return Dataset(f"synthetic-n{n}-d{d_in}-c{n_classes}", inputs, labels, n_classes)
 
 

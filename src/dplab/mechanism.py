@@ -184,16 +184,18 @@ def clip_factors(norms: np.ndarray, c: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GradientRows:
-    """Per-sample gradients g_i; norms and clipped sum come from the factors."""
+    """Per-sample gradients g_i with their squared norms ``sq_norms``
+    (:meth:`GradientFactors.sq_norms`); the clipped sum comes from the factors."""
 
     grads: GradientFactors
+    sq_norms: np.ndarray
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
         return self.grads.layer_dims
 
     def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        norms = self.grads.norms()
+        norms = np.sqrt(self.sq_norms)
         return norms, self.grads.weighted_sum(clip_factors(norms, c))
 
 
@@ -280,14 +282,16 @@ class DifferenceRows:
             out[lo:hi] = _sq_norms(rows)
         return np.sqrt(out)
 
-    def norms(self) -> np.ndarray:
+    def norms(self, g_sq: np.ndarray | None = None) -> np.ndarray:
         """Difference norms from the factors, guarded against cancellation
-        by dense rows for the samples that need them (see the class docstring)."""
+        by dense rows for the samples that need them (see the class docstring).
+        ``g_sq`` is :meth:`GradientFactors.sq_norms` when the caller has it."""
         n = self.grads.size
         s = np.ones((n, self.v.layer_count)) if self.coeffs is None else self.coeffs
         v_sq = np.array([np.einsum("i,i->", b, b) for b in self.v.blocks])
         offset = np.sum(s * s * v_sq, axis=1)
-        g_sq = self.grads.sq_norms()
+        if g_sq is None:
+            g_sq = self.grads.sq_norms()
         sq = g_sq - 2.0 * np.sum(s * self.grads.block_dots(self.v), axis=1) + offset
         out = np.empty(n)
         kept = sq >= CANCELLATION_TAU * (g_sq + offset)

@@ -212,10 +212,11 @@ def dpsgd_step(
     """
     denom = _denominator(batch, denom)
     grads = backprop(model, batch)
-    blocks, norms = privatize(GradientRows(grads), c_g, sigma_g, stream, denom)
+    g_sq = grads.sq_norms()
+    blocks, norms = privatize(GradientRows(grads, g_sq), c_g, sigma_g, stream, denom)
     diff_median = 0.0
     if prev_release is not None:
-        diff_median = _median(DifferenceRows(grads, prev_release).norms())
+        diff_median = _median(DifferenceRows(grads, prev_release).norms(g_sq))
     row = replace(
         _blank_row(stream.step),
         grad_norm_median=_median(norms),

@@ -51,6 +51,31 @@ def row_major_evaluate(model, batch):
     return float(np.mean(lse - picked)), acc
 
 
+_LOG_FACT = np.array([math.lgamma(i + 1) for i in range(257)])
+
+
+def rdp_loop(q, sigma, order):
+    """Reference RDP of one subsampled Gaussian release at one integer order:
+    the log-sum-exp of the binomial terms k = 0..order, one order at a time."""
+    if q == 0.0:
+        return 0.0
+    if q == 1.0:
+        return order / (2.0 * sigma * sigma)
+    ks = np.arange(order + 1)
+    log_binom = _LOG_FACT[order] - _LOG_FACT[ks] - _LOG_FACT[order - ks]
+    log_terms = (
+        log_binom
+        + ks * math.log(q)
+        + (order - ks) * math.log1p(-q)
+        + ks * (ks - 1) / (2.0 * sigma * sigma)
+    )
+    peak = float(log_terms.max())
+    if not math.isfinite(peak):
+        return math.inf
+    log_total = peak + math.log(float(np.sum(np.exp(log_terms - peak))))
+    return max(log_total / (order - 1), 0.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=20240917))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dplab import (
 from dplab import accountant
 from dplab.accountant import CALIBRATION_MAX_ITER, DEFAULT_ORDERS
 from dplab.errors import CalibrationError
+from tests.conftest import rdp_loop
 
 
 def rdp_oracle(q, sigma, order):
@@ -98,6 +100,55 @@ class TestRdpSubsampledGaussian:
             rdp_subsampled_gaussian(0.1, 1.0, 1)
         with pytest.raises(ContractViolation):
             rdp_subsampled_gaussian(0.1, 1.0, 2.5)
+
+
+def loop_curve(q, sigma):
+    return np.array([rdp_loop(q, sigma, order) for order in DEFAULT_ORDERS])
+
+
+class TestGridCurve:
+    """The curve the ledger uses, evaluated on the one (order, k) grid,
+    against the per-order loop of the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.05, 50.0),
+    )
+    def test_matches_per_order_loop(self, q, sigma):
+        ref = loop_curve(q, sigma)
+        curve = accountant._rdp_vector(q, sigma)
+        assert np.array_equal(np.isinf(curve), np.isinf(ref))
+        assert np.all(curve >= 0.0)
+        # the terms are the loop's bit for bit; only the order of the sum
+        # differs. Where log_total = peak + log(sum) cancels to near 0 the
+        # two sums may round it apart by a few ulp of 1, hence the absolute
+        # share of 16 eps / (order - 1)
+        orders = np.array(DEFAULT_ORDERS, dtype=np.float64)
+        finite = np.isfinite(ref)
+        slack = 1e-12 * ref + 16 * np.finfo(np.float64).eps / (orders - 1)
+        assert np.all(np.abs(curve[finite] - ref[finite]) <= slack[finite])
+
+    def test_q_zero_and_q_one_exact(self):
+        for sigma in (0.05, 0.5, 1.0, 3.7, 50.0):
+            for q in (0.0, 1.0):
+                assert np.array_equal(accountant._rdp_vector(q, sigma), loop_curve(q, sigma))
+
+    # 2 sigma^2 = 2e-306: k(k-1) / (2 sigma^2) overflows from k = 20 on, so
+    # orders >= 20 are inf; at 1e-170, 2 sigma^2 underflows to 0 and every
+    # order is inf
+    @pytest.mark.parametrize("sigma, first_inf", [(1e-153, 20), (1e-170, 2)])
+    def test_tiny_sigma_reaches_inf_without_warning(self, sigma, first_inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = accountant._rdp_vector(0.3, sigma)
+        with np.errstate(all="ignore"):
+            ref = loop_curve(0.3, sigma)
+        orders = np.array(DEFAULT_ORDERS)
+        assert np.array_equal(np.isinf(curve), orders >= first_inf)
+        assert np.array_equal(np.isinf(ref), orders >= first_inf)
+        finite = orders < first_inf
+        np.testing.assert_allclose(curve[finite], ref[finite], rtol=1e-12)
 
 
 class TestEffectiveSigma:

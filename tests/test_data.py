@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,27 @@ class TestSynthetic:
         for _ in range(300):
             model = apply_update(model, mean_gradient(model, batch), 0.5)
         assert accuracy(model, ds.inputs, ds.labels) > 0.99
+
+    @pytest.mark.parametrize(
+        "n, d_in, n_classes, margin, seed, std",
+        [
+            (10, 10, 10, 4.0, 0, 1.0),
+            (50, 8, 3, 5.0, 4, 1.0),
+            (400, 6, 3, 9.0, 1, 1e-9),
+            (333, 50, 2, 12.0, 7, 0.3),
+            (1000, 784, 10, 12.0, 21, 1.0),
+        ],
+    )
+    def test_equals_centers_plus_noise(self, n, d_in, n_classes, margin, seed, std):
+        """The in-place build equals the reference centers[labels] + std * z."""
+        ds = gen_synthetic(n, d_in, n_classes, margin, seed, std)
+        centers = np.zeros((n_classes, d_in))
+        np.fill_diagonal(centers[:, :n_classes], margin / math.sqrt(2.0))
+        labels = np.arange(n, dtype=np.int64) % n_classes
+        noise = std * RngStream(seed, 0, "synthetic-data").generator().standard_normal((n, d_in))
+        assert np.array_equal(ds.inputs, centers[labels] + noise)
+        assert np.array_equal(ds.labels, labels)
+        assert ds.name == f"synthetic-n{n}-d{d_in}-c{n_classes}"
 
     def test_invalid_sizes(self):
         with pytest.raises(ContractViolation):

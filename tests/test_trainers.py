@@ -119,6 +119,21 @@ class TestDpsgdStep:
         assert expanded == ([1] * len(dims) if parallel else [])
         assert out.metrics.diff_norm_median > 0
 
+    def test_tracked_step_squares_the_norms_once(self, monkeypatch):
+        # the clip and the difference telemetry share one sq_norms result
+        model, batch = random_problem(4, hidden=(3,), batch=6)
+        prev = random_vector(model.params.layer_dims, 4, scale=0.3)
+        calls = []
+        sq_norms = GradientFactors.sq_norms
+
+        def counting(self):
+            calls.append(self.size)
+            return sq_norms(self)
+
+        monkeypatch.setattr(GradientFactors, "sq_norms", counting)
+        dpsgd_step(model, batch, 1.0, 1.0, 0.1, RngStream(0, 1, "noise-g"), prev)
+        assert calls == [6]
+
 
 class TestDiffStep:
     def test_zero_difference_returns_previous(self):
