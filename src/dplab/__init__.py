@@ -13,6 +13,7 @@ from .accountant import (
     calibrate_sigma,
     effective_sigma,
     rdp_subsampled_gaussian,
+    release_sigma,
     schedule_ledger,
 )
 from .datasets import Dataset, gen_synthetic, load_cache, load_idx_pair, poisson_sample, save_cache
@@ -51,7 +52,6 @@ from .models import (
     init_model,
     logistic_regression,
     loss,
-    mean_gradient,
     mlp,
     per_sample_gradients,
 )
@@ -70,14 +70,11 @@ from .trainers import (
 from .vectors import (
     LayeredVector,
     RngStream,
-    add,
     axpy,
     dot,
-    dot_layer,
     gaussian_sample,
     l2_norm,
     l2_norm_layer,
-    scale,
     sub,
 )
 

@@ -40,6 +40,7 @@ __all__ = [
     "calibrate_sigma",
     "effective_sigma",
     "rdp_subsampled_gaussian",
+    "release_sigma",
     "schedule_ledger",
 ]
 
@@ -135,6 +136,17 @@ def effective_sigma(sigma_perp: float, sigma_alpha: float) -> float:
     return 1.0 / math.sqrt(1.0 / (sigma_perp * sigma_perp) + 1.0 / (sigma_alpha * sigma_alpha))
 
 
+def release_sigma(role: str, sigma_g: float, sigma_perp: float, sigma_alpha: float) -> float:
+    """Multiplier a release of schedule ``role`` is accounted at: ``sigma_g``
+    for "first" and "dpsgd" releases, effective_sigma(sigma_perp, sigma_alpha)
+    for "gdr" releases, and 0.0 (no privacy) when either gdr channel is silent."""
+    if role != ROLE_GDR:
+        return sigma_g
+    if sigma_perp <= 0 or sigma_alpha <= 0:
+        return 0.0
+    return effective_sigma(sigma_perp, sigma_alpha)
+
+
 @dataclass(frozen=True)
 class ReleaseEvent:
     """``steps`` identical subsampled-Gaussian releases at ratio ``q`` and
@@ -210,15 +222,11 @@ def schedule_ledger(
     sigma_alpha: float,
     ratio_g: float,
 ) -> PrivacyLedger:
-    """Ledger of a release schedule of (q, steps, role) entries: "gdr"
-    entries are accounted at effective_sigma(sigma_perp, sigma_alpha),
-    "dpsgd"/"first" entries at sigma_g = ratio_g * sigma_perp."""
+    """Ledger of a release schedule of (q, steps, role) entries, each
+    accounted at :func:`release_sigma` with sigma_g = ratio_g * sigma_perp."""
     ledger = PrivacyLedger(delta)
     for q, steps, role in schedule:
-        if role == ROLE_GDR:
-            sigma = effective_sigma(sigma_perp, sigma_alpha)
-        else:
-            sigma = ratio_g * sigma_perp
+        sigma = release_sigma(role, ratio_g * sigma_perp, sigma_perp, sigma_alpha)
         ledger.append(ReleaseEvent(q, sigma, steps))
     return ledger
 

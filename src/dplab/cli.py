@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -39,7 +38,7 @@ from .runio import (
     read_perp_snapshot,
     write_run,
 )
-from .trainers import TrainConfig, privacy_schedule, train
+from .trainers import TrainConfig, TrainResult, privacy_schedule, train
 
 __all__ = ["main"]
 
@@ -48,6 +47,16 @@ EXIT_CONFIG = 2
 EXIT_CALIBRATION = 3
 EXIT_DATASET = 4
 EXIT_PARTIAL = 5
+
+# exception -> (exit code, message prefix) for the failures train and calibrate report
+_FAILURES = {
+    ConfigError: (EXIT_CONFIG, ""),
+    ContractViolation: (EXIT_CONFIG, ""),
+    CalibrationInfeasible: (EXIT_CALIBRATION, "calibration infeasible: "),
+    CalibrationError: (EXIT_CALIBRATION, "calibration failed: "),
+    IdxFormatError: (EXIT_DATASET, "dataset: "),
+    OSError: (EXIT_DATASET, "dataset: "),
+}
 
 _TOP_KEYS = {
     "method",
@@ -180,7 +189,9 @@ def _validate_dataset_spec(spec: dict) -> None:
         _check_keys(path, {"images", "labels", "limit"}, "config.dataset.path")
         _require(path, "images", str, "config.dataset.path")
         _require(path, "labels", str, "config.dataset.path")
-        _optional(path, "limit", int, None, "config.dataset.path")
+        limit = _optional(path, "limit", int, None, "config.dataset.path")
+        if limit is not None and limit < 1:
+            raise ConfigError(f"config.dataset.path: limit must be >= 1, got {limit}")
         if "params" in spec:
             raise ConfigError("config.dataset: idx datasets take 'path', not 'params'")
     else:
@@ -233,39 +244,34 @@ def _load_config_file(path: str) -> dict:
         ) from exc
 
 
-def _run_one(config: TrainConfig, dataset_spec: dict, out_dir: Path) -> dict:
-    """Build the dataset, train, persist; returns the summary dict."""
+def _report(exc: Exception) -> int:
+    """Print ``exc`` under its :data:`_FAILURES` prefix; returns its exit code."""
+    code, prefix = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
+    print(f"error: {prefix}{exc}", file=sys.stderr)
+    return code
+
+
+def _run_one(
+    config: TrainConfig, dataset_spec: dict, out_dir: Path
+) -> tuple[dict, TrainResult]:
+    """Build the dataset, train, persist; returns the summary dict and the run."""
     dataset = build_dataset(dataset_spec)
     if config.batch > dataset.n:
         raise ConfigError(f"config: batch {config.batch} exceeds dataset size {dataset.n}")
     result = train(config, dataset)
     echo = config_echo(config, dataset_spec)
     write_run(out_dir, result, echo)
-    return build_summary(echo, result)
+    return build_summary(echo, result), result
 
 
 def cmd_train(args) -> int:
     try:
         doc = _load_config_file(args.config)
         config, dataset_spec = parse_config(doc, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = Path(args.out) if args.out else Path(f"runs/{config.method}_seed{config.seed}")
-    try:
-        summary = _run_one(config, dataset_spec, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CalibrationInfeasible as exc:
-        print(f"error: calibration infeasible: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
-    except CalibrationError as exc:
-        print(f"error: calibration failed: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
-    except (IdxFormatError, OSError) as exc:
-        print(f"error: dataset: {exc}", file=sys.stderr)
-        return EXIT_DATASET
+        out_dir = Path(args.out) if args.out else Path(f"runs/{config.method}_seed{config.seed}")
+        summary, _ = _run_one(config, dataset_spec, out_dir)
+    except tuple(_FAILURES) as exc:
+        return _report(exc)
     eps = summary["privacy"]["eps"]
     eps_text = "none" if eps is None else f"{eps:.4f}"
     print(
@@ -285,18 +291,12 @@ def cmd_calibrate(args) -> int:
     q = args.batch / args.n
     schedule = privacy_schedule("dpdr", q, args.steps, args.switch)
     try:
+        # eps, delta, sigma-alpha or ratio-g out of range raise ContractViolation
         sigma_perp, sigma_g = calibrate_sigma(
             args.eps, args.delta, schedule, args.sigma_alpha, args.ratio_g
         )
-    except ContractViolation as exc:  # eps, delta, sigma-alpha or ratio-g out of range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CalibrationInfeasible as exc:
-        print(f"error: calibration infeasible: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
-    except CalibrationError as exc:
-        print(f"error: calibration failed: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
+    except tuple(_FAILURES) as exc:
+        return _report(exc)
 
     uses_gdr = args.switch >= 2
     ledger = schedule_ledger(schedule, args.delta, sigma_perp, args.sigma_alpha, args.ratio_g)
@@ -335,7 +335,7 @@ def cmd_compare(args) -> int:
             run_dir = out_root / f"c{idx}_{stem}_seed{seed}"
             run_config = replace(config, seed=seed)
             try:
-                summary = _run_one(run_config, dataset_spec, run_dir)
+                summary, result = _run_one(run_config, dataset_spec, run_dir)
             except (ConfigError, CalibrationInfeasible, CalibrationError, IdxFormatError,
                     OSError) as exc:
                 print(f"error in run c{idx}({config.method}) seed={seed}: {exc}",
@@ -345,14 +345,7 @@ def cmd_compare(args) -> int:
                 else:
                     print("completed runs: none", file=sys.stderr)
                 return EXIT_PARTIAL
-            rows = read_metrics_csv(run_dir / "metrics.csv")
-            runs[idx].append(
-                {
-                    "seed": seed,
-                    "summary": summary,
-                    "losses": [r["train_loss"] for r in rows],
-                }
-            )
+            runs[idx].append({"seed": seed, "summary": summary, "rows": result.rows})
             completed.append(f"c{idx}_{stem}_seed{seed}")
 
     # a target every method should reach: the worst of the mean final losses
@@ -368,13 +361,9 @@ def cmd_compare(args) -> int:
         accs, steps_list, eps_list = [], [], []
         for rec in runs[idx]:
             acc = rec["summary"]["final"]["accuracy"]
-            crossing = steps_to_target_loss(rec["losses"], target)
+            crossing = steps_to_target_loss([r.train_loss for r in rec["rows"]], target)
             crossed = crossing if crossing is not None else config.total_steps
-            eps = rec["summary"]["privacy"]["eps"]
-            if eps is None:
-                eps_value = 0.0 if config.method == "sgd" else math.inf
-            else:
-                eps_value = eps
+            eps_value = rec["rows"][-1].eps_cum
             lines.append(
                 f"{config.method},{rec['seed']},{acc!r},{crossed},{eps_value!r}"
             )

@@ -12,8 +12,7 @@ Every model is a stack of dense layers, so one backward pass
 layer, the input a_i the layer saw and the signal delta_i at its output.
 The weight gradient is their outer product, with norm ||a_i|| ||delta_i||
 (Goodfellow 2015, "Efficient per-example gradient computations").
-:func:`mean_gradient` and :func:`per_sample_gradients` are derived from
-the factors.
+:func:`per_sample_gradients` is derived from the factors.
 
 Inference (:func:`evaluate`, :func:`loss`, :func:`accuracy`) runs the
 forward pass class-major, on the transposed inputs: the (n_classes, n)
@@ -43,7 +42,6 @@ __all__ = [
     "init_model",
     "logistic_regression",
     "loss",
-    "mean_gradient",
     "mlp",
     "per_sample_gradients",
 ]
@@ -352,15 +350,6 @@ def per_sample_gradients(model: Model, batch: Batch) -> list[LayeredVector]:
     grads = backprop(model, batch)
     rows = [grads.block_rows(j) for j in range(len(grads.layer_dims))]
     return [LayeredVector(tuple(r[i] for r in rows)) for i in range(grads.size)]
-
-
-def mean_gradient(model: Model, batch: Batch) -> LayeredVector:
-    """Gradient of the mean cross-entropy over a non-empty batch."""
-    if batch.size == 0:
-        raise ContractViolation("batch must contain at least one example")
-    grads = backprop(model, batch)
-    total = grads.weighted_sum(np.ones(grads.size))
-    return LayeredVector(tuple(t / grads.size for t in total))
 
 
 def apply_update(model: Model, direction: LayeredVector, lr: float) -> Model:

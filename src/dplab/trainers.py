@@ -3,9 +3,11 @@ decomposition/reconstruction with a mixed schedule (DPDR).
 
 DPDR runs one full DP-SGD step, then decomposes per-sample gradients
 against the previous released gradient for steps 2..s, then falls back to
-DP-SGD for the rest of the run. Every private step emits exactly one
-ledger event; batch sampling and noise use disjoint stream tags so methods
-compared at the same seed see identical batch sequences.
+DP-SGD for the rest of the run. The steps only release; :func:`train`
+appends one ledger event per private step, at
+:func:`dplab.accountant.release_sigma` of its role. Batch sampling and noise
+use disjoint stream tags so methods compared at the same seed see identical
+batch sequences.
 
 Each step works on the batch's gradient factors (:func:`dplab.models.backprop`)
 and releases through :func:`dplab.mechanism.privatize`: norms, clipped sums
@@ -38,7 +40,7 @@ from .accountant import (
     PrivacyLedger,
     ReleaseEvent,
     calibrate_sigma,
-    effective_sigma,
+    release_sigma,
 )
 from .datasets import Dataset, poisson_sample
 from .decomposition import GdrBase, coefficients, normalize_base, reconstruct
@@ -157,12 +159,10 @@ class TrainConfig:
 @dataclass(frozen=True, eq=False)
 class StepOutcome:
     """What one step releases: the noisy gradient (the only model-update
-    signal), its telemetry, and the ledger event (None for non-private
-    releases). Raw per-sample gradients never leave a step."""
+    signal) and its telemetry. Raw per-sample gradients never leave a step."""
 
     released: LayeredVector
     metrics: MetricsRow
-    event: ReleaseEvent | None
     perp_norms: np.ndarray | None = None
 
 
@@ -175,21 +175,13 @@ def _median(values: np.ndarray) -> float:
     return float(np.median(values)) if values.size else 0.0
 
 
-def _denominator(batch: Batch, denom: float | None) -> float:
-    """``denom``, or by default the size of the batch, which must then be non-empty."""
-    if denom is None and batch.size == 0:
-        raise ContractViolation("an empty batch needs an explicit denom")
-    return batch.size if denom is None else denom
-
-
-def sgd_step(model: Model, batch: Batch, denom: float | None = None) -> StepOutcome:
+def sgd_step(model: Model, batch: Batch, denom: float) -> StepOutcome:
     """Non-private baseline: release the exact gradient sum over ``denom``."""
-    denom = _denominator(batch, denom)
     grads = backprop(model, batch)
     total = grads.weighted_sum(np.ones(batch.size))
     released = LayeredVector(tuple(t / denom for t in total))
     row = replace(_blank_row(0), grad_norm_median=_median(grads.norms()))
-    return StepOutcome(released, row, None)
+    return StepOutcome(released, row)
 
 
 def dpsgd_step(
@@ -197,10 +189,9 @@ def dpsgd_step(
     batch: Batch,
     c_g: float,
     sigma_g: float,
-    q: float,
     stream: RngStream,
+    denom: float,
     prev_release: LayeredVector | None = None,
-    denom: float | None = None,
 ) -> StepOutcome:
     """Clip per-sample gradients to c_g, perturb the sum, divide by ``denom``.
 
@@ -210,7 +201,6 @@ def dpsgd_step(
     Clip norms and the gradient norm median come from the factors either way
     and do not depend on it.
     """
-    denom = _denominator(batch, denom)
     grads = backprop(model, batch)
     g_sq = grads.sq_norms()
     blocks, norms = privatize(GradientRows(grads, g_sq), c_g, sigma_g, stream, denom)
@@ -222,8 +212,7 @@ def dpsgd_step(
         grad_norm_median=_median(norms),
         diff_norm_median=diff_median,
     )
-    event = ReleaseEvent(q, sigma_g, 1) if sigma_g > 0 else None
-    return StepOutcome(LayeredVector(blocks), row, event)
+    return StepOutcome(LayeredVector(blocks), row)
 
 
 def diff_step(
@@ -232,14 +221,12 @@ def diff_step(
     prev_release: LayeredVector,
     c_d: float,
     sigma_d: float,
-    q: float,
     stream: RngStream,
-    denom: float | None = None,
+    denom: float,
 ) -> StepOutcome:
     """Perturb per-sample differences against the previous release, then add
     the previous release back. Staleness shows up as a difference norm
     larger than the gradient norm; both norms come from the same dense rows."""
-    denom = _denominator(batch, denom)
     diffs = DifferenceRows(backprop(model, batch), prev_release)
     noisy_diff, diff_norms = privatize(diffs, c_d, sigma_d, stream, denom)
     released = LayeredVector(tuple(d + p for d, p in zip(noisy_diff, prev_release.blocks)))
@@ -248,8 +235,7 @@ def diff_step(
         grad_norm_median=_median(diffs.grad_norms()),
         diff_norm_median=_median(diff_norms),
     )
-    event = ReleaseEvent(q, sigma_d, 1) if sigma_d > 0 else None
-    return StepOutcome(released, row, event)
+    return StepOutcome(released, row)
 
 
 def gdr_step(
@@ -258,15 +244,13 @@ def gdr_step(
     base: GdrBase,
     clip: ClipSpec,
     noise: NoisePlan,
-    q: float,
     perp_stream: RngStream,
     alpha_stream: RngStream,
-    denom: float | None = None,
+    denom: float,
 ) -> tuple[StepOutcome, GdrBase]:
     """Decompose per-sample gradients against the base, privatize the two
     channels separately, reconstruct, and renormalize the release into the
     next base."""
-    denom = _denominator(batch, denom)
     grads = backprop(model, batch)
     alphas = coefficients(grads, base)
     noisy_perp, perp_norms = privatize(
@@ -284,10 +268,7 @@ def gdr_step(
         perp_norm_median=_median(perp_norms),
         alpha_vec_norm=float(math.sqrt(np.sum(noisy_alpha * noisy_alpha))),
     )
-    event = None
-    if noise.sigma_perp > 0 and noise.sigma_alpha > 0:
-        event = ReleaseEvent(q, effective_sigma(noise.sigma_perp, noise.sigma_alpha), 1)
-    return StepOutcome(released, row, event, perp_norms), new_base
+    return StepOutcome(released, row, perp_norms), new_base
 
 
 def privacy_schedule(
@@ -310,8 +291,10 @@ def privacy_schedule(
     return schedule
 
 
-def resolve_noise(config: TrainConfig, n: int) -> NoisePlan | None:
-    """Return the run's noise plan, calibrating it when an eps target is set.
+def resolve_noise(
+    config: TrainConfig, schedule: list[tuple[float, int, str]]
+) -> NoisePlan | None:
+    """Return the run's noise plan, calibrated to ``schedule`` when an eps target is set.
 
     Calibration failures surface here, before any training data is touched.
     """
@@ -319,8 +302,6 @@ def resolve_noise(config: TrainConfig, n: int) -> NoisePlan | None:
         return None
     if config.noise is not None:
         return config.noise
-    q = config.batch / n
-    schedule = privacy_schedule(config.method, q, config.total_steps, config.switch_step)
     sigma_alpha = config.sigma_alpha if config.method == "dpdr" else 1.0
     sigma_perp, sigma_g = calibrate_sigma(
         config.eps_target, config.delta, schedule, sigma_alpha, config.ratio_g
@@ -328,18 +309,6 @@ def resolve_noise(config: TrainConfig, n: int) -> NoisePlan | None:
     if config.method == "dpdr":
         return NoisePlan(sigma_g=sigma_g, sigma_perp=sigma_perp, sigma_alpha=config.sigma_alpha)
     return NoisePlan(sigma_g=sigma_g, sigma_perp=0.0, sigma_alpha=0.0)
-
-
-def _is_non_private(config: TrainConfig, noise: NoisePlan | None) -> bool:
-    """True when some channel the method relies on carries no noise."""
-    if config.method == "sgd":
-        return True
-    assert noise is not None
-    if noise.sigma_g <= 0:
-        return True
-    if config.method == "dpdr" and config.switch_step >= 2:
-        return noise.sigma_perp <= 0 or noise.sigma_alpha <= 0
-    return False
 
 
 @dataclass
@@ -361,47 +330,51 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
         raise ContractViolation(
             f"batch {config.batch} exceeds dataset size {dataset.n}"
         )
-    noise = resolve_noise(config, dataset.n)
-    arch = config.arch or logistic_regression(dataset.d_in, dataset.n_classes)
     method = config.method
     q = config.batch / dataset.n
     total = config.total_steps
+    # the one release schedule: calibration solves for it, and the run spends
+    # it as one accounting role per step (none for sgd)
+    schedule = privacy_schedule(method, q, total, config.switch_step)
+    noise = resolve_noise(config, schedule)
+    arch = config.arch or logistic_regression(dataset.d_in, dataset.n_classes)
     dims = arch.parameter_layer_dims()
+
+    roles = [role for _, steps, role in schedule for _ in range(steps)]
+    sigma = {
+        role: release_sigma(role, noise.sigma_g, noise.sigma_perp, noise.sigma_alpha)
+        for role in set(roles)
+    }
+    non_private = method == "sgd" or min(sigma.values()) <= 0
+    phase_steps = {role: roles.count(role) for role in (ROLE_FIRST, ROLE_GDR, ROLE_DPSGD)}
 
     started = time.perf_counter()
     model = init_model(arch, config.seed)
     ledger = PrivacyLedger(config.delta)
-    non_private = _is_non_private(config, noise)
     eval_batch = Batch(dataset.inputs, dataset.labels)
     rows: list[MetricsRow] = []
     prev_release: LayeredVector | None = None
     base: GdrBase | None = None
     snapshot: np.ndarray | None = None
-    # steps per accounting role of the run's release schedule (none for sgd)
-    phase_steps = {ROLE_FIRST: 0, ROLE_GDR: 0, ROLE_DPSGD: 0}
-    for _, steps, role in privacy_schedule(method, q, total, config.switch_step):
-        phase_steps[role] += steps
 
     for t in range(1, total + 1):
         step_started = time.perf_counter()
+        role = roles[t - 1] if roles else None
         batch = poisson_sample(dataset, q, RngStream(config.seed, t, BATCH_TAG))
         # the realized Poisson size; an empty draw divides by the expected size
         denom = batch.size if batch.size else config.batch
-        phase = method
-        if method == "dpdr":
-            phase = ROLE_FIRST if t == 1 else ROLE_GDR if t <= config.switch_step else ROLE_DPSGD
         noise_g = RngStream(config.seed, t, NOISE_G_TAG)
 
-        if phase == "sgd":
+        if method == "sgd":
             outcome = sgd_step(model, batch, denom)
-        elif phase == "diff":
+        elif method == "diff":
             prev = prev_release if prev_release is not None else LayeredVector.zeros(dims)
             outcome = diff_step(
-                model, batch, prev, config.clip.c_g, noise.sigma_g, q, noise_g, denom
+                model, batch, prev, config.clip.c_g, noise.sigma_g, noise_g, denom
             )
-        elif phase == ROLE_GDR:
+        elif role == ROLE_GDR:
             outcome, base = gdr_step(
-                model, batch, base, config.clip, noise, q,
+                model, batch, base, config.clip, noise,
                 RngStream(config.seed, t, NOISE_PERP_TAG),
                 RngStream(config.seed, t, NOISE_ALPHA_TAG),
                 denom,
@@ -411,13 +384,13 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
         else:  # dpsgd, or the first and tail steps of dpdr
             track_diff = prev_release if method == "dpsgd" else None
             outcome = dpsgd_step(
-                model, batch, config.clip.c_g, noise.sigma_g, q, noise_g, track_diff, denom
+                model, batch, config.clip.c_g, noise.sigma_g, noise_g, denom, track_diff
             )
-            if phase == ROLE_FIRST:
+            if role == ROLE_FIRST:
                 base = normalize_base(outcome.released, 1)
 
-        if outcome.event is not None:
-            ledger.append(outcome.event)
+        if sigma.get(role, 0.0) > 0:
+            ledger.append(ReleaseEvent(q, sigma[role]))
         model = apply_update(model, outcome.released, config.lr)
 
         train_loss, train_acc = evaluate(model, eval_batch)
@@ -426,10 +399,8 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
             cos_prev = coherence_stats(prev_release, outcome.released)
         if method == "sgd":
             eps_cum = 0.0
-        elif non_private:
-            eps_cum = math.inf
         else:
-            eps_cum = ledger.epsilon()[0]
+            eps_cum = math.inf if non_private else ledger.epsilon()[0]
         wall_ms = (time.perf_counter() - step_started) * 1000.0
         rows.append(
             replace(

@@ -25,14 +25,11 @@ from .errors import ContractViolation
 __all__ = [
     "LayeredVector",
     "RngStream",
-    "add",
     "axpy",
     "dot",
-    "dot_layer",
     "gaussian_sample",
     "l2_norm",
     "l2_norm_layer",
-    "scale",
     "sub",
 ]
 
@@ -112,12 +109,6 @@ def _require_layer(v: LayeredVector, layer: int) -> None:
         raise ContractViolation(f"layer index {layer} out of range [0, {v.layer_count})")
 
 
-def dot_layer(a: LayeredVector, b: LayeredVector, layer: int) -> float:
-    _require_compatible(a, b)
-    _require_layer(a, layer)
-    return float(np.sum(a.blocks[layer] * b.blocks[layer]))
-
-
 def dot(a: LayeredVector, b: LayeredVector) -> float:
     _require_compatible(a, b)
     total = 0.0
@@ -145,17 +136,6 @@ def axpy(c: float, x: LayeredVector, y: LayeredVector) -> LayeredVector:
     if not math.isfinite(c):
         raise ContractViolation(f"non-finite scalar {c!r}")
     return LayeredVector(tuple(c * bx + by for bx, by in zip(x.blocks, y.blocks)))
-
-
-def scale(c: float, x: LayeredVector) -> LayeredVector:
-    if not math.isfinite(c):
-        raise ContractViolation(f"non-finite scalar {c!r}")
-    return LayeredVector(tuple(c * b for b in x.blocks))
-
-
-def add(x: LayeredVector, y: LayeredVector) -> LayeredVector:
-    _require_compatible(x, y)
-    return LayeredVector(tuple(bx + by for bx, by in zip(x.blocks, y.blocks)))
 
 
 def sub(x: LayeredVector, y: LayeredVector) -> LayeredVector:

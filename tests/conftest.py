@@ -3,8 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from dplab import Architecture, Batch, LayeredVector, init_model
+from dplab import Architecture, Batch, LayeredVector, backprop, init_model
 from dplab.models import _forward
+
+
+# list-based LayeredVector helpers that no training step uses
+
+
+def add(x: LayeredVector, y: LayeredVector) -> LayeredVector:
+    assert x.layer_dims == y.layer_dims
+    return LayeredVector(tuple(bx + by for bx, by in zip(x.blocks, y.blocks)))
+
+
+def scale(c: float, x: LayeredVector) -> LayeredVector:
+    return LayeredVector(tuple(c * b for b in x.blocks))
+
+
+def dot_layer(a: LayeredVector, b: LayeredVector, layer: int) -> float:
+    assert a.layer_dims == b.layer_dims
+    return float(np.sum(a.blocks[layer] * b.blocks[layer]))
+
+
+def mean_gradient(model, batch) -> LayeredVector:
+    """Gradient of the mean cross-entropy over a non-empty batch."""
+    grads = backprop(model, batch)
+    total = grads.weighted_sum(np.ones(grads.size))
+    return LayeredVector(tuple(t / grads.size for t in total))
 
 
 def random_vector(layer_dims, seed, scale=1.0) -> LayeredVector:

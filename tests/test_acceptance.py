@@ -25,20 +25,17 @@ from dplab import (
     TrainConfig,
     calibrate_sigma,
     decompose,
-    dot_layer,
     effective_sigma,
     gdr_step,
     gen_synthetic,
     l2_norm,
     l2_norm_layer,
     load_idx_pair,
-    mean_gradient,
     mlp,
     normalize_base,
     per_sample_gradients,
     rdp_subsampled_gaussian,
     diff_step,
-    scale,
     sub,
     train,
 )
@@ -46,7 +43,7 @@ from dplab.decomposition import coefficients
 from dplab.diagnostics import steps_to_target_loss
 from dplab.mechanism import DenseRows, DifferenceRows, privatize
 from dplab.models import GradientFactors
-from tests.conftest import random_problem, random_vector
+from tests.conftest import dot_layer, mean_gradient, random_problem, random_vector, scale
 from tests.test_models import finite_difference_gradient
 
 LOOSE = ClipSpec(1e9, 1e9, 1e9)
@@ -73,8 +70,8 @@ class TestCriterion1ReconstructionExactness:
             model, batch = random_problem(seed, batch=4)
             base = normalize_base(random_vector(model.params.layer_dims, seed + 5000), 0)
             out, _ = gdr_step(
-                model, batch, base, LOOSE, SILENT, 0.1,
-                RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"),
+                model, batch, base, LOOSE, SILENT,
+                RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"), batch.size,
             )
             expected = mean_of(per_sample_gradients(model, batch))
             err = l2_norm(sub(out.released, expected)) / max(l2_norm(expected), 1e-300)
@@ -321,7 +318,9 @@ class TestCriterion8CoherencePhenomena:
     def test_staleness_inflates_difference_norm(self):
         model, batch = random_problem(41, batch=1)
         g = per_sample_gradients(model, batch)[0]
-        out = diff_step(model, batch, scale(-1.0, g), 1e9, 0.0, 0.1, RngStream(0, 1, "noise-g"))
+        out = diff_step(
+            model, batch, scale(-1.0, g), 1e9, 0.0, RngStream(0, 1, "noise-g"), batch.size
+        )
         ratio = out.metrics.diff_norm_median / out.metrics.grad_norm_median
         report(8, ratio == 2.0, f"(constructed staleness ratio {ratio})")
         assert ratio == 2.0

@@ -67,6 +67,10 @@ def _rejections():
                      id="sgd-privacy"),
         pytest.param("sgd", None, lambda d: d.update(switch_step=2), id="sgd-switch_step"),
         pytest.param("sgd", None, lambda d: d.update(method="adam"), id="unknown-method"),
+        # the files need not exist: the limit is checked before they are read
+        pytest.param("sgd", None, lambda d: d.update(dataset={
+            "kind": "idx", "path": {"images": "i.idx", "labels": "l.idx", "limit": 0}}),
+            id="idx-limit-0"),
     ]
     for m in PRIVATE_METHODS:
         cases += [

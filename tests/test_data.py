@@ -15,11 +15,11 @@ from dplab import (
     load_cache,
     load_idx_pair,
     logistic_regression,
-    mean_gradient,
     poisson_sample,
     save_cache,
 )
 from dplab.models import accuracy
+from tests.conftest import mean_gradient
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,

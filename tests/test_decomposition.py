@@ -8,14 +8,13 @@ from dplab import (
     axpy,
     decompose,
     decompose_batch,
-    dot_layer,
     l2_norm,
     l2_norm_layer,
     normalize_base,
     reconstruct,
     sub,
 )
-from tests.conftest import random_vector
+from tests.conftest import dot_layer, random_vector
 
 
 def make_base(layer_dims, seed):

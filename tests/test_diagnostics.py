@@ -9,10 +9,9 @@ from dplab import (
     coherence_stats,
     histogram,
     normalize_base,
-    scale,
     steps_to_target_loss,
 )
-from tests.conftest import random_vector
+from tests.conftest import random_vector, scale
 
 
 class TestCoherenceStats:
@@ -73,9 +72,9 @@ class TestOrthogonalShare:
         lr = 0.1
         q = 128 / ds.n
         model = init_model(logistic_regression(ds.d_in, ds.n_classes), 0)
+        batch = poisson_sample(ds, q, RngStream(0, 1, "batch"))
         first = dpsgd_step(
-            model, poisson_sample(ds, q, RngStream(0, 1, "batch")), clip.c_g,
-            noise.sigma_g, q, RngStream(0, 1, "noise-g"),
+            model, batch, clip.c_g, noise.sigma_g, RngStream(0, 1, "noise-g"), batch.size
         )
         model = apply_update(model, first.released, lr)
         base = normalize_base(first.released, 1)
@@ -83,8 +82,8 @@ class TestOrthogonalShare:
         for t in range(2, 51):
             batch = poisson_sample(ds, q, RngStream(0, t, "batch"))
             out, base = gdr_step(
-                model, batch, base, clip, noise, q,
-                RngStream(0, t, "noise-perp"), RngStream(0, t, "noise-alpha"),
+                model, batch, base, clip, noise,
+                RngStream(0, t, "noise-perp"), RngStream(0, t, "noise-alpha"), batch.size,
             )
             shares.append(float(np.median(out.perp_norms / backprop(model, batch).norms())))
             model = apply_update(model, out.released, lr)

@@ -19,11 +19,10 @@ from dplab import (
     dot,
     l2_norm,
     per_sample_gradients,
-    scale,
     sub,
 )
 from dplab.mechanism import DifferenceRows
-from tests.conftest import random_problem, random_vector, tilted
+from tests.conftest import random_problem, random_vector, scale, tilted
 
 
 class TestClipToNorm:

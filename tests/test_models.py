@@ -15,13 +15,12 @@ from dplab import (
     l2_norm,
     logistic_regression,
     loss,
-    mean_gradient,
     mlp,
     per_sample_gradients,
     sub,
 )
 from dplab.models import evaluate
-from tests.conftest import random_problem, random_vector, row_major_evaluate
+from tests.conftest import mean_gradient, random_problem, random_vector, row_major_evaluate
 
 
 def loss_oracle(model, batch):

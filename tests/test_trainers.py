@@ -13,9 +13,9 @@ from dplab import (
     GradientFactors,
     LayeredVector,
     NoisePlan,
+    ReleaseEvent,
     RngStream,
     TrainConfig,
-    add,
     aggregate_and_perturb,
     aggregate_and_perturb_scalars,
     decompose_batch,
@@ -32,12 +32,21 @@ from dplab import (
     poisson_sample,
     privacy_schedule,
     reconstruct,
-    scale,
+    release_sigma,
+    schedule_ledger,
     sub,
     train,
 )
 from dplab.trainers import sgd_step
-from tests.conftest import random_problem, random_vector, row_major_evaluate, tilted
+from tests.conftest import (
+    add,
+    dot_layer,
+    random_problem,
+    random_vector,
+    row_major_evaluate,
+    scale,
+    tilted,
+)
 
 LOOSE = ClipSpec(1e9, 1e9, 1e9)
 SILENT = NoisePlan(0.0, 0.0, 0.0)
@@ -47,6 +56,21 @@ def mean_of(vectors):
     return LayeredVector.from_blocks(
         [np.mean([v.blocks[l] for v in vectors], axis=0) for l in range(vectors[0].layer_count)]
     )
+
+
+def formula_roles(method, total, switch=None):
+    """The accounting role of each step by the phase formula, independent of
+    privacy_schedule: first at t = 1, gdr for 2 <= t <= switch, then dpsgd
+    (none for sgd)."""
+    if method == "sgd":
+        return []
+    if method != "dpdr":
+        return ["dpsgd"] * total
+    return ["first" if t == 1 else "gdr" if t <= switch else "dpsgd" for t in range(1, total + 1)]
+
+
+def role_sigmas(roles, noise):
+    return [release_sigma(r, noise.sigma_g, noise.sigma_perp, noise.sigma_alpha) for r in roles]
 
 
 def make_config(method="dpsgd", **kw):
@@ -71,30 +95,22 @@ def make_config(method="dpsgd", **kw):
 class TestDpsgdStep:
     def test_noiseless_within_bounds_is_sgd(self):
         model, batch = random_problem(0, batch=5)
-        out = dpsgd_step(model, batch, 1e9, 0.0, 0.1, RngStream(0, 1, "noise-g"))
+        out = dpsgd_step(model, batch, 1e9, 0.0, RngStream(0, 1, "noise-g"), batch.size)
         expected = mean_of(per_sample_gradients(model, batch))
         assert l2_norm(sub(out.released, expected)) <= 1e-12 * max(1.0, l2_norm(expected))
-        assert out.event is None  # sigma=0 is a non-private ablation
 
     def test_single_overlong_gradient_halved(self):
         model, batch = random_problem(1, batch=1)
         g = per_sample_gradients(model, batch)[0]
         c = l2_norm(g) / 2.0
-        out = dpsgd_step(model, batch, c, 0.0, 0.1, RngStream(0, 1, "noise-g"))
+        out = dpsgd_step(model, batch, c, 0.0, RngStream(0, 1, "noise-g"), batch.size)
         assert out.released.allclose(scale(0.5, g), rtol=1e-12, atol=1e-15)
 
     def test_fixed_seed_bit_identical(self):
         model, batch = random_problem(2, batch=4)
-        a = dpsgd_step(model, batch, 1.0, 1.0, 0.1, RngStream(9, 5, "noise-g"))
-        b = dpsgd_step(model, batch, 1.0, 1.0, 0.1, RngStream(9, 5, "noise-g"))
+        a = dpsgd_step(model, batch, 1.0, 1.0, RngStream(9, 5, "noise-g"), batch.size)
+        b = dpsgd_step(model, batch, 1.0, 1.0, RngStream(9, 5, "noise-g"), batch.size)
         assert a.released.equals(b.released)
-        assert a.event == b.event
-
-    def test_empty_batch_rejected(self):
-        model, _ = random_problem(0, d_in=3)
-        empty = Batch(np.zeros((0, 3)), np.zeros(0, dtype=int))
-        with pytest.raises(ContractViolation):
-            dpsgd_step(model, empty, 1.0, 1.0, 0.1, RngStream(0, 1, "noise-g"))
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_telemetry_expands_rows_only_for_near_parallel_samples(self, parallel, monkeypatch):
@@ -115,7 +131,7 @@ class TestDpsgdStep:
             return rows
 
         monkeypatch.setattr(GradientFactors, "block_rows", counting)
-        out = dpsgd_step(model, batch, 1.0, 1.0, 0.1, RngStream(0, 1, "noise-g"), prev)
+        out = dpsgd_step(model, batch, 1.0, 1.0, RngStream(0, 1, "noise-g"), batch.size, prev)
         assert expanded == ([1] * len(dims) if parallel else [])
         assert out.metrics.diff_norm_median > 0
 
@@ -131,7 +147,7 @@ class TestDpsgdStep:
             return sq_norms(self)
 
         monkeypatch.setattr(GradientFactors, "sq_norms", counting)
-        dpsgd_step(model, batch, 1.0, 1.0, 0.1, RngStream(0, 1, "noise-g"), prev)
+        dpsgd_step(model, batch, 1.0, 1.0, RngStream(0, 1, "noise-g"), batch.size, prev)
         assert calls == [6]
 
 
@@ -139,13 +155,13 @@ class TestDiffStep:
     def test_zero_difference_returns_previous(self):
         model, batch = random_problem(3, batch=1)
         g = per_sample_gradients(model, batch)[0]
-        out = diff_step(model, batch, g, 1.0, 0.0, 0.1, RngStream(0, 1, "noise-g"))
+        out = diff_step(model, batch, g, 1.0, 0.0, RngStream(0, 1, "noise-g"), batch.size)
         assert out.released.allclose(g, rtol=1e-12, atol=1e-15)
 
     def test_unbiased_without_clipping(self):
         model, batch = random_problem(4, batch=6)
         prev = random_vector(model.params.layer_dims, seed=50, scale=0.3)
-        out = diff_step(model, batch, prev, 1e9, 0.0, 0.1, RngStream(0, 1, "noise-g"))
+        out = diff_step(model, batch, prev, 1e9, 0.0, RngStream(0, 1, "noise-g"), batch.size)
         expected = mean_of(per_sample_gradients(model, batch))
         assert out.released.allclose(expected, rtol=1e-10, atol=1e-12)
 
@@ -153,7 +169,9 @@ class TestDiffStep:
         # per-sample gradient equals -previous release: ||diff|| = 2||g|| exactly
         model, batch = random_problem(5, batch=1)
         g = per_sample_gradients(model, batch)[0]
-        out = diff_step(model, batch, scale(-1.0, g), 1e9, 0.0, 0.1, RngStream(0, 1, "noise-g"))
+        out = diff_step(
+            model, batch, scale(-1.0, g), 1e9, 0.0, RngStream(0, 1, "noise-g"), batch.size
+        )
         ratio = out.metrics.diff_norm_median / out.metrics.grad_norm_median
         assert ratio == 2.0
 
@@ -164,8 +182,8 @@ class TestGdrStep:
             model, batch = random_problem(seed, batch=4)
             base = normalize_base(random_vector(model.params.layer_dims, seed + 99), 0)
             out, _ = gdr_step(
-                model, batch, base, LOOSE, SILENT, 0.1,
-                RngStream(0, 2, "noise-perp"), RngStream(0, 2, "noise-alpha"),
+                model, batch, base, LOOSE, SILENT,
+                RngStream(0, 2, "noise-perp"), RngStream(0, 2, "noise-alpha"), batch.size,
             )
             expected = mean_of(per_sample_gradients(model, batch))
             assert l2_norm(sub(out.released, expected)) <= 1e-10 * max(1.0, l2_norm(expected))
@@ -179,12 +197,12 @@ class TestGdrStep:
             np.repeat(batch.inputs[:1], 3, axis=0), np.repeat(batch.labels[:1], 3)
         )
         out, _ = gdr_step(
-            model, single, base, LOOSE, SILENT, 0.1,
-            RngStream(0, 2, "noise-perp"), RngStream(0, 2, "noise-alpha"),
+            model, single, base, LOOSE, SILENT,
+            RngStream(0, 2, "noise-perp"), RngStream(0, 2, "noise-alpha"), single.size,
         )
         assert out.metrics.perp_norm_median <= 1e-9 * max(1.0, l2_norm(grad))
         # every layer of the release points along that layer of the base
-        from dplab import dot_layer, l2_norm_layer
+        from dplab import l2_norm_layer
 
         for layer in range(out.released.layer_count):
             r_norm = l2_norm_layer(out.released, layer)
@@ -197,8 +215,8 @@ class TestGdrStep:
         model, batch = random_problem(8, batch=4)
         base = normalize_base(random_vector(model.params.layer_dims, 1), 0)
         out, new_base = gdr_step(
-            model, batch, base, LOOSE, SILENT, 0.1,
-            RngStream(0, 3, "noise-perp"), RngStream(0, 3, "noise-alpha"),
+            model, batch, base, LOOSE, SILENT,
+            RngStream(0, 3, "noise-perp"), RngStream(0, 3, "noise-alpha"), batch.size,
         )
         expected = normalize_base(out.released, 3)
         assert new_base.b.allclose(expected.b, rtol=1e-12, atol=1e-15)
@@ -212,14 +230,14 @@ class TestGdrStep:
         history_a = [random_vector(model.params.layer_dims, i) for i in range(3)]
 
         out_a, _ = gdr_step(
-            model, batch, base, LOOSE, SILENT, 0.1,
-            RngStream(1, 2, "noise-perp"), RngStream(1, 2, "noise-alpha"),
+            model, batch, base, LOOSE, SILENT,
+            RngStream(1, 2, "noise-perp"), RngStream(1, 2, "noise-alpha"), batch.size,
         )
         del history_a
         _history_b = [random_vector(model.params.layer_dims, 100 + i, scale=9.0) for i in range(3)]
         out_b, _ = gdr_step(
-            model, batch, base, LOOSE, SILENT, 0.1,
-            RngStream(1, 2, "noise-perp"), RngStream(1, 2, "noise-alpha"),
+            model, batch, base, LOOSE, SILENT,
+            RngStream(1, 2, "noise-perp"), RngStream(1, 2, "noise-alpha"), batch.size,
         )
         assert out_a.released.equals(out_b.released)
 
@@ -303,6 +321,10 @@ class TestTrainLoop:
         assert 1 in empty
         assert any(2 <= t <= 20 for t in empty) and any(t > 20 for t in empty)
         assert len(result.ledger.events) == events
+        # an empty draw spends the same event as a full step of its role
+        roles = formula_roles(method, 40, config.switch_step)
+        assert [e.sigma_eff for e in result.ledger.events] == role_sigmas(roles, config.noise)
+        assert all(e.q == 1 / 64 and e.steps == 1 for e in result.ledger.events)
         assert all(np.all(np.isfinite(b)) for b in result.model.params.blocks)
 
     def test_empty_draw_divides_noise_by_expected_batch(self):
@@ -341,6 +363,56 @@ class TestTrainLoop:
         assert result.non_private
         assert all(math.isinf(r.eps_cum) for r in result.rows)
         assert result.ledger.events == []
+
+    @pytest.mark.parametrize(
+        "noise", [NoisePlan(1.0, 1.0, 0.0), NoisePlan(1.0, 0.0, 2.0)], ids=["alpha", "perp"]
+    )
+    def test_silent_gdr_channel_spends_only_first_and_tail(self, noise):
+        config = make_config("dpdr", total_steps=6, switch_step=4, seed=4, noise=noise)
+        result = train(config, self.dataset)
+        q = config.batch / self.dataset.n
+        assert result.ledger.events == [ReleaseEvent(q, 1.0)] * 3
+        assert result.non_private
+        assert all(math.isinf(r.eps_cum) for r in result.rows)
+        assert result.phase_steps == {"first": 1, "gdr": 3, "dpsgd": 2}
+
+    def test_calibrated_dpdr_spends_the_solved_schedule(self):
+        config = make_config(
+            "dpdr", total_steps=6, switch_step=4, seed=4, noise=None, eps_target=3.0,
+            sigma_alpha=2.0, ratio_g=0.8,
+        )
+        result = train(config, self.dataset)
+        schedule = privacy_schedule("dpdr", config.batch / self.dataset.n, 6, 4)
+        solved = schedule_ledger(
+            schedule, config.delta, result.noise.sigma_perp, 2.0, config.ratio_g
+        )
+        solved_sigma = {role: e.sigma_eff for (_, _, role), e in zip(schedule, solved.events)}
+        roles = formula_roles("dpdr", 6, 4)
+        assert [e.sigma_eff for e in result.ledger.events] == [solved_sigma[r] for r in roles]
+        assert [e.q for e in result.ledger.events] == [schedule[0][0]] * 6
+        assert result.rows[-1].eps_cum == pytest.approx(solved.epsilon()[0], rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.data())
+    def test_step_roles_follow_phase_formula(self, total, data):
+        switch = data.draw(st.integers(1, total))
+        config = make_config("dpdr", total_steps=total, switch_step=switch, seed=total)
+        called = []
+
+        def spy(name, step_fn):
+            def recorded(*args, **kwargs):
+                called.append(name)
+                return step_fn(*args, **kwargs)
+            return recorded
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dplab.trainers.gdr_step", spy("gdr", gdr_step))
+            mp.setattr("dplab.trainers.dpsgd_step", spy("dpsgd", dpsgd_step))
+            result = train(config, self.dataset)
+        roles = formula_roles("dpdr", total, switch)
+        assert called == ["gdr" if r == "gdr" else "dpsgd" for r in roles]
+        assert [e.sigma_eff for e in result.ledger.events] == role_sigmas(roles, config.noise)
+        assert result.phase_steps == {r: roles.count(r) for r in ("first", "gdr", "dpsgd")}
 
     def test_deterministic_rerun(self):
         config = make_config("dpdr", total_steps=6, seed=21)
@@ -415,7 +487,7 @@ class TestEmptyBatchSteps:
     B = 7  # not a power of two, so x / b and (1/b) x may differ in the last bit
 
     def setup_method(self):
-        self.model, self.batch = random_problem(30, batch=5)
+        self.model, _ = random_problem(30, batch=5)
         self.empty = Batch(np.zeros((0, self.model.arch.d_in)), np.zeros(0, dtype=int))
         self.dims = self.model.params.layer_dims
 
@@ -431,31 +503,27 @@ class TestEmptyBatchSteps:
     def test_sgd(self):
         out = sgd_step(self.model, self.empty, self.B)
         assert out.released.equals(LayeredVector.zeros(self.dims))
-        assert out.event is None
         self.assert_medians_zero(out.metrics)
 
     def test_dpsgd(self):
         stream = RngStream(4, 3, "noise-g")
         prev = random_vector(self.dims, 31)
-        out = dpsgd_step(self.model, self.empty, 1.5, 1.1, 0.1, stream, prev, self.B)
+        out = dpsgd_step(self.model, self.empty, 1.5, 1.1, stream, self.B, prev)
         self.assert_rel_close(out.released, self.noise_only(1.5, 1.1, stream))
-        assert out.event == dpsgd_step(self.model, self.batch, 1.5, 1.1, 0.1, stream).event
         self.assert_medians_zero(out.metrics)
 
     def test_diff(self):
         stream = RngStream(4, 3, "noise-g")
         prev = random_vector(self.dims, 31)
-        out = diff_step(self.model, self.empty, prev, 1.5, 1.1, 0.1, stream, self.B)
+        out = diff_step(self.model, self.empty, prev, 1.5, 1.1, stream, self.B)
         self.assert_rel_close(out.released, add(self.noise_only(1.5, 1.1, stream), prev))
-        full = diff_step(self.model, self.batch, prev, 1.5, 1.1, 0.1, stream)
-        assert out.event == full.event
         self.assert_medians_zero(out.metrics)
 
     def test_gdr(self):
         base = normalize_base(random_vector(self.dims, 32), 0)
         clip, noise = ClipSpec(1.0, 0.5, 1.5), NoisePlan(1.0, 1.2, 2.0)
         streams = RngStream(4, 3, "noise-perp"), RngStream(4, 3, "noise-alpha")
-        out, _ = gdr_step(self.model, self.empty, base, clip, noise, 0.1, *streams, self.B)
+        out, _ = gdr_step(self.model, self.empty, base, clip, noise, *streams, self.B)
         noisy_perp = self.noise_only(clip.c_perp, noise.sigma_perp, streams[0])
         noisy_alpha = (
             streams[1].generator().standard_normal(base.layer_count)
@@ -464,8 +532,6 @@ class TestEmptyBatchSteps:
         self.assert_rel_close(out.released, reconstruct(noisy_alpha, noisy_perp, base))
         # the reported alpha norm is that of the released noisy coefficients
         assert out.metrics.alpha_vec_norm == pytest.approx(np.linalg.norm(noisy_alpha), rel=1e-15)
-        full, _ = gdr_step(self.model, self.batch, base, clip, noise, 0.1, *streams)
-        assert out.event == full.event
         assert out.perp_norms.size == 0
         self.assert_medians_zero(out.metrics)
 
@@ -473,9 +539,8 @@ class TestEmptyBatchSteps:
 class TestSgdStep:
     def test_releases_exact_mean(self):
         model, batch = random_problem(12, batch=5)
-        out = sgd_step(model, batch)
+        out = sgd_step(model, batch, batch.size)
         assert out.released.allclose(mean_of(per_sample_gradients(model, batch)), rtol=1e-12)
-        assert out.event is None
 
 
 class TestSilentStepsMatchSgd:
@@ -487,13 +552,13 @@ class TestSilentStepsMatchSgd:
             expected = mean_of(per_sample_gradients(model, batch))
             tol = 1e-10 * max(1.0, l2_norm(expected))
             stream = RngStream(seed, 1, "noise-g")
-            a = dpsgd_step(model, batch, 1e9, 0.0, 0.1, stream)
+            a = dpsgd_step(model, batch, 1e9, 0.0, stream, batch.size)
             prev = random_vector(model.params.layer_dims, seed + 12, scale=0.2)
-            b = diff_step(model, batch, prev, 1e9, 0.0, 0.1, stream)
+            b = diff_step(model, batch, prev, 1e9, 0.0, stream, batch.size)
             base = normalize_base(random_vector(model.params.layer_dims, seed + 13), 0)
             c, _ = gdr_step(
-                model, batch, base, LOOSE, SILENT, 0.1,
-                RngStream(seed, 1, "noise-perp"), RngStream(seed, 1, "noise-alpha"),
+                model, batch, base, LOOSE, SILENT,
+                RngStream(seed, 1, "noise-perp"), RngStream(seed, 1, "noise-alpha"), batch.size,
             )
             for out in (a, b, c):
                 assert l2_norm(sub(out.released, expected)) <= tol
@@ -550,8 +615,8 @@ class TestDifferenceChannelSensitivity:
             # c_alpha = c keeps the parallel part of the release small, so the
             # projection below does not add rounding relative to ||g||
             out, _ = gdr_step(
-                model, batch, base, ClipSpec(1.0, c, c), SILENT, 0.1,
-                RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"),
+                model, batch, base, ClipSpec(1.0, c, c), SILENT,
+                RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"), batch.size,
             )
             assert out.metrics.perp_norm_median > c
             sq = 0.0
@@ -619,7 +684,7 @@ class TestFactoredStepsMatchReference:
         model, batch, _, _ = problem
         grads = per_sample_gradients(model, batch)
         norms = [l2_norm(g) for g in grads]
-        out = sgd_step(model, batch)
+        out = sgd_step(model, batch, batch.size)
         expected = aggregate_and_perturb(grads, clip_bound(norms, "none"), 0.0)
         assert_close_vector(out.released, expected)
         assert_close_scalar(out.metrics.grad_norm_median, float(np.median(norms)))
@@ -632,8 +697,8 @@ class TestFactoredStepsMatchReference:
         norms = [l2_norm(g) for g in grads]
         c = clip_bound(norms, regime)
         stream = RngStream(seed, 3, "noise-g")
-        plain = dpsgd_step(model, batch, c, sigma, 0.1, stream)
-        tracked = dpsgd_step(model, batch, c, sigma, 0.1, stream, prev)
+        plain = dpsgd_step(model, batch, c, sigma, stream, batch.size)
+        tracked = dpsgd_step(model, batch, c, sigma, stream, batch.size, prev)
         assert_close_vector(plain.released, aggregate_and_perturb(grads, c, sigma, stream))
         assert_close_scalar(plain.metrics.grad_norm_median, float(np.median(norms)))
         assert_close_scalar(
@@ -653,7 +718,7 @@ class TestFactoredStepsMatchReference:
         diff_norms = [l2_norm(d) for d in diffs]
         c = clip_bound(diff_norms, regime)
         stream = RngStream(seed, 4, "noise-g")
-        out = diff_step(model, batch, prev, c, sigma, 0.1, stream)
+        out = diff_step(model, batch, prev, c, sigma, stream, batch.size)
         expected = add(aggregate_and_perturb(diffs, c, sigma, stream), prev)
         assert_close_vector(out.released, expected)
         assert_close_scalar(out.metrics.grad_norm_median, median_norm(grads))
@@ -688,7 +753,7 @@ class TestFactoredStepsMatchReference:
         noise = NoisePlan(sigma, sigma, 2.0 * sigma)
         perp_stream = RngStream(seed, 5, "noise-perp")
         alpha_stream = RngStream(seed, 5, "noise-alpha")
-        out, _ = gdr_step(model, batch, base, clip, noise, 0.1, perp_stream, alpha_stream)
+        out, _ = gdr_step(model, batch, base, clip, noise, perp_stream, alpha_stream, batch.size)
         noisy_perp = aggregate_and_perturb(perps, clip.c_perp, noise.sigma_perp, perp_stream)
         noisy_alpha = aggregate_and_perturb_scalars(
             alphas, clip.c_alpha, noise.sigma_alpha, alpha_stream

@@ -10,13 +10,11 @@ from dplab import (
     RngStream,
     axpy,
     dot,
-    dot_layer,
     gaussian_sample,
     l2_norm,
     l2_norm_layer,
-    scale,
 )
-from tests.conftest import random_vector
+from tests.conftest import dot_layer, random_vector, scale
 
 
 @st.composite
