@@ -7,9 +7,11 @@ multiplier sigma is the ratio of noise std to the clip bound.
 
 :func:`privatize` is the release primitive the trainers use. It takes a
 row source: per-sample gradients from their factors (:class:`GradientRows`),
-per-sample differences against a dense vector (:class:`DifferenceRows`),
-or small dense rows such as the coefficients (:class:`DenseRows`). The
-list-based functions (:func:`aggregate_and_perturb`, :func:`clip_to_norm`)
+per-sample differences against a dense vector on dense rows
+(:class:`DifferenceRows`), the dpdr orthogonal remainders from the factors
+(:class:`OrthogonalRows`), or small dense rows such as the coefficients
+(:class:`DenseRows`). The list-based functions (:func:`aggregate_and_perturb`,
+:func:`clip_to_norm`)
 clip one materialized vector at a time and serve as the reference the row
 sources are tested against; their coefficient counterparts
 (:func:`aggregate_and_perturb_scalars`, :func:`clip_alpha_vec`) call them
@@ -34,6 +36,7 @@ __all__ = [
     "DifferenceRows",
     "GradientRows",
     "NoisePlan",
+    "OrthogonalRows",
     "ROW_CHUNK_BYTES",
     "aggregate_and_perturb",
     "aggregate_and_perturb_scalars",
@@ -47,7 +50,7 @@ __all__ = [
 ROW_CHUNK_BYTES = 1 << 20
 
 # a factored squared difference norm below this share of ||g_i||^2 + ||s_i v||^2
-# is measured on its dense row instead (DifferenceRows.norms)
+# is measured, clipped and summed on its dense row instead (DifferenceRows)
 CANCELLATION_TAU = 1e-2
 
 
@@ -227,23 +230,27 @@ class DifferenceRows:
     """Per-sample differences g_i - coeffs[i, j] * v_j (block j) against a
     dense vector v; without ``coeffs`` every coefficient is 1.
 
-    Clipped sums (the releases of the diff channel and of the dpdr
-    orthogonal channel) come from the dense difference rows, built block
-    by block for chunks of samples of about ROW_CHUNK_BYTES, so each clip
+    :meth:`clipped_sum` releases the dense difference rows, built block by
+    block for chunks of samples of about ROW_CHUNK_BYTES, so each clip
     scales exactly the row it measured and a contribution exceeds its bound
-    by rounding relative to the bound. Expanding the norm as
-    ||g||^2 - 2<g, v> + ||v||^2 cancels catastrophically when g_i lies close
-    to s_i v, and summing f_i g_i and (sum f_i s_i) v separately leaves
-    rounding relative to ||g_i||, which can exceed a small bound.
+    by rounding relative to the bound. The diff channel releases through it:
+    its clip norms and the gradient norms beside them (:meth:`grad_norms`)
+    come from the same dense rows, so a constructed staleness ratio
+    ||g - p|| / ||g|| of 2 reads exactly 2.0. The dense rows are also the
+    fallback of the factored form below and the oracle it is tested
+    against.
 
-    :meth:`norms` is telemetry only: nothing it measures is clipped or
-    released. It expands the norm from the factors, with ||g_i||^2 from
-    :meth:`GradientFactors.sq_norms` and the cross terms from
-    :meth:`GradientFactors.block_dots`, and builds no dense row. The
-    expansion rounds by about eps (||g_i||^2 + ||s_i v||^2), so a sample whose
-    expanded square falls below CANCELLATION_TAU times that scale (a square
-    rounded below zero included) is measured on its dense row instead; the
-    relative error of every other norm stays near eps / CANCELLATION_TAU.
+    The factored form expands the squared norm as
+    ||g_i||^2 - 2 sum_j s_ij <g_ij, v_j> + sum_j s_ij^2 ||v_j||^2, with
+    ||g_i||^2 from :meth:`GradientFactors.sq_norms` and the block dots from
+    :meth:`GradientFactors.block_dots`, and builds no dense row. It rounds by
+    about eps (||g_i||^2 + ||s_i v||^2), and cancels catastrophically when g_i
+    lies close to s_i v. So a sample whose expanded square falls below
+    CANCELLATION_TAU times that scale (a square rounded below zero included)
+    is measured on its dense row instead; the relative error of every other
+    norm stays near eps / CANCELLATION_TAU. :meth:`norms` is that form (the
+    dpsgd difference-norm telemetry); :class:`OrthogonalRows` releases the
+    dpdr orthogonal channel with it.
     """
 
     grads: GradientFactors
@@ -282,23 +289,30 @@ class DifferenceRows:
             out[lo:hi] = _sq_norms(rows)
         return np.sqrt(out)
 
-    def norms(self, g_sq: np.ndarray | None = None) -> np.ndarray:
-        """Difference norms from the factors, guarded against cancellation
-        by dense rows for the samples that need them (see the class docstring).
-        ``g_sq`` is :meth:`GradientFactors.sq_norms` when the caller has it."""
-        n = self.grads.size
-        s = np.ones((n, self.v.layer_count)) if self.coeffs is None else self.coeffs
+    def _subset(self, idx: np.ndarray) -> DifferenceRows:
+        """The differences of the samples ``idx``, in that order."""
+        coeffs = None if self.coeffs is None else self.coeffs[idx]
+        return DifferenceRows(self.grads.take(idx), self.v, coeffs)
+
+    def _expanded(self, g_sq: np.ndarray, dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Norms by the factored form, and the indices of the samples the
+        guard sends to their dense rows (their norms read 0 here); ``dots``
+        are the (B, blocks) products <g_ij, v_j>. See the class docstring."""
+        s = np.ones((self.grads.size, self.v.layer_count)) if self.coeffs is None else self.coeffs
         v_sq = np.array([np.einsum("i,i->", b, b) for b in self.v.blocks])
         offset = np.sum(s * s * v_sq, axis=1)
+        sq = g_sq - 2.0 * np.sum(s * dots, axis=1) + offset
+        kept = sq >= CANCELLATION_TAU * (g_sq + offset)
+        return np.sqrt(np.where(kept, sq, 0.0)), np.flatnonzero(~kept)
+
+    def norms(self, g_sq: np.ndarray | None = None) -> np.ndarray:
+        """Difference norms by the factored form, with dense rows for the
+        samples the guard rejects (see the class docstring). ``g_sq`` is
+        :meth:`GradientFactors.sq_norms` when the caller has it."""
         if g_sq is None:
             g_sq = self.grads.sq_norms()
-        sq = g_sq - 2.0 * np.sum(s * self.grads.block_dots(self.v), axis=1) + offset
-        out = np.empty(n)
-        kept = sq >= CANCELLATION_TAU * (g_sq + offset)
-        out[kept] = np.sqrt(sq[kept])
-        dense = np.flatnonzero(~kept)
-        coeffs = None if self.coeffs is None else self.coeffs[dense]
-        out[dense] = DifferenceRows(self.grads.take(dense), self.v, coeffs)._norms(True)
+        out, dense = self._expanded(g_sq, self.grads.block_dots(self.v))
+        out[dense] = self._subset(dense)._norms(True)
         return out
 
     def grad_norms(self) -> np.ndarray:
@@ -314,6 +328,54 @@ class DifferenceRows:
             for acc, r in zip(total, rows):
                 acc += f @ r
         return norms, tuple(total)
+
+
+@dataclass(frozen=True, eq=False)
+class OrthogonalRows:
+    """The dpdr orthogonal channel: remainders g_i - alpha_ij b_j against a
+    base b, whose coefficients ``diffs.coeffs`` are the block dots
+    alpha_ij = <g_ij, b_j> (:func:`dplab.decomposition.coefficients`), with
+    ``g_sq`` from :meth:`GradientFactors.sq_norms`.
+
+    The clip norms come from the factored form of :class:`DifferenceRows`
+    (the alphas are the dots it needs), and the clipped sum of the samples
+    that pass its guard is sum_i f_i g_i (:meth:`GradientFactors.weighted_sum`)
+    minus sum_j (sum_i f_i alpha_ij) b_j, so no dense row is built for them.
+    That sum rounds relative to ||g_i|| + ||alpha_i b||, not to the remainder;
+    but a sample passes only if its squared remainder is at least
+    CANCELLATION_TAU (||g_i||^2 + ||alpha_i b||^2), so
+    ||g_i|| + ||alpha_i b|| <= sqrt(2 / CANCELLATION_TAU) ||g_i - alpha_i b||
+    (about 14 times), and a clipped contribution still exceeds its bound by
+    rounding relative to the bound. Samples near-parallel or parallel to the
+    base fail the guard and are clipped and summed on their dense rows
+    (:meth:`DifferenceRows.clipped_sum`).
+    """
+
+    diffs: DifferenceRows
+    g_sq: np.ndarray
+
+    def __post_init__(self):
+        if self.diffs.coeffs is None:
+            raise ContractViolation("the orthogonal channel needs the coefficients")
+
+    @property
+    def layer_dims(self) -> tuple[int, ...]:
+        return self.diffs.layer_dims
+
+    def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        alphas = self.diffs.coeffs
+        norms, dense = self.diffs._expanded(self.g_sq, alphas)
+        f = clip_factors(norms, c)
+        f[dense] = 0.0
+        dense_norms, dense_total = self.diffs._subset(dense).clipped_sum(c)
+        norms[dense] = dense_norms
+        total = tuple(
+            t - w * b + d
+            for t, w, b, d in zip(
+                self.diffs.grads.weighted_sum(f), f @ alphas, self.diffs.v.blocks, dense_total
+            )
+        )
+        return norms, total
 
 
 def privatize(

@@ -11,12 +11,18 @@ batch sequences.
 
 Each step works on the batch's gradient factors (:func:`dplab.models.backprop`)
 and releases through :func:`dplab.mechanism.privatize`: norms, clipped sums
-and coefficients of the g_i come from the factors; the clipped sums of the
-differences g_i - p and g_i - alpha_i b, and the norms they clip, come from
-dense rows built chunk by chunk. The dpsgd difference-norm telemetry comes
-from the factors, with dense rows only for samples too close to p for the
-factored form (:meth:`dplab.mechanism.DifferenceRows.norms`). No step builds
-a per-sample vector or a full (B, D) array.
+and coefficients of the g_i come from the factors. The dpdr orthogonal
+channel g_i - alpha_i b is clipped and summed from the factors too
+(:class:`dplab.mechanism.OrthogonalRows`), and the dpsgd difference-norm
+telemetry against p is measured from them
+(:meth:`dplab.mechanism.DifferenceRows.norms`). Both fall back to dense rows,
+built chunk by chunk, for the samples too close to the base or to p for the
+factored form. Its guard keeps ||g_i|| + ||alpha_i b|| within
+sqrt(2 / CANCELLATION_TAU) (about 14) times ||g_i - alpha_i b||, so a factored
+contribution still rounds relative to its clip bound. The diff channel
+g_i - p stays on dense rows: its gradient norms come from the same rows, so a
+constructed staleness ratio reads exactly 2. No step builds a per-sample
+vector or a full (B, D) array.
 
 A release is divided by the realized Poisson batch size, or by the expected
 size ``config.batch`` when the draw is empty (one line in :func:`train`). An
@@ -52,6 +58,7 @@ from .mechanism import (
     DifferenceRows,
     GradientRows,
     NoisePlan,
+    OrthogonalRows,
     privatize,
 )
 from .models import (
@@ -252,9 +259,10 @@ def gdr_step(
     channels separately, reconstruct, and renormalize the release into the
     next base."""
     grads = backprop(model, batch)
+    g_sq = grads.sq_norms()
     alphas = coefficients(grads, base)
     noisy_perp, perp_norms = privatize(
-        DifferenceRows(grads, base.b, alphas),
+        OrthogonalRows(DifferenceRows(grads, base.b, alphas), g_sq),
         clip.c_perp, noise.sigma_perp, perp_stream, denom,
     )
     (noisy_alpha,), _ = privatize(
@@ -264,7 +272,7 @@ def gdr_step(
     new_base = normalize_base(released, perp_stream.step)
     row = replace(
         _blank_row(perp_stream.step),
-        grad_norm_median=_median(grads.norms()),
+        grad_norm_median=_median(np.sqrt(g_sq)),
         perp_norm_median=_median(perp_norms),
         alpha_vec_norm=float(math.sqrt(np.sum(noisy_alpha * noisy_alpha))),
     )

@@ -21,7 +21,8 @@ from dplab import (
     per_sample_gradients,
     sub,
 )
-from dplab.mechanism import DifferenceRows
+from dplab.decomposition import coefficients, normalize_base
+from dplab.mechanism import DifferenceRows, OrthogonalRows
 from tests.conftest import random_problem, random_vector, scale, tilted
 
 
@@ -219,3 +220,61 @@ class TestFactoredDifferenceNorms:
         p = random_vector(model.params.layer_dims, 5)
         norms = DifferenceRows(backprop(model, empty), p).norms()
         assert norms.shape == (0,)
+
+
+class TestOrthogonalRowsMatchDenseRows:
+    """OrthogonalRows clips and sums the dpdr orthogonal remainders
+    g_i - alpha_ij b_j from the gradient factors, sending the samples its
+    cancellation guard rejects to their dense rows; the dense chunked rows
+    (DifferenceRows.clipped_sum) are the oracle for every sample."""
+
+    @staticmethod
+    def base_of(kind, g, dims, seed):
+        if kind == "parallel":
+            return g
+        if kind == "tilted":
+            return tilted(g, 1e-9, seed)
+        return random_vector(dims, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["random", "tilted", "parallel"]),
+        st.integers(0, 10**6),
+        st.lists(st.integers(0, 3), max_size=8),
+        st.sampled_from([0.1, 0.5, 2.0]),
+        st.data(),
+    )
+    def test_matches_dense_rows(self, kind, seed, picks, share, data):
+        # the base comes from the pool's sample 0, so every pick of it is a
+        # near-parallel or parallel sample next to well-conditioned ones
+        model, pool = random_problem(seed, batch=4)
+        dims = model.params.layer_dims
+        raw = self.base_of(kind, per_sample_gradients(model, pool)[0], dims, seed)
+        zeroed = data.draw(st.sets(st.integers(0, len(dims) - 1)))  # degenerate layers
+        base = normalize_base(
+            LayeredVector(tuple(
+                np.zeros_like(b) if layer in zeroed else b.copy()
+                for layer, b in enumerate(raw.blocks)
+            )),
+            0,
+        )
+        batch = Batch(pool.inputs[picks], pool.labels[picks])
+        grads = backprop(model, batch)
+        diffs = DifferenceRows(grads, base.b, coefficients(grads, base))
+        dense_norms, _ = diffs.clipped_sum(1.0)
+        c = share * max(float(dense_norms.max(initial=0.0)), 1e-6)  # clips all, some or none
+        expected_norms, expected = diffs.clipped_sum(c)
+        norms, total = OrthogonalRows(diffs, grads.sq_norms()).clipped_sum(c)
+        assert norms.shape == (batch.size,)
+        assert np.all(
+            np.abs(norms - expected_norms) <= 1e-12 * np.maximum(1.0, expected_norms)
+        )
+        expected, total = LayeredVector(expected), LayeredVector(total)
+        assert l2_norm(sub(total, expected)) <= 1e-12 * max(1.0, l2_norm(expected))
+
+    def test_needs_coefficients(self):
+        model, batch = random_problem(5, batch=2)
+        grads = backprop(model, batch)
+        p = random_vector(model.params.layer_dims, 5)
+        with pytest.raises(ContractViolation):
+            OrthogonalRows(DifferenceRows(grads, p), grads.sq_norms())

@@ -37,6 +37,7 @@ from dplab import (
     sub,
     train,
 )
+from dplab.mechanism import CANCELLATION_TAU
 from dplab.trainers import sgd_step
 from tests.conftest import (
     add,
@@ -92,6 +93,19 @@ def make_config(method="dpsgd", **kw):
     return TrainConfig(**defaults)
 
 
+def count_calls(monkeypatch, name):
+    """Record the sample count of every GradientFactors.<name> call."""
+    calls = []
+    original = getattr(GradientFactors, name)
+
+    def counting(self, *args):
+        calls.append(self.size)
+        return original(self, *args)
+
+    monkeypatch.setattr(GradientFactors, name, counting)
+    return calls
+
+
 class TestDpsgdStep:
     def test_noiseless_within_bounds_is_sgd(self):
         model, batch = random_problem(0, batch=5)
@@ -139,14 +153,7 @@ class TestDpsgdStep:
         # the clip and the difference telemetry share one sq_norms result
         model, batch = random_problem(4, hidden=(3,), batch=6)
         prev = random_vector(model.params.layer_dims, 4, scale=0.3)
-        calls = []
-        sq_norms = GradientFactors.sq_norms
-
-        def counting(self):
-            calls.append(self.size)
-            return sq_norms(self)
-
-        monkeypatch.setattr(GradientFactors, "sq_norms", counting)
+        calls = count_calls(monkeypatch, "sq_norms")
         dpsgd_step(model, batch, 1.0, 1.0, RngStream(0, 1, "noise-g"), batch.size, prev)
         assert calls == [6]
 
@@ -210,6 +217,22 @@ class TestGdrStep:
                 continue
             cos = dot_layer(out.released, base.b, layer) / r_norm
             assert abs(cos) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "name, expected", [("sq_norms", [6]), ("block_dots", [6]), ("block_rows", [])]
+    )
+    def test_factor_calls(self, name, expected, monkeypatch):
+        # one sq_norms result serves the orthogonal clip norms and the
+        # gradient-norm telemetry, the coefficients are the block dots those
+        # norms need, and a well-conditioned batch builds no dense row
+        model, batch = random_problem(4, hidden=(3,), batch=6)
+        base = normalize_base(random_vector(model.params.layer_dims, 4), 0)
+        calls = count_calls(monkeypatch, name)
+        gdr_step(
+            model, batch, base, ClipSpec(1.0, 0.5, 1.0), NoisePlan(1.0, 1.0, 2.0),
+            RngStream(0, 2, "noise-perp"), RngStream(0, 2, "noise-alpha"), batch.size,
+        )
+        assert calls == expected
 
     def test_base_refreshes_from_release(self):
         model, batch = random_problem(8, batch=4)
@@ -619,6 +642,38 @@ class TestDifferenceChannelSensitivity:
                 RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"), batch.size,
             )
             assert out.metrics.perp_norm_median > c
+            sq = 0.0
+            for r, b in zip(out.released.blocks, base.b.blocks):
+                orth = r - (r @ b) * b
+                sq += float(orth @ orth)
+            assert math.sqrt(sq) <= c * (1 + 1e-12)
+
+
+class TestOrthogonalReleaseAcrossTheGuard:
+    """The dpdr orthogonal channel clips and sums a sample from its factors
+    when the cancellation guard passes it and on its dense row otherwise.
+    For one layer tilted by theta from its base the guard switches at
+    sin^2 theta = 2 tau / (1 + tau) (theta ~ 0.1412 rad at tau = 1e-2); on
+    both sides the orthogonal release must stay within c_perp."""
+
+    SWITCH = math.asin(math.sqrt(2 * CANCELLATION_TAU / (1 + CANCELLATION_TAU)))
+
+    @pytest.mark.parametrize("angle", [0.1, 0.14, 0.142, 0.15, 0.2, 0.5, 1.2])
+    def test_orthogonal_release_within_c_perp(self, angle, monkeypatch):
+        expanded = count_calls(monkeypatch, "block_rows")
+        for seed in range(40):
+            model, batch = random_problem(seed + 900, batch=1)
+            g = per_sample_gradients(model, batch)[0]
+            base = normalize_base(tilted(g, angle, seed), 0)
+            assert not base.degenerate_layers
+            c = 0.5 * math.sin(angle) * l2_norm(g)  # below the orthogonal norm
+            expanded.clear()
+            out, _ = gdr_step(
+                model, batch, base, ClipSpec(1.0, c, c), SILENT,
+                RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"), batch.size,
+            )
+            assert out.metrics.perp_norm_median > c
+            assert bool(expanded) == (angle < self.SWITCH)
             sq = 0.0
             for r, b in zip(out.released.blocks, base.b.blocks):
                 orth = r - (r @ b) * b
