@@ -5,9 +5,12 @@ Subcommands: ``train`` (one seeded run from a JSON config), ``calibrate``
 matrix over several configs with shared batch sampling), and ``plot-data``
 (plot-ready text files from a metrics CSV).
 
-Exit codes: 0 success, 2 config/argument errors, 3 calibration
-infeasibility or non-convergence, 4 dataset I/O errors, 5 partial failure
-of a comparison matrix.
+Subcommands raise; :func:`main` is the one place where an exception becomes
+an exit code and an ``error:`` line on stderr. Exit codes: 0 success, 2
+config or argument errors (including an unreadable or unwritable argument
+path and a malformed artifact file), 3 calibration infeasibility or
+non-convergence, 4 dataset reads, 5 partial failure of a comparison matrix.
+No other code is used.
 """
 
 from __future__ import annotations
@@ -48,14 +51,14 @@ EXIT_CALIBRATION = 3
 EXIT_DATASET = 4
 EXIT_PARTIAL = 5
 
-# exception -> (exit code, message prefix) for the failures train and calibrate report
+# exception -> (exit code, message prefix); the first matching row wins
 _FAILURES = {
     ConfigError: (EXIT_CONFIG, ""),
     ContractViolation: (EXIT_CONFIG, ""),
     CalibrationInfeasible: (EXIT_CALIBRATION, "calibration infeasible: "),
     CalibrationError: (EXIT_CALIBRATION, "calibration failed: "),
     IdxFormatError: (EXIT_DATASET, "dataset: "),
-    OSError: (EXIT_DATASET, "dataset: "),
+    OSError: (EXIT_CONFIG, ""),  # dataset reads arrive as IdxFormatError
 }
 
 _TOP_KEYS = {
@@ -72,17 +75,14 @@ _TOP_KEYS = {
 }
 
 
-def _require(doc: dict, key: str, types, where: str = "config"):
-    if key not in doc:
-        raise ConfigError(f"{where}: missing required key '{key}'")
-    value = doc[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{where}: key '{key}' has the wrong type")
-    return value
+_REQUIRED = object()  # default of a key that must be present
 
 
-def _optional(doc: dict, key: str, types, default, where: str = "config"):
+def _key(doc: dict, key: str, types, where: str = "config", default=_REQUIRED):
+    """``doc[key]`` checked against ``types``; ``default`` when the key is absent."""
     if key not in doc:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required key '{key}'")
         return default
     value = doc[key]
     if not isinstance(value, types) or isinstance(value, bool):
@@ -96,11 +96,8 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"{where}: unknown key '{key}'")
 
 
-def _number(doc: dict, key: str, where: str, default=None) -> float:
-    """A required number, or an optional one when ``default`` is given."""
-    if default is None:
-        return float(_require(doc, key, (int, float), where))
-    return float(_optional(doc, key, (int, float), default, where))
+def _number(doc: dict, key: str, where: str, default=_REQUIRED) -> float:
+    return float(_key(doc, key, (int, float), where, default))
 
 
 def parse_config(doc: dict, seed_override: int | None = None) -> tuple[TrainConfig, dict]:
@@ -116,28 +113,28 @@ def parse_config(doc: dict, seed_override: int | None = None) -> tuple[TrainConf
         raise ConfigError("config: document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "config")
 
-    method = _require(doc, "method", str)
+    method = _key(doc, "method", str)
     if method == "sgd":
         for key in ("clip", "noise", "privacy"):
             if key in doc:
                 raise ConfigError(f"config: key '{key}' is not used by method=sgd")
     fields = {
         "method": method,
-        "total_steps": _require(doc, "total_steps", int),
-        "switch_step": _optional(doc, "switch_step", int, None),
-        "batch": _require(doc, "batch", int),
+        "total_steps": _key(doc, "total_steps", int),
+        "switch_step": _key(doc, "switch_step", int, default=None),
+        "batch": _key(doc, "batch", int),
         "lr": _number(doc, "lr", "config"),
-        "seed": _require(doc, "seed", int) if seed_override is None else seed_override,
+        "seed": _key(doc, "seed", int) if seed_override is None else seed_override,
     }
-    dataset_spec = _require(doc, "dataset", dict)
+    dataset_spec = _key(doc, "dataset", dict)
     _validate_dataset_spec(dataset_spec)
-    clip_doc = _optional(doc, "clip", dict, None)
-    noise_doc = _optional(doc, "noise", dict, None)
-    privacy_doc = _optional(doc, "privacy", dict, None)
+    clip_doc = _key(doc, "clip", dict, default=None)
+    noise_doc = _key(doc, "noise", dict, default=None)
+    privacy_doc = _key(doc, "privacy", dict, default=None)
 
     def channel(block: dict, key: str, where: str, fill: float) -> float:
         # dpdr uses every channel, so it must give each one
-        return _number(block, key, where, None if method == "dpdr" else fill)
+        return _number(block, key, where, _REQUIRED if method == "dpdr" else fill)
 
     try:
         if clip_doc is not None:
@@ -170,26 +167,26 @@ def parse_config(doc: dict, seed_override: int | None = None) -> tuple[TrainConf
 
 def _validate_dataset_spec(spec: dict) -> None:
     _check_keys(spec, {"kind", "params", "path"}, "config.dataset")
-    kind = _require(spec, "kind", str, "config.dataset")
+    kind = _key(spec, "kind", str, "config.dataset")
     if kind == "synthetic":
-        params = _require(spec, "params", dict, "config.dataset")
+        params = _key(spec, "params", dict, "config.dataset")
         _check_keys(
             params, {"n", "d_in", "n_classes", "margin", "std", "seed"}, "config.dataset.params"
         )
-        _require(params, "n", int, "config.dataset.params")
-        _require(params, "d_in", int, "config.dataset.params")
-        _require(params, "n_classes", int, "config.dataset.params")
-        _require(params, "margin", (int, float), "config.dataset.params")
-        _optional(params, "std", (int, float), 1.0, "config.dataset.params")
-        _optional(params, "seed", int, 0, "config.dataset.params")
+        _key(params, "n", int, "config.dataset.params")
+        _key(params, "d_in", int, "config.dataset.params")
+        _key(params, "n_classes", int, "config.dataset.params")
+        _key(params, "margin", (int, float), "config.dataset.params")
+        _key(params, "std", (int, float), "config.dataset.params", 1.0)
+        _key(params, "seed", int, "config.dataset.params", 0)
         if "path" in spec:
             raise ConfigError("config.dataset: synthetic datasets take 'params', not 'path'")
     elif kind == "idx":
-        path = _require(spec, "path", dict, "config.dataset")
+        path = _key(spec, "path", dict, "config.dataset")
         _check_keys(path, {"images", "labels", "limit"}, "config.dataset.path")
-        _require(path, "images", str, "config.dataset.path")
-        _require(path, "labels", str, "config.dataset.path")
-        limit = _optional(path, "limit", int, None, "config.dataset.path")
+        _key(path, "images", str, "config.dataset.path")
+        _key(path, "labels", str, "config.dataset.path")
+        limit = _key(path, "limit", int, "config.dataset.path", None)
         if limit is not None and limit < 1:
             raise ConfigError(f"config.dataset.path: limit must be >= 1, got {limit}")
         if "params" in spec:
@@ -205,7 +202,10 @@ def build_dataset(spec: dict) -> Dataset:
         except ContractViolation as exc:
             raise ConfigError(f"config.dataset.params: {exc}") from exc
     path = spec["path"]
-    return load_idx_pair(path["images"], path["labels"], path.get("limit"))
+    try:
+        return load_idx_pair(path["images"], path["labels"], path.get("limit"))
+    except OSError as exc:
+        raise IdxFormatError(str(exc)) from exc
 
 
 def config_echo(config: TrainConfig, dataset_spec: dict) -> dict:
@@ -244,10 +244,10 @@ def _load_config_file(path: str) -> dict:
         ) from exc
 
 
-def _report(exc: Exception) -> int:
+def _report(exc: Exception, where: str = "") -> int:
     """Print ``exc`` under its :data:`_FAILURES` prefix; returns its exit code."""
     code, prefix = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
-    print(f"error: {prefix}{exc}", file=sys.stderr)
+    print(f"error: {where}{prefix}{exc}", file=sys.stderr)
     return code
 
 
@@ -255,23 +255,16 @@ def _run_one(
     config: TrainConfig, dataset_spec: dict, out_dir: Path
 ) -> tuple[dict, TrainResult]:
     """Build the dataset, train, persist; returns the summary dict and the run."""
-    dataset = build_dataset(dataset_spec)
-    if config.batch > dataset.n:
-        raise ConfigError(f"config: batch {config.batch} exceeds dataset size {dataset.n}")
-    result = train(config, dataset)
-    echo = config_echo(config, dataset_spec)
-    write_run(out_dir, result, echo)
-    return build_summary(echo, result), result
+    result = train(config, build_dataset(dataset_spec))
+    summary = build_summary(config_echo(config, dataset_spec), result)
+    write_run(out_dir, result, summary)
+    return summary, result
 
 
 def cmd_train(args) -> int:
-    try:
-        doc = _load_config_file(args.config)
-        config, dataset_spec = parse_config(doc, seed_override=args.seed)
-        out_dir = Path(args.out) if args.out else Path(f"runs/{config.method}_seed{config.seed}")
-        summary, _ = _run_one(config, dataset_spec, out_dir)
-    except tuple(_FAILURES) as exc:
-        return _report(exc)
+    config, dataset_spec = parse_config(_load_config_file(args.config), seed_override=args.seed)
+    out_dir = Path(args.out) if args.out else Path(f"runs/{config.method}_seed{config.seed}")
+    summary, _ = _run_one(config, dataset_spec, out_dir)
     eps = summary["privacy"]["eps"]
     eps_text = "none" if eps is None else f"{eps:.4f}"
     print(
@@ -283,20 +276,14 @@ def cmd_train(args) -> int:
 
 def cmd_calibrate(args) -> int:
     if args.batch < 1 or args.n < args.batch or args.steps < 1:
-        print("error: need n >= batch >= 1 and steps >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("need n >= batch >= 1 and steps >= 1")
     if not 1 <= args.switch <= args.steps:
-        print(f"error: switch must lie in [1, {args.steps}]", file=sys.stderr)
-        return EXIT_CONFIG
-    q = args.batch / args.n
-    schedule = privacy_schedule("dpdr", q, args.steps, args.switch)
-    try:
-        # eps, delta, sigma-alpha or ratio-g out of range raise ContractViolation
-        sigma_perp, sigma_g = calibrate_sigma(
-            args.eps, args.delta, schedule, args.sigma_alpha, args.ratio_g
-        )
-    except tuple(_FAILURES) as exc:
-        return _report(exc)
+        raise ConfigError(f"switch must lie in [1, {args.steps}]")
+    schedule = privacy_schedule("dpdr", args.batch / args.n, args.steps, args.switch)
+    # eps, delta, sigma-alpha or ratio-g out of range raise ContractViolation
+    sigma_perp, sigma_g = calibrate_sigma(
+        args.eps, args.delta, schedule, args.sigma_alpha, args.ratio_g
+    )
 
     uses_gdr = args.switch >= 2
     ledger = schedule_ledger(schedule, args.delta, sigma_perp, args.sigma_alpha, args.ratio_g)
@@ -315,17 +302,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    parsed = []
-    try:
-        for path in args.configs:
-            doc = _load_config_file(path)
-            config, dataset_spec = parse_config(doc)
-            parsed.append((Path(path).stem, config, dataset_spec))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--seeds must be >= 1")
+    parsed = [(Path(path).stem, *parse_config(_load_config_file(path))) for path in args.configs]
 
     out_root = Path(args.out)
     completed: list[str] = []
@@ -336,14 +314,9 @@ def cmd_compare(args) -> int:
             run_config = replace(config, seed=seed)
             try:
                 summary, result = _run_one(run_config, dataset_spec, run_dir)
-            except (ConfigError, CalibrationInfeasible, CalibrationError, IdxFormatError,
-                    OSError) as exc:
-                print(f"error in run c{idx}({config.method}) seed={seed}: {exc}",
-                      file=sys.stderr)
-                if completed:
-                    print("completed runs: " + ", ".join(completed), file=sys.stderr)
-                else:
-                    print("completed runs: none", file=sys.stderr)
+            except tuple(_FAILURES) as exc:
+                _report(exc, f"run c{idx}({config.method}) seed={seed}: ")
+                print("completed runs: " + (", ".join(completed) or "none"), file=sys.stderr)
                 return EXIT_PARTIAL
             runs[idx].append({"seed": seed, "summary": summary, "rows": result.rows})
             completed.append(f"c{idx}_{stem}_seed{seed}")
@@ -390,11 +363,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    try:
-        rows = read_metrics_csv(args.metrics)
-    except (ContractViolation, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rows = read_metrics_csv(args.metrics)
     out_path = Path(args.out)
     if args.kind == "norms":
         lines = ["# step grad_norm_median perp_norm_median diff_norm_median"]
@@ -410,12 +379,10 @@ def cmd_plotdata(args) -> int:
     else:  # hist-perp
         snap_path = Path(args.metrics).parent / PERP_SNAPSHOT_FILENAME
         if not snap_path.exists():
-            print(
-                f"error: no {PERP_SNAPSHOT_FILENAME} beside {args.metrics}; "
-                "hist-perp needs a run with decomposition steps",
-                file=sys.stderr,
+            raise ConfigError(
+                f"no {PERP_SNAPSHOT_FILENAME} beside {args.metrics}; "
+                "hist-perp needs a run with decomposition steps"
             )
-            return EXIT_CONFIG
         values = read_perp_snapshot(snap_path)
         lines = ["# bin_left_edge count"]
         for edge, count in histogram(values, args.bins):
@@ -470,7 +437,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_FAILURES) as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -59,22 +59,35 @@ def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
-def read_metrics_csv(path) -> list[dict[str, float]]:
+def _lines(path, what: str) -> list[tuple[int, str]]:
+    """The non-empty lines of a text artifact with their 1-based line numbers."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.split("\n") if line]
+    lines = [(i, line) for i, line in enumerate(text.split("\n"), 1) if line]
     if not lines:
-        raise ContractViolation(f"{path}: empty metrics file")
-    header = tuple(lines[0].split(","))
+        raise ContractViolation(f"{path}: empty {what} file")
+    return lines
+
+
+def _float(path, lineno: int, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ContractViolation(f"{path}: line {lineno}: not a number: {cell!r}") from None
+
+
+def read_metrics_csv(path) -> list[dict[str, float]]:
+    (_, head), *body = _lines(path, "metrics")
+    header = tuple(head.split(","))
     if header != CSV_COLUMNS:
         raise ContractViolation(
             f"{path}: unexpected columns {header}, expected {CSV_COLUMNS}"
         )
     rows = []
-    for line in lines[1:]:
+    for lineno, line in body:
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ContractViolation(f"{path}: malformed row {line!r}")
-        rows.append({name: float(v) for name, v in zip(CSV_COLUMNS, parts)})
+        rows.append({name: _float(path, lineno, v) for name, v in zip(CSV_COLUMNS, parts)})
     return rows
 
 
@@ -87,8 +100,7 @@ def write_perp_snapshot(path, values: np.ndarray) -> None:
 
 
 def read_perp_snapshot(path) -> np.ndarray:
-    lines = [line for line in Path(path).read_text(encoding="utf-8").split("\n") if line]
-    return np.array([float(v) for v in lines])
+    return np.array([_float(path, lineno, v) for lineno, v in _lines(path, "snapshot")])
 
 
 def build_summary(config_echo: dict, result: TrainResult) -> dict:
@@ -113,13 +125,14 @@ def build_summary(config_echo: dict, result: TrainResult) -> dict:
     }
 
 
-def write_run(out_dir, result: TrainResult, config_echo: dict) -> dict[str, str]:
-    """Persist one run under out_dir; returns the artifact paths."""
+def write_run(out_dir, result: TrainResult, summary: dict) -> dict[str, str]:
+    """Persist one run and its :func:`build_summary` payload under out_dir;
+    returns the artifact paths."""
     out = Path(out_dir)
     metrics_path = out / "metrics.csv"
     summary_path = out / "summary.json"
     write_metrics_csv(metrics_path, result.rows)
-    write_summary_json(summary_path, build_summary(config_echo, result))
+    write_summary_json(summary_path, summary)
     paths = {"metrics": str(metrics_path), "summary": str(summary_path)}
     if result.perp_snapshot is not None and result.perp_snapshot.size:
         snap_path = out / PERP_SNAPSHOT_FILENAME

@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dplab
 from dplab.cli import main
 from dplab.diagnostics import CSV_COLUMNS
 from dplab.runio import read_metrics_csv
+from tests.test_data import write_idx_pair
 
 
 def synthetic_spec(n=256, d_in=6, n_classes=2, margin=6.0, seed=0):
@@ -419,3 +426,82 @@ class TestPlotData:
         bad.write_text("step,oops\n1,2\n", encoding="utf-8")
         assert main(["plot-data", "--metrics", str(bad), "--kind", "norms",
                      "--out", str(tmp_path / "x.dat")]) == 2
+
+
+def _run_dir(tmp_path, cell="0.5", snapshot="0.5\n1.5\n"):
+    """A run directory with a one-row metrics.csv (second column ``cell``) and a snapshot."""
+    run = tmp_path / "run"
+    run.mkdir()
+    row = ["1", cell] + ["0.5"] * (len(CSV_COLUMNS) - 2)
+    (run / "metrics.csv").write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
+    (run / "perp_norms.txt").write_text(snapshot)
+    return run
+
+
+def _plot(run, kind, *extra):
+    return ["plot-data", "--metrics", str(run / "metrics.csv"), "--kind", kind,
+            "--out", str(run.parent / "plot.dat"), *extra]
+
+
+def _single_class_compare(tmp_path):
+    img, lab = write_idx_pair(tmp_path, np.zeros((32, 2, 2)), np.zeros(32))
+    doc = {**method_doc("dpsgd"),
+           "dataset": {"kind": "idx", "path": {"images": str(img), "labels": str(lab)}}}
+    return ["compare", "--configs", write_config(tmp_path, doc), "--seeds", "1",
+            "--out", str(tmp_path / "cmp")]
+
+
+def _out_under_file(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    return ["train", "--config", dpsgd_config(tmp_path), "--out", str(blocker / "run")]
+
+
+def _missing_idx(tmp_path):
+    doc = {**method_doc("dpsgd"), "dataset": {
+        "kind": "idx", "path": {"images": str(tmp_path / "gone"), "labels": str(tmp_path / "x")}}}
+    return ["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+
+
+class TestExitCodes:
+    """Every failure ends in its documented exit code and one ``error:`` report."""
+
+    @pytest.mark.parametrize("argv,code,message", [
+        pytest.param(lambda t: ["plot-data", "--metrics", str(t / "none.csv"), "--kind", "norms",
+                                "--out", str(t / "x.dat")], 2,
+                     "error: [Errno 2] No such file or directory", id="missing-metrics"),
+        pytest.param(_single_class_compare, 5, "completed runs: none", id="compare-one-class"),
+        pytest.param(lambda t: _plot(_run_dir(t), "hist-perp", "--bins", "0"), 2,
+                     "bins must be >= 1, got 0", id="zero-bins"),
+        pytest.param(lambda t: _plot(_run_dir(t, snapshot=""), "hist-perp"), 2,
+                     "perp_norms.txt: empty snapshot file", id="empty-snapshot"),
+        pytest.param(lambda t: _plot(_run_dir(t, snapshot="1.0\nabc\n"), "hist-perp"), 2,
+                     "perp_norms.txt: line 2: not a number: 'abc'", id="non-numeric-snapshot"),
+        pytest.param(lambda t: _plot(_run_dir(t, cell="xyz"), "norms"), 2,
+                     "metrics.csv: line 2: not a number: 'xyz'", id="non-numeric-metrics"),
+        pytest.param(_out_under_file, 2, "error: [Errno 20] Not a directory",
+                     id="out-under-file"),
+        pytest.param(_missing_idx, 4, "error: dataset: [Errno 2] No such file or directory",
+                     id="missing-idx-file"),
+    ])
+    def test_failure_reports(self, tmp_path, capsys, argv, code, message):
+        args = argv(tmp_path)
+        capsys.readouterr()
+        assert main(args) == code
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_process_exit_code(self, tmp_path):
+        src = str(Path(dplab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dplab.cli", *_plot(_run_dir(tmp_path, cell="xyz"), "norms")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
