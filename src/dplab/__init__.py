@@ -16,7 +16,7 @@ from .accountant import (
     release_sigma,
     schedule_ledger,
 )
-from .datasets import Dataset, gen_synthetic, load_cache, load_idx_pair, poisson_sample, save_cache
+from .datasets import Dataset, gen_synthetic, load_idx_pair, poisson_sample
 from .decomposition import Decomposition, GdrBase, decompose, decompose_batch, normalize_base, reconstruct
 from .diagnostics import (
     CSV_COLUMNS,

@@ -16,7 +16,9 @@ No other code is used.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -251,10 +253,21 @@ def _report(exc: Exception, where: str = "") -> int:
     return code
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise the OSError that writing a run under ``out_dir`` would meet:
+    its nearest existing ancestor must be a writable directory. Creates nothing."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(existing))
+
+
 def _run_one(
     config: TrainConfig, dataset_spec: dict, out_dir: Path
 ) -> tuple[dict, TrainResult]:
-    """Build the dataset, train, persist; returns the summary dict and the run."""
+    """Check out_dir, build the dataset, train, persist; returns the summary and run."""
+    _check_out_dir(out_dir)
     result = train(config, build_dataset(dataset_spec))
     summary = build_summary(config_echo(config, dataset_spec), result)
     write_run(out_dir, result, summary)

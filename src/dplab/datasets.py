@@ -1,9 +1,8 @@
 """Dataset ingestion, synthetic task generation, and Poisson subsampling.
 
-Supports big-endian IDX image/label pairs (pixel values scaled by 1/255),
-a plain-text cache format that round-trips bit-exactly, and Gaussian-blob
-classification tasks that are linearly separable when the margin dominates
-the blob spread.
+Supports big-endian IDX image/label pairs (pixel values scaled by 1/255)
+and Gaussian-blob classification tasks that are linearly separable when the
+margin dominates the blob spread.
 """
 
 from __future__ import annotations
@@ -21,10 +20,8 @@ from .vectors import RngStream
 __all__ = [
     "Dataset",
     "gen_synthetic",
-    "load_cache",
     "load_idx_pair",
     "poisson_sample",
-    "save_cache",
 ]
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -43,8 +40,6 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
-        if "," in self.name or "\n" in self.name:
-            raise ContractViolation("dataset name must not contain commas or newlines")
         inputs = np.asarray(self.inputs, dtype=np.float64).view()
         labels = np.asarray(self.labels, dtype=np.int64).view()
         if inputs.ndim != 2 or inputs.shape[0] < 1:
@@ -130,7 +125,7 @@ def load_idx_pair(images_path, labels_path, limit: int | None = None) -> Dataset
             raise ContractViolation(f"limit must be >= 1, got {limit}")
         inputs = inputs[:limit]
         labels = labels[:limit]
-    return Dataset(Path(images_path).stem.replace(",", "_"), inputs, labels, n_classes)
+    return Dataset(Path(images_path).stem, inputs, labels, n_classes)
 
 
 def gen_synthetic(
@@ -177,36 +172,3 @@ def poisson_sample(dataset: Dataset, q: float, stream: RngStream) -> Batch:
     draws = stream.generator().random(dataset.n)
     mask = draws < q
     return Batch(dataset.inputs[mask], dataset.labels[mask])
-
-
-def save_cache(dataset: Dataset, path) -> None:
-    """Write the plain-text cache: header `name,n,d_in,n_classes`, then one
-    `label,x1,...,xd` row per example. Floats are written with repr so a
-    reload is bit-identical."""
-    lines = [f"{dataset.name},{dataset.n},{dataset.d_in},{dataset.n_classes}"]
-    for i in range(dataset.n):
-        row = ",".join(repr(float(v)) for v in dataset.inputs[i])
-        lines.append(f"{int(dataset.labels[i])},{row}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_cache(path) -> Dataset:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.split("\n") if line]
-    if not lines:
-        raise ContractViolation(f"{path}: empty cache file")
-    head = lines[0].split(",")
-    if len(head) != 4:
-        raise ContractViolation(f"{path}: malformed cache header {lines[0]!r}")
-    name, n, d_in, n_classes = head[0], int(head[1]), int(head[2]), int(head[3])
-    if len(lines) - 1 != n:
-        raise ContractViolation(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    labels = np.empty(n, dtype=np.int64)
-    inputs = np.empty((n, d_in))
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != d_in + 1:
-            raise ContractViolation(f"{path}: row {i} has {len(parts) - 1} values, expected {d_in}")
-        labels[i] = int(parts[0])
-        inputs[i] = [float(v) for v in parts[1:]]
-    return Dataset(name, inputs, labels, n_classes)

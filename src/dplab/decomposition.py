@@ -8,9 +8,9 @@ released block is (near-)zero is degenerate: its base block is exactly zero,
 so without any special case it gets alpha 0 and passes the gradient through
 the orthogonal channel untouched.
 
-:func:`coefficients` computes every sample's alphas from per-layer gradient
-factors; :func:`decompose` and :func:`decompose_batch` split materialized
-vectors and are the reference it is tested against.
+The trainers take every sample's alphas from gradient factors (their
+:meth:`~dplab.models.GradientFactors.block_dots` with the base); :func:`decompose`
+and :func:`decompose_batch` split materialized vectors and are their reference.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .models import GradientFactors
 from .vectors import LayeredVector, l2_norm, l2_norm_layer
 
 __all__ = [
     "Decomposition",
     "GdrBase",
-    "coefficients",
     "decompose",
     "decompose_batch",
     "normalize_base",
@@ -116,12 +114,3 @@ def reconstruct(
 def decompose_batch(per_sample: list[LayeredVector], base: GdrBase) -> list[Decomposition]:
     """Element-wise decompose, order preserving."""
     return [decompose(g, base) for g in per_sample]
-
-
-def coefficients(grads: GradientFactors, base: GdrBase) -> np.ndarray:
-    """(B, layers) parallel coefficients <g_il, b_l> from gradient factors.
-
-    Weight blocks give rowsum((a_k @ B_k) * delta_k), bias blocks
-    delta_k @ b; a degenerate layer's zero block gives 0.
-    """
-    return grads.block_dots(base.b)

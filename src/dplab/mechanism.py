@@ -193,10 +193,6 @@ class GradientRows:
     grads: GradientFactors
     sq_norms: np.ndarray
 
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return self.grads.layer_dims
-
     def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         norms = np.sqrt(self.sq_norms)
         return norms, self.grads.weighted_sum(clip_factors(norms, c))
@@ -207,10 +203,6 @@ class DenseRows:
     """Per-sample rows held as one (B, m) array, released as a single block."""
 
     rows: np.ndarray
-
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.rows.shape[1],)
 
     def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         norms = np.sqrt(np.sum(self.rows * self.rows, axis=1))
@@ -266,10 +258,6 @@ class DifferenceRows:
         if self.coeffs is not None and self.coeffs.shape != expected:
             raise ContractViolation("need one coefficient per sample and block")
 
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return self.grads.layer_dims
-
     def _chunks(self, difference: bool):
         """(lo, hi, rows per block) for consecutive chunks of samples; the
         rows are the differences, or with ``difference=False`` the g_i."""
@@ -321,7 +309,7 @@ class DifferenceRows:
 
     def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         norms = np.empty(self.grads.size)
-        total = [np.zeros(d) for d in self.layer_dims]
+        total = [np.zeros(d) for d in self.v.layer_dims]
         for lo, hi, rows in self._chunks(True):
             norms[lo:hi] = np.sqrt(_sq_norms(rows))
             f = clip_factors(norms[lo:hi], c)
@@ -334,7 +322,7 @@ class DifferenceRows:
 class OrthogonalRows:
     """The dpdr orthogonal channel: remainders g_i - alpha_ij b_j against a
     base b, whose coefficients ``diffs.coeffs`` are the block dots
-    alpha_ij = <g_ij, b_j> (:func:`dplab.decomposition.coefficients`), with
+    alpha_ij = <g_ij, b_j> (:meth:`GradientFactors.block_dots`), with
     ``g_sq`` from :meth:`GradientFactors.sq_norms`.
 
     The clip norms come from the factored form of :class:`DifferenceRows`
@@ -358,10 +346,6 @@ class OrthogonalRows:
         if self.diffs.coeffs is None:
             raise ContractViolation("the orthogonal channel needs the coefficients")
 
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return self.diffs.layer_dims
-
     def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         alphas = self.diffs.coeffs
         norms, dense = self.diffs._expanded(self.g_sq, alphas)
@@ -383,18 +367,18 @@ def privatize(
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Clip each row to norm c, sum, add N(0, (sigma*c)^2 I), divide by denom.
 
-    ``rows`` is a row source (:class:`GradientRows`, :class:`DifferenceRows`
-    or :class:`DenseRows`). Returns the released blocks and the per-sample
-    norms the clip measured. Noise is drawn as :func:`gaussian_sample` draws
-    it, so this and :func:`aggregate_and_perturb` consume a stream
-    identically; sigma == 0 consumes none. A source with zero rows has a
-    zero sum, so its release is the noise alone.
+    ``rows`` is a row source (:class:`GradientRows`, :class:`DifferenceRows`,
+    :class:`OrthogonalRows` or :class:`DenseRows`). Returns the released
+    blocks and the per-sample norms the clip measured. The noise is a
+    :func:`gaussian_sample` draw, so this and :func:`aggregate_and_perturb`
+    consume a stream identically; sigma == 0 consumes none. A source with
+    zero rows has a zero sum, so its release is the noise alone.
     """
     _require_sigma(sigma)
     if sigma > 0 and stream is None:
         raise ContractViolation("a stream is required when sigma > 0")
     norms, total = rows.clipped_sum(c)
     if sigma > 0:
-        gen = stream.generator()
-        total = tuple(t + gen.standard_normal(t.size) * (sigma * c) for t in total)
+        noise = gaussian_sample(stream, tuple(t.size for t in total), sigma * c)
+        total = tuple(t + n for t, n in zip(total, noise.blocks))
     return tuple(t / denom for t in total), norms

@@ -25,9 +25,7 @@ __all__ = [
     "build_summary",
     "read_metrics_csv",
     "write_metrics_csv",
-    "write_perp_snapshot",
     "write_run",
-    "write_summary_json",
 ]
 
 PERP_SNAPSHOT_FILENAME = "perp_norms.txt"
@@ -91,14 +89,6 @@ def read_metrics_csv(path) -> list[dict[str, float]]:
     return rows
 
 
-def write_summary_json(path, summary: dict) -> None:
-    _atomic_write(Path(path), json.dumps(summary, indent=2) + "\n")
-
-
-def write_perp_snapshot(path, values: np.ndarray) -> None:
-    _atomic_write(Path(path), "\n".join(_fmt(v) for v in values) + "\n")
-
-
 def read_perp_snapshot(path) -> np.ndarray:
     return np.array([_float(path, lineno, v) for lineno, v in _lines(path, "snapshot")])
 
@@ -132,10 +122,10 @@ def write_run(out_dir, result: TrainResult, summary: dict) -> dict[str, str]:
     metrics_path = out / "metrics.csv"
     summary_path = out / "summary.json"
     write_metrics_csv(metrics_path, result.rows)
-    write_summary_json(summary_path, summary)
+    _atomic_write(summary_path, json.dumps(summary, indent=2) + "\n")
     paths = {"metrics": str(metrics_path), "summary": str(summary_path)}
     if result.perp_snapshot is not None and result.perp_snapshot.size:
         snap_path = out / PERP_SNAPSHOT_FILENAME
-        write_perp_snapshot(snap_path, result.perp_snapshot)
+        _atomic_write(snap_path, "\n".join(_fmt(v) for v in result.perp_snapshot) + "\n")
         paths["perp_snapshot"] = str(snap_path)
     return paths

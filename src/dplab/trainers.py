@@ -49,7 +49,7 @@ from .accountant import (
     release_sigma,
 )
 from .datasets import Dataset, poisson_sample
-from .decomposition import GdrBase, coefficients, normalize_base, reconstruct
+from .decomposition import GdrBase, normalize_base, reconstruct
 from .diagnostics import MetricsRow, coherence_stats
 from .errors import ContractViolation
 from .mechanism import (
@@ -260,7 +260,7 @@ def gdr_step(
     next base."""
     grads = backprop(model, batch)
     g_sq = grads.sq_norms()
-    alphas = coefficients(grads, base)
+    alphas = grads.block_dots(base.b)
     noisy_perp, perp_norms = privatize(
         OrthogonalRows(DifferenceRows(grads, base.b, alphas), g_sq),
         clip.c_perp, noise.sigma_perp, perp_stream, denom,

@@ -147,19 +147,16 @@ def sub(x: LayeredVector, y: LayeredVector) -> LayeredVector:
 class RngStream:
     """Address of one deterministic random stream.
 
-    The stream is a pure function of ``(root_seed, step, tag, sample)``;
-    distinct addresses give statistically independent streams. A
-    counter-based generator (Philox) keyed by a hash of the address makes
-    draws independent of call order and thread count.
-
-    ``sample`` is -1 for aggregate draws (batch-level noise), or a sample
-    index for per-sample streams.
+    The stream is a pure function of ``(root_seed, step, tag)``: seed, step
+    and channel; distinct addresses give statistically independent streams.
+    A counter-based generator (Philox) keyed by a hash of the address makes
+    draws independent of call order and thread count. The hash ends with a
+    constant -1 slot that every key includes; dropping it would move every stream.
     """
 
     root_seed: int
     step: int
     tag: str
-    sample: int = -1
 
     def __post_init__(self):
         if not isinstance(self.root_seed, int) or isinstance(self.root_seed, bool):
@@ -168,8 +165,6 @@ class RngStream:
             raise ContractViolation("step must be an integer")
         if not isinstance(self.tag, str) or not self.tag:
             raise ContractViolation("tag must be a non-empty string")
-        if not isinstance(self.sample, int) or isinstance(self.sample, bool):
-            raise ContractViolation("sample must be an integer")
 
     def _philox_key(self) -> int:
         h = hashlib.sha256()
@@ -178,7 +173,7 @@ class RngStream:
         tag = self.tag.encode("utf-8")
         h.update(len(tag).to_bytes(4, "big"))
         h.update(tag)
-        h.update(self.sample.to_bytes(8, "big", signed=True))
+        h.update((-1).to_bytes(8, "big", signed=True))
         return int.from_bytes(h.digest()[:16], "big")
 
     def generator(self) -> np.random.Generator:

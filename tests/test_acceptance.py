@@ -39,7 +39,6 @@ from dplab import (
     sub,
     train,
 )
-from dplab.decomposition import coefficients
 from dplab.diagnostics import steps_to_target_loss
 from dplab.mechanism import DenseRows, DifferenceRows, privatize
 from dplab.models import GradientFactors
@@ -194,7 +193,7 @@ class TestCriterion5NoiseStatistics:
         grads = GradientFactors((0.3 * gen.standard_normal((self.B, 4)),),
                                 (0.3 * gen.standard_normal((self.B, 1)),))
         base = normalize_base(random_vector(grads.layer_dims, seed=1), 0)
-        rows = DifferenceRows(grads, base.b, coefficients(grads, base))
+        rows = DifferenceRows(grads, base.b, grads.block_dots(base.b))
         err = self.noise_std_error(rows, 1, "noise-perp")
         report(5, err < 0.03, f"(orthogonal channel std error {err:.2%})")
         assert err < 0.03

@@ -463,6 +463,13 @@ def _missing_idx(tmp_path):
     return ["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
 
 
+def _infeasible_train(tmp_path):
+    doc = {**method_doc("dpdr", "privacy"), "total_steps": 400, "switch_step": 400, "batch": 128}
+    # the alpha channel alone at sigma_alpha=0.2 overspends eps=1
+    doc["privacy"] = {"eps": 1.0, "delta": 1e-5, "sigma_alpha": 0.2}
+    return ["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "a" / "o")]
+
+
 class TestExitCodes:
     """Every failure ends in its documented exit code and one ``error:`` report."""
 
@@ -483,16 +490,38 @@ class TestExitCodes:
                      id="out-under-file"),
         pytest.param(_missing_idx, 4, "error: dataset: [Errno 2] No such file or directory",
                      id="missing-idx-file"),
+        pytest.param(_infeasible_train, 3, "error: calibration infeasible: ",
+                     id="infeasible-calibration"),
     ])
     def test_failure_reports(self, tmp_path, capsys, argv, code, message):
         args = argv(tmp_path)
+        before = set(tmp_path.rglob("*"))
         capsys.readouterr()
         assert main(args) == code
+        assert set(tmp_path.rglob("*")) == before  # a failure writes nothing
         out, err = capsys.readouterr()
         assert err.startswith("error: ")
         assert message in err
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_unusable_out_fails_before_training(self, tmp_path, capsys, monkeypatch, command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained although --out is unusable")
+
+        monkeypatch.setattr("dplab.cli.train", no_training)
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        cfg = dpsgd_config(tmp_path)
+        if command == "train":
+            argv, code = ["train", "--config", cfg, "--out", str(blocker / "run")], 2
+        else:
+            argv, code = ["compare", "--configs", cfg, "--seeds", "2", "--out", str(blocker)], 5
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "[Errno 20] Not a directory" in err
+        assert command == "train" or "completed runs: none" in err
 
     def test_process_exit_code(self, tmp_path):
         src = str(Path(dplab.__file__).resolve().parents[1])

@@ -12,11 +12,9 @@ from dplab import (
     apply_update,
     gen_synthetic,
     init_model,
-    load_cache,
     load_idx_pair,
     logistic_regression,
     poisson_sample,
-    save_cache,
 )
 from dplab.models import accuracy
 from tests.conftest import mean_gradient
@@ -185,41 +183,6 @@ class TestPoissonSample:
         a = poisson_sample(self.ds, 0.25, RngStream(5, 9, "batch"))
         b = poisson_sample(self.ds, 0.25, RngStream(5, 9, "batch"))
         assert np.array_equal(a.inputs, b.inputs)
-
-
-class TestCacheFormat:
-    def test_round_trip_bit_identical(self, tmp_path):
-        ds = gen_synthetic(20, 5, 2, margin=3.0, seed=9)
-        path = tmp_path / "cache.csv"
-        save_cache(ds, path)
-        back = load_cache(path)
-        assert back.name == ds.name
-        assert back.n_classes == ds.n_classes
-        assert np.array_equal(back.inputs, ds.inputs)
-        assert np.array_equal(back.labels, ds.labels)
-        # serializing the reloaded dataset reproduces the file byte for byte
-        path2 = tmp_path / "cache2.csv"
-        save_cache(back, path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_header_format(self, tmp_path):
-        ds = gen_synthetic(3, 2, 2, margin=3.0, seed=0)
-        path = tmp_path / "c.csv"
-        save_cache(ds, path)
-        head = path.read_text().splitlines()[0]
-        assert head == f"{ds.name},3,2,2"
-
-    def test_idx_loaded_dataset_round_trips(self, tmp_path):
-        # pixel values k/255 have non-terminating binary expansions
-        gen = np.random.Generator(np.random.Philox(key=5))
-        images = gen.integers(0, 256, size=(8, 3, 3), dtype=np.uint16).astype(np.uint8)
-        img, lab = write_idx_pair(tmp_path, images, np.arange(8) % 4)
-        ds = load_idx_pair(img, lab)
-        path = tmp_path / "cache.csv"
-        save_cache(ds, path)
-        back = load_cache(path)
-        assert np.array_equal(back.inputs, ds.inputs)
-        assert np.array_equal(back.labels, ds.labels)
 
 
 class TestDatasetInvariants:

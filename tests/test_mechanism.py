@@ -21,7 +21,7 @@ from dplab import (
     per_sample_gradients,
     sub,
 )
-from dplab.decomposition import coefficients, normalize_base
+from dplab.decomposition import normalize_base
 from dplab.mechanism import DifferenceRows, OrthogonalRows
 from tests.conftest import random_problem, random_vector, scale, tilted
 
@@ -260,7 +260,7 @@ class TestOrthogonalRowsMatchDenseRows:
         )
         batch = Batch(pool.inputs[picks], pool.labels[picks])
         grads = backprop(model, batch)
-        diffs = DifferenceRows(grads, base.b, coefficients(grads, base))
+        diffs = DifferenceRows(grads, base.b, grads.block_dots(base.b))
         dense_norms, _ = diffs.clipped_sum(1.0)
         c = share * max(float(dense_norms.max(initial=0.0)), 1e-6)  # clips all, some or none
         expected_norms, expected = diffs.clipped_sum(c)
