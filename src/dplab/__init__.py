@@ -43,6 +43,7 @@ from .mechanism import (
 from .models import (
     Architecture,
     Batch,
+    EvalWindow,
     GradientFactors,
     Model,
     accuracy,

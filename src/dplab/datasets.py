@@ -8,7 +8,7 @@ margin dominates the blob spread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,30 +32,30 @@ IDX_LABELS_MAGIC = 0x00000801
 class Dataset:
     """A labelled dataset. It holds read-only views of the given arrays,
     sharing their memory when no conversion is needed; the caller's arrays
-    stay writable."""
+    stay writable. ``examples`` is every row as one :class:`Batch`, whose
+    construction is the dataset's one finiteness scan of its inputs."""
 
     name: str
     inputs: np.ndarray  # (n, d_in) float64
     labels: np.ndarray  # (n,) int64
     n_classes: int
+    examples: Batch = field(init=False, repr=False)
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64).view()
-        labels = np.asarray(self.labels, dtype=np.int64).view()
+        inputs = np.asarray(self.inputs, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
         if inputs.ndim != 2 or inputs.shape[0] < 1:
             raise ContractViolation("dataset must contain at least one example")
         if labels.shape != (inputs.shape[0],):
             raise ContractViolation("inputs and labels must have equal length")
-        if not np.all(np.isfinite(inputs)):
-            raise ContractViolation("non-finite input coordinate")
         if self.n_classes < 2:
             raise ContractViolation(f"need at least 2 classes, got {self.n_classes}")
         if labels.min() < 0 or int(labels.max()) >= self.n_classes:
             raise ContractViolation(f"labels must lie in [0, {self.n_classes})")
-        inputs.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
+        examples = Batch(inputs, labels)
+        object.__setattr__(self, "examples", examples)
+        object.__setattr__(self, "inputs", examples.inputs)
+        object.__setattr__(self, "labels", examples.labels)
 
     @property
     def n(self) -> int:

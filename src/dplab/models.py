@@ -14,10 +14,15 @@ The weight gradient is their outer product, with norm ||a_i|| ||delta_i||
 (Goodfellow 2015, "Efficient per-example gradient computations").
 :func:`per_sample_gradients` is derived from the factors.
 
-Inference (:func:`evaluate`, :func:`loss`, :func:`accuracy`) runs the
-forward pass class-major, on the transposed inputs: the (n_classes, n)
-logits come from products with the small weight matrices on the left,
-which is faster for many rows and few classes.
+Inference has one forward implementation, :class:`EvalWindow`, which
+scores several models of one architecture on one batch. It stacks their
+first-layer weights into one (k h_0, d_in) matrix, so a window of k models
+reads and packs the (n, d_in) inputs once, in chunks of samples bounded by
+:data:`EVAL_CHUNK_BYTES`. Each model's later layers, log-sum-exp and argmax
+then run class-major on that chunk: z_k = W_k^T a_k with the small weight
+matrix on the left, which is faster for many rows and few classes.
+:func:`evaluate` (and so :func:`loss` and :func:`accuracy`) is the window of
+one model.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .vectors import LayeredVector, RngStream, axpy
 __all__ = [
     "Architecture",
     "Batch",
+    "EvalWindow",
     "GradientFactors",
     "Model",
     "accuracy",
@@ -47,6 +53,10 @@ __all__ = [
 ]
 
 _ACTIVATIONS = ("relu", "tanh")
+
+# bound on the bytes of one chunk's stacked first-layer output in EvalWindow:
+# larger chunks mean fewer, larger products but a higher evaluation peak memory
+EVAL_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -181,49 +191,85 @@ def _forward(model: Model, inputs: np.ndarray):
     raise AssertionError("unreachable")
 
 
-def _class_logits(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """(n_classes, n) logits of the n rows of ``inputs``.
+def _check_batch(arch: Architecture, batch: Batch) -> None:
+    if batch.inputs.shape[1] != arch.d_in:
+        raise ContractViolation(
+            f"input dimension {batch.inputs.shape[1]} does not match d_in={arch.d_in}"
+        )
+    if batch.size and int(batch.labels.max()) >= arch.n_classes:
+        raise ContractViolation(
+            f"label {int(batch.labels.max())} out of range [0, {arch.n_classes})"
+        )
 
-    Inference runs class-major: z_k = W_k^T a_k on the transposed view of
-    ``inputs`` (no copy), so each layer is one product with the small
-    weight matrix on the left. :func:`_forward` keeps the row-major layout
-    that :func:`backprop` needs for its per-sample factors.
+
+class EvalWindow:
+    """Up to ``size`` models of one architecture, scored together on ``batch``.
+
+    :meth:`add` writes a model's first-layer weights, transposed, into one
+    preallocated (size h_0, d_in) stack and keeps only its other blocks.
+    :meth:`evaluate` then runs the first layer of every added model as one
+    product per chunk of samples, so the inputs are read once per window.
     """
-    n_layers = len(model.arch.weight_shapes())
-    a = inputs.T
-    for k in range(n_layers):
-        z = _weight(model, k).T @ a
-        z += _bias(model, k)[:, None]
-        if k < n_layers - 1:
-            a = _activate(model.arch.activation, z)
-    return z
 
+    def __init__(self, arch: Architecture, batch: Batch, size: int):
+        if batch.size == 0:
+            raise ContractViolation("batch must contain at least one example")
+        _check_batch(arch, batch)
+        self.arch = arch
+        self.batch = batch
+        self._width = arch.weight_shapes()[0][1]
+        self._stack = np.empty((size * self._width, arch.d_in))
+        self._rest: list[tuple[np.ndarray, ...]] = []
 
-def _check_batch(model: Model, batch: Batch) -> None:
-    if batch.inputs.shape[1] != model.arch.d_in:
-        raise ContractViolation(
-            f"input dimension {batch.inputs.shape[1]} does not match d_in={model.arch.d_in}"
-        )
-    if batch.size and int(batch.labels.max()) >= model.arch.n_classes:
-        raise ContractViolation(
-            f"label {int(batch.labels.max())} out of range [0, {model.arch.n_classes})"
-        )
+    def add(self, model: Model) -> None:
+        if model.arch != self.arch:
+            raise ContractViolation(f"window holds {self.arch}, not {model.arch}")
+        lo = len(self._rest) * self._width
+        if lo == self._stack.shape[0]:
+            raise ContractViolation("window is full")
+        self._stack[lo : lo + self._width] = _weight(model, 0).T
+        self._rest.append(model.params.blocks[1:])
+
+    def evaluate(self) -> list[tuple[float, float]]:
+        """(mean cross-entropy, accuracy) of each added model, in the order
+        added; empties the window. Ties in the logits go to the lowest class.
+
+        Each model's per-sample loss terms and hits fill one row of length n,
+        reduced once, so chunking does not change the summation order.
+        """
+        count, h = len(self._rest), self._width
+        if count == 0:
+            raise ContractViolation("no model to evaluate")
+        shapes = self.arch.weight_shapes()
+        inputs, labels, n = self.batch.inputs, self.batch.labels, self.batch.size
+        terms = np.empty((count, n))
+        hits = np.empty((count, n), dtype=bool)
+        chunk = min(n, max(1, EVAL_CHUNK_BYTES // (8 * count * h)))
+        out = np.empty((count * h, chunk))  # one buffer for every chunk's product
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            first = np.matmul(self._stack[: count * h], inputs[lo:hi].T, out=out[:, : hi - lo])
+            y = labels[lo:hi]
+            for j, rest in enumerate(self._rest):
+                z = first[j * h : (j + 1) * h]
+                z += rest[0][:, None]
+                for k in range(1, len(shapes)):
+                    a = _activate(self.arch.activation, z)
+                    z = rest[2 * k - 1].reshape(shapes[k]).T @ a
+                    z += rest[2 * k][:, None]
+                top = z.max(axis=0)
+                lse = top + np.log(np.sum(np.exp(z - top), axis=0))
+                terms[j, lo:hi] = lse - z[y, np.arange(hi - lo)]
+                hits[j, lo:hi] = np.argmax(z, axis=0) == y
+        self._rest.clear()
+        return [(float(np.mean(t)), float(np.mean(hit))) for t, hit in zip(terms, hits)]
 
 
 def evaluate(model: Model, batch: Batch) -> tuple[float, float]:
-    """(mean cross-entropy, accuracy) with one forward pass.
-
-    Ties in the logits go to the lowest class index.
-    """
-    if batch.size == 0:
-        raise ContractViolation("batch must contain at least one example")
-    _check_batch(model, batch)
-    z = _class_logits(model, batch.inputs)
-    m = z.max(axis=0)
-    lse = m + np.log(np.sum(np.exp(z - m), axis=0))
-    picked = z[batch.labels, np.arange(batch.size)]
-    acc = float(np.mean(np.argmax(z, axis=0) == batch.labels))
-    return float(np.mean(lse - picked)), acc
+    """(mean cross-entropy, accuracy): the window of one model."""
+    window = EvalWindow(model.arch, batch, 1)
+    window.add(model)
+    return window.evaluate()[0]
 
 
 def loss(model: Model, batch: Batch) -> float:
@@ -325,7 +371,7 @@ class GradientFactors:
 def backprop(model: Model, batch: Batch) -> GradientFactors:
     """Per-sample gradient factors of each example's own cross-entropy;
     (0, .) factors for an empty batch."""
-    _check_batch(model, batch)
+    _check_batch(model.arch, batch)
     z, hidden_zs, layer_inputs = _forward(model, batch.inputs)
     n_layers = len(model.arch.weight_shapes())
     delta = _softmax_delta(z, batch.labels)

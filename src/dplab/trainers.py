@@ -24,6 +24,14 @@ g_i - p stays on dense rows: its gradient norms come from the same rows, so a
 constructed staleness ratio reads exactly 2. No step builds a per-sample
 vector or a full (B, D) array.
 
+Full-training-set loss and accuracy are telemetry and never feed the
+trajectory. :func:`train` adds each step's updated model to a
+:class:`dplab.models.EvalWindow` and scores the window every
+:data:`EVAL_WINDOW` steps and at the last step, so the dataset is read once
+per window. A row's ``wall_ms`` is its own step time plus an equal share of
+its window's evaluation time, so the rows' ``wall_ms`` add up to the loop's
+elapsed time.
+
 A release is divided by the realized Poisson batch size, or by the expected
 size ``config.batch`` when the draw is empty (one line in :func:`train`). An
 empty draw runs the same step on zero rows: the sums are zero, the release is
@@ -64,10 +72,10 @@ from .mechanism import (
 from .models import (
     Architecture,
     Batch,
+    EvalWindow,
     Model,
     apply_update,
     backprop,
-    evaluate,
     init_model,
     logistic_regression,
 )
@@ -95,6 +103,9 @@ NOISE_PERP_TAG = "noise-perp"
 NOISE_ALPHA_TAG = "noise-alpha"
 
 DEFAULT_DELTA = 1e-5
+
+# steps whose models are scored on the training set by one EvalWindow
+EVAL_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -359,14 +370,16 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     started = time.perf_counter()
     model = init_model(arch, config.seed)
     ledger = PrivacyLedger(config.delta)
-    eval_batch = Batch(dataset.inputs, dataset.labels)
+    window = EvalWindow(arch, dataset.examples, min(EVAL_WINDOW, total))
     rows: list[MetricsRow] = []
+    # (row without loss and accuracy, step ms) of each step awaiting its window
+    pending: list[tuple[MetricsRow, float]] = []
     prev_release: LayeredVector | None = None
     base: GdrBase | None = None
     snapshot: np.ndarray | None = None
 
+    mark = time.perf_counter()
     for t in range(1, total + 1):
-        step_started = time.perf_counter()
         role = roles[t - 1] if roles else None
         batch = poisson_sample(dataset, q, RngStream(config.seed, t, BATCH_TAG))
         # the realized Poisson size; an empty draw divides by the expected size
@@ -400,8 +413,8 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
         if sigma.get(role, 0.0) > 0:
             ledger.append(ReleaseEvent(q, sigma[role]))
         model = apply_update(model, outcome.released, config.lr)
+        window.add(model)
 
-        train_loss, train_acc = evaluate(model, eval_batch)
         cos_prev = 0.0
         if prev_release is not None:
             cos_prev = coherence_stats(prev_release, outcome.released)
@@ -409,19 +422,27 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
             eps_cum = 0.0
         else:
             eps_cum = math.inf if non_private else ledger.epsilon()[0]
-        wall_ms = (time.perf_counter() - step_started) * 1000.0
-        rows.append(
-            replace(
-                outcome.metrics,
-                step=t,
-                train_loss=train_loss,
-                train_accuracy=train_acc,
-                cos_prev=cos_prev,
-                eps_cum=eps_cum,
-                wall_ms=wall_ms,
-            )
-        )
+        row = replace(outcome.metrics, step=t, cos_prev=cos_prev, eps_cum=eps_cum)
+        now = time.perf_counter()
+        pending.append((row, (now - mark) * 1000.0))
+        mark = now
         prev_release = outcome.released
+
+        if len(pending) == EVAL_WINDOW or t == total:
+            scores = window.evaluate()
+            now = time.perf_counter()
+            share = (now - mark) * 1000.0 / len(pending)
+            mark = now
+            for (row, step_ms), (train_loss, train_acc) in zip(pending, scores):
+                rows.append(
+                    replace(
+                        row,
+                        train_loss=train_loss,
+                        train_accuracy=train_acc,
+                        wall_ms=step_ms + share,
+                    )
+                )
+            pending.clear()
 
     runtime_ms = (time.perf_counter() - started) * 1000.0
     return TrainResult(

@@ -352,6 +352,28 @@ class TestCompare:
         cmp_metrics = (out / "c0_dpsgd_seed0" / "metrics.csv").read_bytes()
         assert cmp_metrics == (solo / "metrics.csv").read_bytes()
 
+    def test_each_dataset_spec_built_once(self, tmp_path, monkeypatch):
+        built = []
+        build = dplab.cli.build_dataset
+
+        def counting(spec):
+            built.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr("dplab.cli.build_dataset", counting)
+        shared = dpsgd_config(tmp_path, total_steps=2)
+        other = dpdr_config(tmp_path, total_steps=2, switch_step=2,
+                            dataset=synthetic_spec(seed=3))
+        sgd = sgd_config(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--configs", shared, other, sgd, "--seeds", "2",
+                     "--out", str(out)]) == 0
+        assert built == [synthetic_spec(), synthetic_spec(seed=3)]
+        solo = tmp_path / "solo"
+        assert main(["train", "--config", sgd, "--seed", "1", "--out", str(solo)]) == 0
+        for name in ("metrics.csv", "summary.json"):
+            assert (out / "c2_config_seed1" / name).read_bytes() == (solo / name).read_bytes()
+
     def test_partial_failure_exits_5(self, tmp_path, capsys):
         good = dpsgd_config(tmp_path, name="good.json", total_steps=3)
         doc = json.loads(open(dpdr_config(tmp_path)).read())

@@ -8,6 +8,7 @@ from dplab import (
     Architecture,
     Batch,
     ContractViolation,
+    EvalWindow,
     LayeredVector,
     accuracy,
     apply_update,
@@ -19,7 +20,7 @@ from dplab import (
     per_sample_gradients,
     sub,
 )
-from dplab.models import evaluate
+from dplab.models import Model, evaluate
 from tests.conftest import mean_gradient, random_problem, random_vector, row_major_evaluate
 
 
@@ -250,6 +251,70 @@ class TestEvaluate:
         if zero:  # every logit ties, so both layouts pick class 0
             assert ls == pytest.approx(math.log(n_classes), rel=1e-15)
             assert acc == float(np.mean(batch.labels == 0))
+
+
+def random_model(arch, seed, scale=1.0):
+    return Model(arch, random_vector(arch.parameter_layer_dims(), seed, scale))
+
+
+class TestEvalWindow:
+    ARCHS = [
+        logistic_regression(5, 3),
+        mlp(5, (4,), 3, "relu"),
+        mlp(5, (4,), 3, "tanh"),
+        mlp(5, (6, 3), 4, "relu"),
+    ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        arch=st.sampled_from(ARCHS),
+        scales=st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=1, max_size=5),
+        n=st.integers(1, 120),
+        chunk_rows=st.integers(1, 50),
+    )
+    def test_matches_per_model_references(self, seed, arch, scales, n, chunk_rows):
+        """A window of k models scores each as evaluate and the row-major
+        reference do, over any chunking, and can be refilled after evaluate."""
+        models = [random_model(arch, seed + i, s) for i, s in enumerate(scales)]
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        batch = Batch(gen.standard_normal((n, arch.d_in)), gen.integers(0, arch.n_classes, n))
+        width = arch.weight_shapes()[0][1]
+        window = EvalWindow(arch, batch, len(models))
+        with pytest.MonkeyPatch.context() as mp:  # chunk_rows samples per chunk
+            mp.setattr("dplab.models.EVAL_CHUNK_BYTES", 8 * len(models) * width * chunk_rows)
+            for model in models:
+                window.add(model)
+            scores = window.evaluate()
+            for model in reversed(models):
+                window.add(model)
+            refilled = window.evaluate()[::-1]
+            singles = [evaluate(model, batch) for model in models]
+        for model, scale, (ls, acc), (one_ls, one_acc), (re_ls, re_acc) in zip(
+            models, scales, scores, singles, refilled
+        ):
+            ref_ls, ref_acc = row_major_evaluate(model, batch)
+            assert ls == pytest.approx(re_ls, rel=1e-12) and acc == re_acc
+            assert ls == pytest.approx(one_ls, rel=1e-12)
+            assert ls == pytest.approx(ref_ls, rel=1e-12)
+            assert acc == one_acc == ref_acc
+            if scale == 0.0:  # every logit ties, so class 0 wins
+                assert ls == pytest.approx(math.log(arch.n_classes), rel=1e-15)
+                assert acc == float(np.mean(batch.labels == 0))
+
+    def test_rejects_mixed_architectures_and_empty_or_full_windows(self):
+        model, batch = random_problem(3, d_in=4, hidden=(), n_classes=3, batch=5)
+        window = EvalWindow(model.arch, batch, 1)
+        with pytest.raises(ContractViolation):
+            window.evaluate()
+        with pytest.raises(ContractViolation):
+            window.add(init_model(mlp(4, (2,), 3), 0))
+        window.add(model)
+        with pytest.raises(ContractViolation):
+            window.add(model)
+        window.evaluate()
+        with pytest.raises(ContractViolation):
+            window.evaluate()
 
 
 class TestAccuracy:

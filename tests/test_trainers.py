@@ -38,7 +38,7 @@ from dplab import (
     train,
 )
 from dplab.mechanism import CANCELLATION_TAU
-from dplab.trainers import sgd_step
+from dplab.trainers import EVAL_WINDOW, METHODS, sgd_step
 from tests.conftest import (
     add,
     dot_layer,
@@ -476,6 +476,20 @@ class TestTrainLoop:
         with pytest.raises(ContractViolation):
             train(config, self.dataset)
 
+    def test_dataset_rows_scanned_once(self, monkeypatch):
+        """train() scores on the dataset's own Batch; only the Poisson draws
+        (here never all 128 rows) build new ones."""
+        sizes = []
+        check = Batch.__post_init__
+
+        def counting(batch):
+            sizes.append(len(batch.labels))
+            check(batch)
+
+        monkeypatch.setattr(Batch, "__post_init__", counting)
+        train(make_config("dpsgd", total_steps=3), self.dataset)
+        assert len(sizes) == 3 and max(sizes) < self.dataset.n
+
 
 class TestConfigValidation:
     def test_method_checked(self):
@@ -597,9 +611,26 @@ class TestGdrTelemetryInvariant:
             assert row.perp_norm_median <= row.grad_norm_median * (1 + 1e-12)
 
 
+class RowMajorWindow:
+    """Reference for EvalWindow: each model scored on its own by the
+    row-major forward."""
+
+    def __init__(self, arch, batch, size):
+        self.batch, self.models = batch, []
+
+    def add(self, model):
+        self.models.append(model)
+
+    def evaluate(self):
+        scores = [row_major_evaluate(model, self.batch) for model in self.models]
+        self.models.clear()
+        return scores
+
+
 class TestEvaluationNeverFeedsTrajectory:
-    """The per-step full-dataset evaluation is telemetry only: swapping it for
-    the row-major reference changes nothing but the loss in its last bits."""
+    """The full-dataset evaluation is telemetry only: swapping the stacked
+    window for a per-model row-major reference changes nothing but the loss
+    in its last bits."""
 
     @pytest.mark.parametrize("method", ["dpsgd", "diff", "dpdr"])
     @pytest.mark.parametrize("arch", [None, mlp(6, (5,), 3, "relu"), mlp(6, (4,), 3, "tanh")])
@@ -607,7 +638,7 @@ class TestEvaluationNeverFeedsTrajectory:
         dataset = gen_synthetic(128, 6, 3, margin=6.0, seed=11)
         config = make_config(method, total_steps=6, seed=17, arch=arch)
         fast = train(config, dataset)
-        monkeypatch.setattr("dplab.trainers.evaluate", row_major_evaluate)
+        monkeypatch.setattr("dplab.trainers.EvalWindow", RowMajorWindow)
         ref = train(config, dataset)
         assert fast.model.params.equals(ref.model.params)
         assert fast.ledger.events == ref.ledger.events
@@ -616,6 +647,33 @@ class TestEvaluationNeverFeedsTrajectory:
         for a, b in zip(fast.rows, ref.rows):
             assert replace(a, **telemetry_only) == replace(b, **telemetry_only)
             assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
+
+
+class TestEvaluationWindow:
+    """Scoring a window of steps at once changes no row field but the timing
+    and the loss in its last bits; the rows' times add up to the loop's."""
+
+    WINDOW = EVAL_WINDOW
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("total", [1, WINDOW - 1, WINDOW, WINDOW + 1])
+    def test_window_of_one_gives_same_rows(self, method, total, monkeypatch):
+        dataset = gen_synthetic(128, 6, 3, margin=6.0, seed=11)
+        switch = {"switch_step": max(1, total // 2)} if method == "dpdr" else {}
+        config = make_config(method, total_steps=total, seed=23, **switch)
+        windowed = train(config, dataset)
+        monkeypatch.setattr("dplab.trainers.EVAL_WINDOW", 1)
+        single = train(config, dataset)
+        assert windowed.model.params.equals(single.model.params)
+        assert windowed.ledger.events == single.ledger.events
+        assert len(windowed.rows) == len(single.rows) == total
+        for a, b in zip(windowed.rows, single.rows):
+            assert replace(a, train_loss=0.0, wall_ms=0.0) == replace(b, train_loss=0.0, wall_ms=0.0)
+            assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
+        for result in (windowed, single):
+            walls = [row.wall_ms for row in result.rows]
+            assert all(ms > 0 for ms in walls)
+            assert sum(walls) <= result.runtime_ms
 
 
 class TestDifferenceChannelSensitivity:
