@@ -43,7 +43,6 @@ from .mechanism import (
 from .models import (
     Architecture,
     Batch,
-    EvalWindow,
     GradientFactors,
     Model,
     accuracy,

@@ -264,15 +264,12 @@ def _check_out_dir(out_dir: Path) -> None:
 
 
 def _run_one(
-    config: TrainConfig, dataset_spec: dict, out_dir: Path, datasets: dict[str, Dataset]
+    config: TrainConfig, dataset_spec: dict, out_dir: Path, build=build_dataset
 ) -> tuple[dict, TrainResult]:
-    """Check out_dir, build the dataset unless ``datasets`` holds its spec,
-    train, persist; returns the summary and run."""
+    """Check out_dir, build the dataset with ``build``, train, persist;
+    returns the summary and run."""
     _check_out_dir(out_dir)
-    key = json.dumps(dataset_spec, sort_keys=True)
-    if key not in datasets:
-        datasets[key] = build_dataset(dataset_spec)
-    result = train(config, datasets[key])
+    result = train(config, build(dataset_spec))
     summary = build_summary(config_echo(config, dataset_spec), result)
     write_run(out_dir, result, summary)
     return summary, result
@@ -281,7 +278,7 @@ def _run_one(
 def cmd_train(args) -> int:
     config, dataset_spec = parse_config(_load_config_file(args.config), seed_override=args.seed)
     out_dir = Path(args.out) if args.out else Path(f"runs/{config.method}_seed{config.seed}")
-    summary, _ = _run_one(config, dataset_spec, out_dir, {})
+    summary, _ = _run_one(config, dataset_spec, out_dir)
     eps = summary["privacy"]["eps"]
     eps_text = "none" if eps is None else f"{eps:.4f}"
     print(
@@ -323,7 +320,18 @@ def cmd_compare(args) -> int:
     parsed = [(Path(path).stem, *parse_config(_load_config_file(path))) for path in args.configs]
 
     out_root = Path(args.out)
-    datasets: dict[str, Dataset] = {}  # one build per distinct dataset spec
+    held: tuple[str, Dataset] | None = None  # the latest build, the only dataset kept
+
+    def build_or_reuse(spec: dict) -> Dataset:
+        # runs go config by config, so the seeds of a config (and consecutive
+        # configs on one spec) share a build
+        nonlocal held
+        key = json.dumps(spec, sort_keys=True)
+        if held is None or held[0] != key:
+            held = None  # free the previous dataset before building the next
+            held = (key, build_dataset(spec))
+        return held[1]
+
     completed: list[str] = []
     runs: dict[int, list[dict]] = {i: [] for i in range(len(parsed))}
     for idx, (stem, config, dataset_spec) in enumerate(parsed):
@@ -331,7 +339,7 @@ def cmd_compare(args) -> int:
             run_dir = out_root / f"c{idx}_{stem}_seed{seed}"
             run_config = replace(config, seed=seed)
             try:
-                summary, result = _run_one(run_config, dataset_spec, run_dir, datasets)
+                summary, result = _run_one(run_config, dataset_spec, run_dir, build_or_reuse)
             except tuple(_FAILURES) as exc:
                 _report(exc, f"run c{idx}({config.method}) seed={seed}: ")
                 print("completed runs: " + (", ".join(completed) or "none"), file=sys.stderr)

