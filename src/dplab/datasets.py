@@ -167,5 +167,4 @@ def poisson_sample(dataset: Dataset, q: float, stream: RngStream) -> Batch:
     if not 0.0 <= q <= 1.0:
         raise ContractViolation(f"sampling ratio must be in [0, 1], got {q!r}")
     draws = stream.generator().random(dataset.n)
-    mask = draws < q
-    return Batch(dataset.inputs[mask], dataset.labels[mask])
+    return dataset.examples.take(np.flatnonzero(draws < q))

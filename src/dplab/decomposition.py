@@ -53,11 +53,6 @@ class GdrBase:
     def layer_count(self) -> int:
         return self.b.layer_count
 
-    @property
-    def degenerate_layers(self) -> frozenset[int]:
-        """Layers whose base block is zero."""
-        return frozenset(layer for layer, b in enumerate(self.b.blocks) if not b.any())
-
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:

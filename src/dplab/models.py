@@ -17,12 +17,15 @@ The weight gradient is their outer product, with norm ||a_i|| ||delta_i||
 Inference has one forward implementation, :class:`EvalWindow`, which
 scores several models of one architecture on one batch. It stacks their
 first-layer weights into one (k h_0, d_in) matrix, so a window of k models
-reads and packs the (n, d_in) inputs once, in chunks of samples bounded by
-:data:`EVAL_CHUNK_BYTES`. Each model's later layers, log-sum-exp and argmax
-then run class-major on that chunk: z_k = W_k^T a_k with the small weight
-matrix on the left, which is faster for many rows and few classes.
-:func:`evaluate` (and so :func:`loss` and :func:`accuracy`) is the window of
-one model.
+reads and packs the (n, d_in) inputs once. Each chunk of samples is one
+class-major pass over all k models (z_k = W_k^T a_k with the small weight
+matrices on the left, which is faster for many rows and few classes): the
+stacked first-layer product, then stacked biases, activations and later
+products, then max, log-sum-exp and hits over the class axis. A chunk holds
+as many samples as keep its working arrays within
+:data:`EVAL_CHUNK_BYTES`, so the product runs near its single-call speed
+and the memory does not grow with n. :func:`evaluate` (and so :func:`loss`
+and :func:`accuracy`) is the window of one model.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ __all__ = [
 
 _ACTIVATIONS = ("relu", "tanh")
 
-# bound on the bytes of one chunk's stacked first-layer output in EvalWindow:
-# larger chunks mean fewer, larger products but a higher evaluation peak memory
-EVAL_CHUNK_BYTES = 2 << 20
+# bound on the bytes of the working arrays EvalWindow.evaluate holds for one
+# chunk of samples: larger chunks run the first-layer product closer to its
+# single-call speed but raise the evaluation's peak memory
+EVAL_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,16 @@ class Batch:
     def size(self) -> int:
         return self.inputs.shape[0]
 
+    def take(self, idx: np.ndarray) -> Batch:
+        """The rows ``idx``, in that order. They were checked when this batch
+        was built, so they are not scanned again."""
+        rows = object.__new__(Batch)
+        for name in ("inputs", "labels"):
+            held = getattr(self, name)[idx]
+            held.setflags(write=False)
+            object.__setattr__(rows, name, held)
+        return rows
+
 
 def init_model(arch: Architecture, seed: int) -> Model:
     """Deterministic init: weights N(0, 1/fan_in) (std 1/sqrt(fan_in)), biases zero."""
@@ -162,10 +176,10 @@ def _bias(model: Model, layer: int) -> np.ndarray:
     return model.params.blocks[2 * layer + 1]
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=out)
+    return np.tanh(z, out=out)
 
 
 def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -202,13 +216,24 @@ def _check_batch(arch: Architecture, batch: Batch) -> None:
         )
 
 
+def _chunk_rows(count: int, widths: list[int], n: int) -> int:
+    """Samples per chunk of a window of ``count`` models with layer output
+    widths ``widths``: as many as keep within EVAL_CHUNK_BYTES the float64s
+    held per model and sample, which are every layer's output, the
+    exponentials, the logits the first-max fallback gathers and ten scalars."""
+    per_sample = 8 * count * (sum(widths) + 2 * widths[-1] + 10)
+    return min(n, max(1, EVAL_CHUNK_BYTES // per_sample))
+
+
 class EvalWindow:
     """Up to ``size`` models of one architecture, scored together on ``batch``.
 
-    :meth:`add` writes a model's first-layer weights, transposed, into one
-    preallocated (size h_0, d_in) stack and keeps only its other blocks.
-    :meth:`evaluate` then runs the first layer of every added model as one
-    product per chunk of samples, so the inputs are read once per window.
+    :meth:`add` writes each of a model's blocks into a preallocated stack
+    with one slot per model: the first-layer weights, transposed, into one
+    (size h_0, d_in) matrix, every later weight matrix into a (size, fan_in,
+    fan_out) stack and every bias into a (size, fan_out, 1) stack.
+    :meth:`evaluate` then scores all added models in one stacked pass per
+    chunk of samples, so the inputs are read once per window.
     """
 
     def __init__(self, arch: Architecture, batch: Batch, size: int):
@@ -217,51 +242,73 @@ class EvalWindow:
         _check_batch(arch, batch)
         self.arch = arch
         self.batch = batch
-        self._width = arch.weight_shapes()[0][1]
-        self._stack = np.empty((size * self._width, arch.d_in))
-        self._rest: list[tuple[np.ndarray, ...]] = []
+        shapes = arch.weight_shapes()
+        self._stack = np.empty((size * shapes[0][1], arch.d_in))
+        self._weights = [np.empty((size, *shape)) for shape in shapes[1:]]
+        self._biases = [np.empty((size, fan_out, 1)) for _, fan_out in shapes]
+        self._count = 0
 
     def add(self, model: Model) -> None:
         if model.arch != self.arch:
             raise ContractViolation(f"window holds {self.arch}, not {model.arch}")
-        lo = len(self._rest) * self._width
-        if lo == self._stack.shape[0]:
+        j = self._count
+        if j == len(self._biases[0]):
             raise ContractViolation("window is full")
-        self._stack[lo : lo + self._width] = _weight(model, 0).T
-        self._rest.append(model.params.blocks[1:])
+        h = self._biases[0].shape[1]
+        self._stack[j * h : (j + 1) * h] = _weight(model, 0).T
+        for k, w in enumerate(self._weights, 1):
+            w[j] = _weight(model, k)
+        for k, b in enumerate(self._biases):
+            b[j, :, 0] = _bias(model, k)
+        self._count += 1
 
     def evaluate(self) -> list[tuple[float, float]]:
         """(mean cross-entropy, accuracy) of each added model, in the order
         added; empties the window. Ties in the logits go to the lowest class.
 
-        Each model's per-sample loss terms and hits fill one row of length n,
-        reduced once, so chunking does not change the summation order.
+        Each chunk of samples is one pass over the stacked models: the
+        stacked first-layer product, then per layer the stacked biases and
+        activation in place and the stacked weights' product, then max,
+        log-sum-exp and the label logit over the class axis. A sample is a
+        hit when its label logit equals the max; a tied max sums to at least
+        2 in the log-sum-exp (two exact ones), so only hits with such a sum
+        are rechecked by argmax, which takes the first max. Each model's
+        per-sample loss terms and hits fill one row of length n, reduced
+        once, so chunking does not change the summation order.
         """
-        count, h = len(self._rest), self._width
+        count = self._count
         if count == 0:
             raise ContractViolation("no model to evaluate")
-        shapes = self.arch.weight_shapes()
+        widths = [b.shape[1] for b in self._biases]
         inputs, labels, n = self.batch.inputs, self.batch.labels, self.batch.size
         terms = np.empty((count, n))
         hits = np.empty((count, n), dtype=bool)
-        chunk = min(n, max(1, EVAL_CHUNK_BYTES // (8 * count * h)))
-        out = np.empty((count * h, chunk))  # one buffer for every chunk's product
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            first = np.matmul(self._stack[: count * h], inputs[lo:hi].T, out=out[:, : hi - lo])
-            y = labels[lo:hi]
-            for j, rest in enumerate(self._rest):
-                z = first[j * h : (j + 1) * h]
-                z += rest[0][:, None]
-                for k in range(1, len(shapes)):
-                    a = _activate(self.arch.activation, z)
-                    z = rest[2 * k - 1].reshape(shapes[k]).T @ a
-                    z += rest[2 * k][:, None]
-                top = z.max(axis=0)
-                lse = top + np.log(np.sum(np.exp(z - top), axis=0))
-                terms[j, lo:hi] = lse - z[y, np.arange(hi - lo)]
-                hits[j, lo:hi] = np.argmax(z, axis=0) == y
-        self._rest.clear()
+        rows = _chunk_rows(count, widths, n)
+        # one buffer per layer output and one for the exponentials, reused by every chunk
+        outs = [np.empty(count * w * rows) for w in widths]
+        exps = np.empty(count * widths[-1] * rows)
+        for lo in range(0, n, rows):
+            c = min(rows, n - lo)
+            first = outs[0][: count * widths[0] * c].reshape(count * widths[0], c)
+            np.matmul(self._stack[: len(first)], inputs[lo : lo + c].T, out=first)
+            z = first.reshape(count, widths[0], c)
+            z += self._biases[0][:count]
+            for k, w in enumerate(self._weights, 1):
+                a = _activate(self.arch.activation, z, out=z)
+                z = outs[k][: count * widths[k] * c].reshape(count, widths[k], c)
+                np.matmul(w[:count].transpose(0, 2, 1), a, out=z)
+                z += self._biases[k][:count]
+            y = labels[lo : lo + c]
+            top = z.max(axis=1)
+            e = exps[: z.size].reshape(z.shape)
+            np.subtract(z, top[:, None], out=e)
+            total = np.exp(e, out=e).sum(axis=1)
+            picked = z[:, y, np.arange(c)]
+            np.subtract(top + np.log(total), picked, out=terms[:, lo : lo + c])
+            hit = np.equal(picked, top, out=hits[:, lo : lo + c])
+            m, col = np.nonzero(hit & ~(total < 2.0))
+            hit[m, col] = np.argmax(z[m, :, col], axis=1) == y[col]
+        self._count = 0
         return [(float(np.mean(t)), float(np.mean(hit))) for t, hit in zip(terms, hits)]
 
 

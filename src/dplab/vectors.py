@@ -80,19 +80,10 @@ class LayeredVector:
     def total_dim(self) -> int:
         return sum(b.size for b in self.blocks)
 
-    def concat(self) -> np.ndarray:
-        """All coordinates as one fresh array, layers in order."""
-        return np.concatenate(self.blocks)
-
     def equals(self, other: "LayeredVector") -> bool:
         """Bit-exact equality."""
         return self.layer_dims == other.layer_dims and all(
             np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)
-        )
-
-    def allclose(self, other: "LayeredVector", rtol: float = 1e-12, atol: float = 0.0) -> bool:
-        return self.layer_dims == other.layer_dims and all(
-            np.allclose(a, b, rtol=rtol, atol=atol) for a, b in zip(self.blocks, other.blocks)
         )
 
     def __repr__(self) -> str:

@@ -24,6 +24,22 @@ def dot_layer(a: LayeredVector, b: LayeredVector, layer: int) -> float:
     return float(np.sum(a.blocks[layer] * b.blocks[layer]))
 
 
+def concat(v: LayeredVector) -> np.ndarray:
+    """All coordinates as one fresh array, layers in order."""
+    return np.concatenate(v.blocks)
+
+
+def allclose(x: LayeredVector, y: LayeredVector, rtol: float = 1e-12, atol: float = 0.0) -> bool:
+    return x.layer_dims == y.layer_dims and all(
+        np.allclose(a, b, rtol=rtol, atol=atol) for a, b in zip(x.blocks, y.blocks)
+    )
+
+
+def degenerate_layers(base) -> frozenset[int]:
+    """Layers whose GdrBase block is zero."""
+    return frozenset(layer for layer, b in enumerate(base.b.blocks) if not b.any())
+
+
 def mean_gradient(model, batch) -> LayeredVector:
     """Gradient of the mean cross-entropy over a non-empty batch."""
     grads = backprop(model, batch)

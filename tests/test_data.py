@@ -179,6 +179,24 @@ class TestPoissonSample:
         with pytest.raises(ContractViolation):
             poisson_sample(self.ds, 1.5, RngStream(0, 1, "batch"))
 
+    @pytest.mark.parametrize("q", [0.0, 0.05, 0.5, 1.0])
+    def test_draws_equal_boolean_mask_rows(self, q):
+        for seed in range(5):
+            stream = RngStream(seed, 3, "batch")
+            mask = stream.generator().random(self.ds.n) < q
+            batch = poisson_sample(self.ds, q, stream)
+            assert batch.inputs.shape == (int(mask.sum()), self.ds.d_in)
+            assert batch.inputs.dtype == np.float64 and batch.labels.dtype == np.int64
+            assert np.array_equal(batch.inputs, self.ds.inputs[mask])
+            assert np.array_equal(batch.labels, self.ds.labels[mask])
+            assert not batch.inputs.flags.writeable and not batch.labels.flags.writeable
+
+    def test_non_finite_dataset_input_rejected(self):
+        inputs = self.ds.inputs.copy()
+        inputs[7, 1] = np.nan
+        with pytest.raises(ContractViolation):
+            Dataset("x", inputs, self.ds.labels, 2)
+
     def test_deterministic_per_stream(self):
         a = poisson_sample(self.ds, 0.25, RngStream(5, 9, "batch"))
         b = poisson_sample(self.ds, 0.25, RngStream(5, 9, "batch"))

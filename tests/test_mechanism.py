@@ -23,7 +23,7 @@ from dplab import (
 )
 from dplab.decomposition import normalize_base
 from dplab.mechanism import DifferenceRows, OrthogonalRows
-from tests.conftest import random_problem, random_vector, scale, tilted
+from tests.conftest import concat, random_problem, random_vector, scale, tilted
 
 
 class TestClipToNorm:
@@ -87,8 +87,8 @@ class TestAggregateAndPerturb:
     def test_sigma_zero_is_plain_mean(self):
         vecs = [random_vector((3, 2), seed=i, scale=0.1) for i in range(4)]
         out = aggregate_and_perturb(vecs, 100.0, 0.0)
-        expected = np.mean([v.concat() for v in vecs], axis=0)
-        assert out.concat() == pytest.approx(expected, rel=1e-12)
+        expected = np.mean([concat(v) for v in vecs], axis=0)
+        assert concat(out) == pytest.approx(expected, rel=1e-12)
 
     def test_single_overlong_sample_halved(self):
         v = LayeredVector.from_blocks([[0.0, 4.0]])  # norm 4 = 2c
@@ -103,11 +103,11 @@ class TestAggregateAndPerturb:
         # per-coordinate std of (output - clipped mean) is sigma*c/B within 3%
         b, sigma, c = 4, 1.0, 2.0
         vecs = [random_vector((5,), seed=i, scale=0.4) for i in range(b)]
-        clean = aggregate_and_perturb(vecs, c, 0.0).concat()
+        clean = concat(aggregate_and_perturb(vecs, c, 0.0))
         samples = []
         for rep in range(2000):
             noisy = aggregate_and_perturb(vecs, c, sigma, RngStream(5, rep, "noise-g"))
-            samples.append(noisy.concat() - clean)
+            samples.append(concat(noisy) - clean)
         noise = np.concatenate(samples)
         assert noise.size == 10_000
         expected = sigma * c / b

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dplab import (
     per_sample_gradients,
     sub,
 )
-from dplab.models import EvalWindow, Model, evaluate
+from dplab.models import EVAL_CHUNK_BYTES, EvalWindow, Model, _chunk_rows, _forward, evaluate
 from tests.conftest import mean_gradient, random_problem, random_vector, row_major_evaluate
 
 
@@ -278,10 +279,9 @@ class TestEvalWindow:
         models = [random_model(arch, seed + i, s) for i, s in enumerate(scales)]
         gen = np.random.Generator(np.random.Philox(key=seed))
         batch = Batch(gen.standard_normal((n, arch.d_in)), gen.integers(0, arch.n_classes, n))
-        width = arch.weight_shapes()[0][1]
         window = EvalWindow(arch, batch, len(models))
         with pytest.MonkeyPatch.context() as mp:  # chunk_rows samples per chunk
-            mp.setattr("dplab.models.EVAL_CHUNK_BYTES", 8 * len(models) * width * chunk_rows)
+            mp.setattr("dplab.models._chunk_rows", lambda count, widths, n: min(n, chunk_rows))
             for model in models:
                 window.add(model)
             scores = window.evaluate()
@@ -300,6 +300,65 @@ class TestEvalWindow:
             if scale == 0.0:  # every logit ties, so class 0 wins
                 assert ls == pytest.approx(math.log(arch.n_classes), rel=1e-15)
                 assert acc == float(np.mean(batch.labels == 0))
+
+    @pytest.mark.parametrize("arch", [logistic_regression(5, 4), mlp(5, (6,), 4, "relu")])
+    @pytest.mark.parametrize("chunk_rows", [1, 4, 7, 200])
+    def test_tied_top_logits_go_to_the_first_class(self, arch, chunk_rows):
+        """Classes 1 and 2 share one last-layer column, so their logits tie
+        exactly: a label on class 1 is a hit and on class 2 a miss. The window
+        mixes models tied on every row, tied on some rows, and untied."""
+        gen = np.random.Generator(np.random.Philox(key=chunk_rows))
+        n = 60
+        batch = Batch(gen.standard_normal((n, arch.d_in)), np.tile([1, 2, 1, 0, 2, 3], n // 6))
+        fan_in, n_classes = arch.weight_shapes()[-1]
+
+        def tied(seed, lift):
+            params = random_vector(arch.parameter_layer_dims(), seed)
+            blocks = [b.copy() for b in params.blocks]
+            w, b = blocks[-2].reshape(fan_in, n_classes), blocks[-1]
+            w[:, 2], b[2] = w[:, 1], b[1]
+            b[1:3] += lift  # a large lift puts the tie on top of every row
+            return Model(arch, LayeredVector(tuple(blocks)))
+
+        models = [tied(1, 50.0), random_model(arch, 2), tied(3, 0.0), tied(4, 50.0)]
+        window = EvalWindow(arch, batch, len(models))
+        for model in models:
+            window.add(model)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dplab.models._chunk_rows", lambda count, widths, n: min(n, chunk_rows))
+            scores = window.evaluate()
+        for model, (ls, acc) in zip(models, scores):
+            ref_ls, ref_acc = row_major_evaluate(model, batch)
+            assert ls == pytest.approx(ref_ls, rel=1e-12)
+            assert acc == ref_acc
+        assert scores[0][1] == scores[3][1] == float(np.mean(batch.labels == 1)) == 1 / 3
+        z, _, _ = _forward(models[2], batch.inputs)
+        top = z.max(axis=1)
+        assert 0 < np.sum(z[:, 1] == top) < n  # tied on some rows only
+
+    @pytest.mark.parametrize("arch", [logistic_regression(5, 3), mlp(5, (6, 3), 4, "relu")])
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    def test_working_memory_within_chunk_bound(self, arch, scale):
+        """Beyond its (count, n) loss terms and hits, evaluate() holds at most
+        EVAL_CHUNK_BYTES however large n grows. At scale 0 every top logit
+        ties, so every row takes the first-max fallback."""
+        count = 3
+        widths = [fan_out for _, fan_out in arch.weight_shapes()]
+        for n in (1_000, 20_000, 80_000):
+            gen = np.random.Generator(np.random.Philox(key=n))
+            batch = Batch(gen.standard_normal((n, arch.d_in)), gen.integers(0, arch.n_classes, n))
+            window = EvalWindow(arch, batch, count)
+            for i in range(count):
+                window.add(random_model(arch, i, scale))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                window.evaluate()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak - count * n * (8 + 1) <= EVAL_CHUNK_BYTES
+        assert _chunk_rows(count, widths, n) < n / 3  # the largest n takes several chunks
 
     def test_rejects_mixed_architectures_and_empty_or_full_windows(self):
         model, batch = random_problem(3, d_in=4, hidden=(), n_classes=3, batch=5)

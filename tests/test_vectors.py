@@ -14,7 +14,7 @@ from dplab import (
     l2_norm,
     l2_norm_layer,
 )
-from tests.conftest import dot_layer, random_vector, scale
+from tests.conftest import concat, dot_layer, random_vector, scale
 
 
 @st.composite
@@ -145,7 +145,7 @@ class TestGaussianSample:
         # 1e4 draws at std=2: std within 3%, mean within 0.05
         draws = np.concatenate(
             [
-                gaussian_sample(RngStream(42, t, "noise-g"), (100,), 2.0).concat()
+                concat(gaussian_sample(RngStream(42, t, "noise-g"), (100,), 2.0))
                 for t in range(100)
             ]
         )
@@ -165,8 +165,8 @@ class TestGaussianSample:
             (RngStream(11, 1, "noise-g"), RngStream(11, 1, "noise-perp")),
         ]
         for sa, sb in pairs:
-            xa = gaussian_sample(sa, (n,), 1.0).concat()
-            xb = gaussian_sample(sb, (n,), 1.0).concat()
+            xa = concat(gaussian_sample(sa, (n,), 1.0))
+            xb = concat(gaussian_sample(sb, (n,), 1.0))
             corr = np.corrcoef(xa, xb)[0, 1]
             assert abs(corr) < 0.05
 
