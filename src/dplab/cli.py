@@ -264,7 +264,7 @@ def _check_out_dir(out_dir: Path) -> None:
 
 
 def _run_one(
-    config: TrainConfig, dataset_spec: dict, out_dir: Path, build=build_dataset
+    config: TrainConfig, dataset_spec: dict, out_dir: Path, build
 ) -> tuple[dict, TrainResult]:
     """Check out_dir, build the dataset with ``build``, train, persist;
     returns the summary and run."""
@@ -278,7 +278,7 @@ def _run_one(
 def cmd_train(args) -> int:
     config, dataset_spec = parse_config(_load_config_file(args.config), seed_override=args.seed)
     out_dir = Path(args.out) if args.out else Path(f"runs/{config.method}_seed{config.seed}")
-    summary, _ = _run_one(config, dataset_spec, out_dir)
+    summary, _ = _run_one(config, dataset_spec, out_dir, build_dataset)
     eps = summary["privacy"]["eps"]
     eps_text = "none" if eps is None else f"{eps:.4f}"
     print(

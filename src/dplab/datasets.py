@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractViolation, IdxFormatError
 from .models import Batch
-from .vectors import RngStream
+from .vectors import RngStream, standard_normal
 
 __all__ = [
     "Dataset",
@@ -136,7 +136,10 @@ def gen_synthetic(
 
     Built in place as std * z plus margin/sqrt(2) on each example's center
     axis, which equals center + std * z except that an off-axis std * z
-    underflowing to -0.0 keeps its sign.
+    underflowing to -0.0 keeps its sign. z is the (n, d_in) standard normal
+    draw of stream ``(seed, 0, "synthetic-data")``; a large one is drawn on
+    every usable core (:func:`dplab.vectors.standard_normal`) and is the same
+    bytes on any number of cores.
     """
     if n_classes < 2:
         raise ContractViolation(f"need at least 2 classes, got {n_classes}")
@@ -151,8 +154,7 @@ def gen_synthetic(
     if not math.isfinite(std) or std <= 0:
         raise ContractViolation(f"std must be positive, got {std!r}")
     labels = np.arange(n, dtype=np.int64) % n_classes
-    gen = RngStream(seed, 0, "synthetic-data").generator()
-    inputs = gen.standard_normal((n, d_in))
+    inputs = standard_normal(RngStream(seed, 0, "synthetic-data"), (n, d_in))
     inputs *= std
     inputs[np.arange(n), labels] += margin / math.sqrt(2.0)
     return Dataset(f"synthetic-n{n}-d{d_in}-c{n_classes}", inputs, labels, n_classes)

@@ -24,6 +24,11 @@ def dot_layer(a: LayeredVector, b: LayeredVector, layer: int) -> float:
     return float(np.sum(a.blocks[layer] * b.blocks[layer]))
 
 
+def from_blocks(blocks) -> LayeredVector:
+    """A vector from arbitrary nested sequences, one per layer (copied)."""
+    return LayeredVector(tuple(np.array(b, dtype=np.float64).ravel() for b in blocks))
+
+
 def concat(v: LayeredVector) -> np.ndarray:
     """All coordinates as one fresh array, layers in order."""
     return np.concatenate(v.blocks)

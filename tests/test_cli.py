@@ -372,6 +372,8 @@ class TestCompare:
         assert built == [synthetic_spec(), synthetic_spec(seed=3), synthetic_spec()]
         solo = tmp_path / "solo"
         assert main(["train", "--config", sgd, "--seed", "1", "--out", str(solo)]) == 0
+        # train looks the builder up when it runs, as the benchmark's tracer needs
+        assert built[3:] == [synthetic_spec()]
         for name in ("metrics.csv", "summary.json"):
             assert (out / "c2_config_seed1" / name).read_bytes() == (solo / name).read_bytes()
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dplab
 from dplab import (
     Batch,
     ContractViolation,
@@ -119,6 +124,7 @@ class TestSynthetic:
             (400, 6, 3, 9.0, 1, 1e-9),
             (333, 50, 2, 12.0, 7, 0.3),
             (1000, 784, 10, 12.0, 21, 1.0),
+            (10000, 784, 10, 12.0, 3, 1.0),  # the benchmark shape: drawn on every core
         ],
     )
     def test_equals_centers_plus_noise(self, n, d_in, n_classes, margin, seed, std):
@@ -131,6 +137,34 @@ class TestSynthetic:
         assert np.array_equal(ds.inputs, centers[labels] + noise)
         assert np.array_equal(ds.labels, labels)
         assert ds.name == f"synthetic-n{n}-d{d_in}-c{n_classes}"
+
+    @pytest.mark.skipif(
+        not (hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2),
+        reason="needs sched_setaffinity and at least two usable CPUs",
+    )
+    def test_inputs_do_not_depend_on_the_core_count(self):
+        """The benchmark shape built in a child pinned to one CPU and in a
+        child on every usable CPU: the same bytes."""
+        script = (
+            "import hashlib, os, sys\n"
+            "if sys.argv[1] == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from dplab import gen_synthetic\n"
+            "inputs = gen_synthetic(10000, 784, 10, 12.0, seed=3).inputs\n"
+            "print(len(os.sched_getaffinity(0)), hashlib.sha256(inputs.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(dplab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        runs = {
+            mode: subprocess.run(
+                [sys.executable, "-c", script, mode],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            ).stdout.split()
+            for mode in ("one", "all")
+        }
+        assert runs["one"][0] == "1" and int(runs["all"][0]) >= 2
+        assert runs["one"][1] == runs["all"][1]
 
     def test_invalid_sizes(self):
         with pytest.raises(ContractViolation):

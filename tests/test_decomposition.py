@@ -14,7 +14,7 @@ from dplab import (
     reconstruct,
     sub,
 )
-from tests.conftest import allclose, degenerate_layers, dot_layer, random_vector
+from tests.conftest import allclose, degenerate_layers, dot_layer, from_blocks, random_vector
 
 
 def make_base(layer_dims, seed):
@@ -23,7 +23,7 @@ def make_base(layer_dims, seed):
 
 class TestNormalizeBase:
     def test_single_layer(self):
-        base = normalize_base(LayeredVector.from_blocks([[3.0, 4.0]]), step=1)
+        base = normalize_base(from_blocks([[3.0, 4.0]]), step=1)
         assert base.b.blocks[0] == pytest.approx([0.6, 0.8], rel=1e-15)
         assert not degenerate_layers(base)
         assert base.source_step == 1
@@ -34,7 +34,7 @@ class TestNormalizeBase:
         assert l2_norm(base.b) == 0.0
 
     def test_mixed_case(self):
-        base = normalize_base(LayeredVector.from_blocks([[3.0, 4.0], [0.0, 0.0]]), step=2)
+        base = normalize_base(from_blocks([[3.0, 4.0], [0.0, 0.0]]), step=2)
         assert base.b.blocks[0] == pytest.approx([0.6, 0.8], rel=1e-15)
         assert degenerate_layers(base) == {1}
         assert np.all(base.b.blocks[1] == 0.0)
@@ -47,20 +47,20 @@ class TestNormalizeBase:
 
 class TestDecompose:
     def test_axis_aligned(self):
-        base = normalize_base(LayeredVector.from_blocks([[1.0, 0.0]]), step=0)
-        dec = decompose(LayeredVector.from_blocks([[3.0, 4.0]]), base)
+        base = normalize_base(from_blocks([[1.0, 0.0]]), step=0)
+        dec = decompose(from_blocks([[3.0, 4.0]]), base)
         assert dec.alphas == pytest.approx([3.0])
         assert dec.g_perp.blocks[0] == pytest.approx([0.0, 4.0])
 
     def test_parallel_gradient(self):
-        base = normalize_base(LayeredVector.from_blocks([[0.6, 0.8]]), step=0)
-        dec = decompose(LayeredVector.from_blocks([[3.0, 4.0]]), base)
+        base = normalize_base(from_blocks([[0.6, 0.8]]), step=0)
+        dec = decompose(from_blocks([[3.0, 4.0]]), base)
         assert dec.alphas == pytest.approx([5.0], rel=1e-12)
         assert l2_norm(dec.g_perp) <= 1e-12
 
     def test_degenerate_layer_passthrough(self):
-        base = normalize_base(LayeredVector.from_blocks([[1.0, 0.0], [0.0, 0.0]]), step=0)
-        g = LayeredVector.from_blocks([[1.0, 2.0], [3.0, 4.0]])
+        base = normalize_base(from_blocks([[1.0, 0.0], [0.0, 0.0]]), step=0)
+        g = from_blocks([[1.0, 2.0], [3.0, 4.0]])
         dec = decompose(g, base)
         assert dec.alphas[1] == 0.0
         assert np.array_equal(dec.g_perp.blocks[1], g.blocks[1])
@@ -136,10 +136,10 @@ class TestDecomposeBatch:
         gs = [random_vector(dims, i, scale=2.0) for i in range(8)]
         decs = decompose_batch(gs, base)
         mean_alpha = np.mean([d.alphas for d in decs], axis=0)
-        mean_perp = LayeredVector.from_blocks(
+        mean_perp = from_blocks(
             [np.mean([d.g_perp.blocks[l] for d in decs], axis=0) for l in range(len(dims))]
         )
-        mean_g = LayeredVector.from_blocks(
+        mean_g = from_blocks(
             [np.mean([g.blocks[l] for g in gs], axis=0) for l in range(len(dims))]
         )
         direct = decompose(mean_g, base)

@@ -11,7 +11,7 @@ from dplab import (
     normalize_base,
     steps_to_target_loss,
 )
-from tests.conftest import random_vector, scale
+from tests.conftest import from_blocks, random_vector, scale
 
 
 class TestCoherenceStats:
@@ -20,8 +20,8 @@ class TestCoherenceStats:
         assert coherence_stats(v, v) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_equal_norm(self):
-        a = LayeredVector.from_blocks([[1.0, 0.0]])
-        b = LayeredVector.from_blocks([[0.0, 1.0]])
+        a = from_blocks([[1.0, 0.0]])
+        b = from_blocks([[0.0, 1.0]])
         assert coherence_stats(a, b) == 0.0
 
     def test_opposite_vectors(self):

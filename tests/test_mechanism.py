@@ -23,12 +23,12 @@ from dplab import (
 )
 from dplab.decomposition import normalize_base
 from dplab.mechanism import DifferenceRows, OrthogonalRows
-from tests.conftest import concat, random_problem, random_vector, scale, tilted
+from tests.conftest import concat, from_blocks, random_problem, random_vector, scale, tilted
 
 
 class TestClipToNorm:
     def test_halves_overlong_vector(self):
-        v = LayeredVector.from_blocks([[0.0, 2.0]])
+        v = from_blocks([[0.0, 2.0]])
         out = clip_to_norm(v, 1.0)
         assert list(out.blocks[0]) == [0.0, 1.0]
 
@@ -91,7 +91,7 @@ class TestAggregateAndPerturb:
         assert concat(out) == pytest.approx(expected, rel=1e-12)
 
     def test_single_overlong_sample_halved(self):
-        v = LayeredVector.from_blocks([[0.0, 4.0]])  # norm 4 = 2c
+        v = from_blocks([[0.0, 4.0]])  # norm 4 = 2c
         out = aggregate_and_perturb([v], 2.0, 0.0)
         assert list(out.blocks[0]) == [0.0, 2.0]
 

@@ -21,7 +21,13 @@ from dplab import (
     sub,
 )
 from dplab.models import EVAL_CHUNK_BYTES, EvalWindow, Model, _chunk_rows, _forward, evaluate
-from tests.conftest import mean_gradient, random_problem, random_vector, row_major_evaluate
+from tests.conftest import (
+    from_blocks,
+    mean_gradient,
+    random_problem,
+    random_vector,
+    row_major_evaluate,
+)
 
 
 def loss_oracle(model, batch):
@@ -56,12 +62,12 @@ def finite_difference_gradient(model, batch, h=1e-5):
         for j in range(block.size):
             orig = block[j]
             block[j] = orig + h
-            up = loss(type(model)(model.arch, LayeredVector.from_blocks(blocks)), batch)
+            up = loss(type(model)(model.arch, from_blocks(blocks)), batch)
             block[j] = orig - h
-            down = loss(type(model)(model.arch, LayeredVector.from_blocks(blocks)), batch)
+            down = loss(type(model)(model.arch, from_blocks(blocks)), batch)
             block[j] = orig
             grad_blocks[li][j] = (up - down) / (2 * h)
-    return LayeredVector.from_blocks(grad_blocks)
+    return from_blocks(grad_blocks)
 
 
 class TestLoss:
@@ -74,7 +80,7 @@ class TestLoss:
     def test_confident_correct_logits_drive_loss_to_zero(self):
         arch = logistic_regression(1, 2)
         # weight column for class 1 is huge: x=1, y=1 is classified with margin 50
-        params = LayeredVector.from_blocks([[-25.0, 25.0], [0.0, 0.0]])
+        params = from_blocks([[-25.0, 25.0], [0.0, 0.0]])
         model = type(init_model(arch, 0))(arch, params)
         batch = Batch(np.array([[1.0]]), np.array([1]))
         assert loss(model, batch) < 1e-8
@@ -106,7 +112,7 @@ class TestPerSampleGradients:
     def test_binary_logistic_closed_form(self):
         arch = logistic_regression(3, 2)
         w1 = np.array([0.3, -0.2, 0.5])
-        params = LayeredVector.from_blocks(
+        params = from_blocks(
             [np.stack([np.zeros(3), w1], axis=1).ravel(), np.zeros(2)]
         )
         model = type(init_model(arch, 0))(arch, params)
@@ -123,7 +129,7 @@ class TestPerSampleGradients:
             model, batch = random_problem(seed, activation="tanh")
             assert model.params.total_dim <= 60
             grads = per_sample_gradients(model, batch)
-            mean = LayeredVector.from_blocks(
+            mean = from_blocks(
                 [np.mean([g.blocks[l] for g in grads], axis=0) for l in range(grads[0].layer_count)]
             )
             fd = finite_difference_gradient(model, batch)
@@ -146,7 +152,7 @@ class TestPerSampleGradients:
         for seed in range(4):
             model, batch = random_problem(seed + 40)
             grads = per_sample_gradients(model, batch)
-            stacked = LayeredVector.from_blocks(
+            stacked = from_blocks(
                 [np.mean([g.blocks[l] for g in grads], axis=0) for l in range(grads[0].layer_count)]
             )
             direct = mean_gradient(model, batch)
@@ -175,8 +181,8 @@ class TestApplyUpdate:
 
     def test_hand_case(self):
         arch = logistic_regression(1, 2)
-        model = type(init_model(arch, 0))(arch, LayeredVector.from_blocks([[1.0, 1.0], [1.0, 1.0]]))
-        direction = LayeredVector.from_blocks([[2.0, -2.0], [0.0, 0.0]])
+        model = type(init_model(arch, 0))(arch, from_blocks([[1.0, 1.0], [1.0, 1.0]]))
+        direction = from_blocks([[2.0, -2.0], [0.0, 0.0]])
         out = apply_update(model, direction, 0.5)
         assert list(out.params.blocks[0]) == [0.0, 2.0]
 

@@ -44,6 +44,7 @@ from tests.conftest import (
     allclose,
     degenerate_layers,
     dot_layer,
+    from_blocks,
     random_problem,
     random_vector,
     row_major_evaluate,
@@ -56,7 +57,7 @@ SILENT = NoisePlan(0.0, 0.0, 0.0)
 
 
 def mean_of(vectors):
-    return LayeredVector.from_blocks(
+    return from_blocks(
         [np.mean([v.blocks[l] for v in vectors], axis=0) for l in range(vectors[0].layer_count)]
     )
 

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from dplab import (
     l2_norm,
     l2_norm_layer,
 )
-from tests.conftest import concat, dot_layer, random_vector, scale
+from dplab import vectors
+from dplab.vectors import standard_normal
+from tests.conftest import concat, dot_layer, from_blocks, random_vector, scale
 
 
 @st.composite
@@ -23,17 +26,17 @@ def layered_pairs(draw):
     values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     a = [draw(st.lists(values, min_size=d, max_size=d)) for d in dims]
     b = [draw(st.lists(values, min_size=d, max_size=d)) for d in dims]
-    return LayeredVector.from_blocks(a), LayeredVector.from_blocks(b)
+    return from_blocks(a), from_blocks(b)
 
 
 class TestDot:
     def test_hand_arithmetic(self):
-        a = LayeredVector.from_blocks([[1.0, 0.0, 2.0]])
-        b = LayeredVector.from_blocks([[3.0, 1.0, 0.0]])
+        a = from_blocks([[1.0, 0.0, 2.0]])
+        b = from_blocks([[3.0, 1.0, 0.0]])
         assert dot(a, b) == 3.0
 
     def test_norm_identity(self):
-        a = LayeredVector.from_blocks([[3.0, 4.0]])
+        a = from_blocks([[3.0, 4.0]])
         assert dot(a, a) == 25.0
 
     def test_against_compensated_summation_oracle(self):
@@ -45,8 +48,8 @@ class TestDot:
         assert dot(a, b) == pytest.approx(oracle, rel=1e-12)
 
     def test_shape_mismatch(self):
-        a = LayeredVector.from_blocks([[1.0, 2.0]])
-        b = LayeredVector.from_blocks([[1.0], [2.0]])
+        a = from_blocks([[1.0, 2.0]])
+        b = from_blocks([[1.0], [2.0]])
         with pytest.raises(ContractViolation):
             dot(a, b)
 
@@ -60,7 +63,7 @@ class TestDot:
 
 class TestNorm:
     def test_three_four_five(self):
-        assert l2_norm(LayeredVector.from_blocks([[3.0, 4.0]])) == 5.0
+        assert l2_norm(from_blocks([[3.0, 4.0]])) == 5.0
 
     def test_zero_vector(self):
         assert l2_norm(LayeredVector.zeros((4, 3))) == 0.0
@@ -71,7 +74,7 @@ class TestNorm:
         assert l2_norm(v) == pytest.approx(oracle, rel=1e-12)
 
     def test_per_layer_variant(self):
-        v = LayeredVector.from_blocks([[3.0, 4.0], [5.0, 12.0]])
+        v = from_blocks([[3.0, 4.0], [5.0, 12.0]])
         assert l2_norm_layer(v, 0) == 5.0
         assert l2_norm_layer(v, 1) == 13.0
 
@@ -95,8 +98,8 @@ class TestAxpy:
         assert axpy(1.0, x, y).equals(LayeredVector.zeros(x.layer_dims))
 
     def test_hand_case(self):
-        x = LayeredVector.from_blocks([[2.0, 4.0]])
-        y = LayeredVector.from_blocks([[1.0, 1.0]])
+        x = from_blocks([[2.0, 4.0]])
+        y = from_blocks([[1.0, 1.0]])
         out = axpy(-0.5, x, y)
         assert list(out.blocks[0]) == [0.0, -1.0]
 
@@ -108,15 +111,15 @@ class TestAxpy:
 class TestConstruction:
     def test_rejects_non_finite(self):
         with pytest.raises(ContractViolation):
-            LayeredVector.from_blocks([[1.0, math.nan]])
+            from_blocks([[1.0, math.nan]])
         with pytest.raises(ContractViolation):
-            LayeredVector.from_blocks([[math.inf]])
+            from_blocks([[math.inf]])
 
     def test_rejects_empty(self):
         with pytest.raises(ContractViolation):
             LayeredVector(())
         with pytest.raises(ContractViolation):
-            LayeredVector.from_blocks([[]])
+            from_blocks([[]])
 
     def test_blocks_read_only(self):
         v = random_vector((3,), seed=9)
@@ -176,6 +179,119 @@ class TestGaussianSample:
         gaussian_sample(RngStream(3, 10, "noise-alpha"), (10,), 1.0)
         again = gaussian_sample(RngStream(3, 9, "noise-alpha"), (10,), 1.0)
         assert first.equals(again)
+
+
+class TestStandardNormal:
+    """The split draw is the one-stream draw, byte for byte, on any number of
+    cores. The core probe is monkeypatched to force the worker count."""
+
+    @staticmethod
+    def assert_one_stream(stream, shape):
+        drawn = standard_normal(stream, shape)
+        assert drawn.shape == shape and drawn.dtype == np.float64 and drawn.flags.c_contiguous
+        expected = stream.generator().standard_normal(shape)
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+    @staticmethod
+    def record_starts(monkeypatch) -> list:
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recording)
+        return started
+
+    @pytest.fixture
+    def small_parts(self, monkeypatch):
+        """Parts of about a thousand normals, recorded every 256: many
+        stitches, each with several marks, in little time."""
+        monkeypatch.setattr(vectors, "_MIN_PART", 1000)
+        monkeypatch.setattr(vectors, "_CHUNK", 256)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    def test_worker_counts_mid_row(self, monkeypatch, cores):
+        monkeypatch.setattr(vectors, "_usable_cores", lambda: cores)
+        started = self.record_starts(monkeypatch)
+        shape = (1201, 1799)  # 4 parts of >= _MIN_PART normals
+        size = shape[0] * shape[1]
+        assert all(k * size // cores % shape[1] for k in range(1, cores))  # mid-row bounds
+        self.assert_one_stream(RngStream(5, 0, "synthetic-data"), shape)
+        assert len(started) == cores - 1
+
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(1000, 7), (97, 131), (4096, 3)])
+    def test_many_small_stitches(self, monkeypatch, small_parts, cores, shape):
+        monkeypatch.setattr(vectors, "_usable_cores", lambda: cores)
+        for seed in range(6):
+            self.assert_one_stream(RngStream(seed, 1, "synthetic-data"), shape)
+
+    @pytest.mark.parametrize("size", [2 * vectors._MIN_PART - 1, 2 * vectors._MIN_PART])
+    def test_sizes_at_the_floor(self, monkeypatch, size):
+        monkeypatch.setattr(vectors, "_usable_cores", lambda: 2)
+        started = self.record_starts(monkeypatch)
+        for seed in range(3):
+            self.assert_one_stream(RngStream(seed, 0, "noise-g"), (size,))
+        assert len(started) == (3 if size >= 2 * vectors._MIN_PART else 0)
+
+    def test_no_thread_outlives_the_draw(self, monkeypatch):
+        monkeypatch.setattr(vectors, "_usable_cores", lambda: 4)
+        started = self.record_starts(monkeypatch)
+        before = threading.active_count()
+        standard_normal(RngStream(0, 0, "synthetic-data"), (4 * vectors._MIN_PART,))
+        assert len(started) == 3 and not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
+
+    @staticmethod
+    def record_stitches(monkeypatch) -> list:
+        """Whether each stitch kept the worker's draws (else it fell back)."""
+        stitch, kept = vectors._stitch, []
+
+        def recording(gen, lo, part, worker, marks):
+            result = stitch(gen, lo, part, worker, marks)
+            kept.append(result is worker)
+            return result
+
+        monkeypatch.setattr(vectors, "_stitch", recording)
+        return kept
+
+    def test_stitches_keep_the_workers_draws(self, monkeypatch, small_parts):
+        monkeypatch.setattr(vectors, "_usable_cores", lambda: 3)
+        kept = self.record_stitches(monkeypatch)
+        self.assert_one_stream(RngStream(2, 0, "synthetic-data"), (300, 11))
+        assert kept == [True, True]
+
+    def test_probe_miss_falls_back_to_one_stream(self, monkeypatch, small_parts):
+        monkeypatch.setattr(vectors, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(vectors, "_find_shift", lambda gen, lo, part: None)
+        kept = self.record_stitches(monkeypatch)
+        self.assert_one_stream(RngStream(2, 0, "synthetic-data"), (300, 11))
+        assert kept == [False, False]
+
+    def test_wrong_shift_fails_the_state_check(self, monkeypatch, small_parts):
+        monkeypatch.setattr(vectors, "_usable_cores", lambda: 3)
+        find_shift = vectors._find_shift
+        monkeypatch.setattr(vectors, "_find_shift", lambda *args: find_shift(*args) + 1)
+        kept = self.record_stitches(monkeypatch)
+        self.assert_one_stream(RngStream(2, 0, "synthetic-data"), (300, 11))
+        assert kept == [False, False]
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, small_parts):
+        monkeypatch.setattr(vectors, "_usable_cores", lambda: 3)
+        draw_from = vectors._draw_from
+
+        def failing(key, lo, part):
+            if lo > 0:
+                raise RuntimeError(f"part at {lo} failed")
+            return draw_from(key, lo, part)
+
+        monkeypatch.setattr(vectors, "_draw_from", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="part at 1100 failed"):
+            standard_normal(RngStream(2, 0, "synthetic-data"), (300, 11))
+        assert threading.active_count() == before
 
 
 # Philox keys of the streams every run draws from, at two (seed, step) pairs;
