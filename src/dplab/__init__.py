@@ -45,13 +45,11 @@ from .models import (
     Batch,
     GradientFactors,
     Model,
-    accuracy,
     apply_update,
     backprop,
     evaluate,
     init_model,
     logistic_regression,
-    loss,
     mlp,
     per_sample_gradients,
 )

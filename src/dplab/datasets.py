@@ -136,10 +136,10 @@ def gen_synthetic(
 
     Built in place as std * z plus margin/sqrt(2) on each example's center
     axis, which equals center + std * z except that an off-axis std * z
-    underflowing to -0.0 keeps its sign. z is the (n, d_in) standard normal
-    draw of stream ``(seed, 0, "synthetic-data")``; a large one is drawn on
-    every usable core (:func:`dplab.vectors.standard_normal`) and is the same
-    bytes on any number of cores.
+    underflowing to -0.0 keeps its sign. z is the (n, d_in) draw of
+    :func:`dplab.vectors.standard_normal` from stream
+    ``(seed, 0, "synthetic-data")``: the stream itself up to 2^20 normals,
+    fixed jumped blocks of it beyond, the same bytes on any number of cores.
     """
     if n_classes < 2:
         raise ContractViolation(f"need at least 2 classes, got {n_classes}")
@@ -155,7 +155,8 @@ def gen_synthetic(
         raise ContractViolation(f"std must be positive, got {std!r}")
     labels = np.arange(n, dtype=np.int64) % n_classes
     inputs = standard_normal(RngStream(seed, 0, "synthetic-data"), (n, d_in))
-    inputs *= std
+    if std != 1.0:
+        inputs *= std
     inputs[np.arange(n), labels] += margin / math.sqrt(2.0)
     return Dataset(f"synthetic-n{n}-d{d_in}-c{n_classes}", inputs, labels, n_classes)
 

@@ -24,8 +24,8 @@ stacked first-layer product, then stacked biases, activations and later
 products, then max, log-sum-exp and hits over the class axis. A chunk holds
 as many samples as keep its working arrays within
 :data:`EVAL_CHUNK_BYTES`, so the product runs near its single-call speed
-and the memory does not grow with n. :func:`evaluate` (and so :func:`loss`
-and :func:`accuracy`) is the window of one model.
+and the memory does not grow with n. :func:`evaluate` is the window of one
+model.
 """
 
 from __future__ import annotations
@@ -44,13 +44,11 @@ __all__ = [
     "EvalWindow",
     "GradientFactors",
     "Model",
-    "accuracy",
     "apply_update",
     "backprop",
     "evaluate",
     "init_model",
     "logistic_regression",
-    "loss",
     "mlp",
     "per_sample_gradients",
 ]
@@ -319,16 +317,6 @@ def evaluate(model: Model, batch: Batch) -> tuple[float, float]:
     return window.evaluate()[0]
 
 
-def loss(model: Model, batch: Batch) -> float:
-    """Mean cross-entropy over the batch; nonnegative."""
-    return evaluate(model, batch)[0]
-
-
-def accuracy(model: Model, inputs: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose largest logit is at their label."""
-    return evaluate(model, Batch(inputs, labels))[1]
-
-
 def _softmax_delta(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
@@ -436,7 +424,7 @@ def backprop(model: Model, batch: Batch) -> GradientFactors:
 def per_sample_gradients(model: Model, batch: Batch) -> list[LayeredVector]:
     """One gradient per example, of that example's own cross-entropy.
 
-    The mean of the returned list equals the gradient of :func:`loss`.
+    The mean of the returned list equals the gradient of the mean loss.
     Results are returned in sample order. This expands every sample into
     its own vector; the trainers work on :func:`backprop`'s factors instead.
     """

@@ -10,8 +10,8 @@ Per-sample gradients are not: the trainers keep them as per-layer factors
 Reductions run per layer and then left-to-right across layers. Within a
 layer they use numpy's fixed pairwise summation, so results do not depend
 on scheduling or thread count. Random draws do not depend on it either: a
-large draw (:func:`standard_normal`) is split across the usable cores and
-stitched back into exactly the one-stream bytes.
+large draw (:func:`standard_normal`) is cut into fixed blocks, each from
+its own jumped Philox substream, whichever core draws it.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -142,8 +143,8 @@ class RngStream:
     The stream is a pure function of ``(root_seed, step, tag)``: seed, step
     and channel; distinct addresses give statistically independent streams.
     A counter-based generator (Philox) keyed by a hash of the address makes
-    draws independent of call order and thread count, and of the number of
-    workers :func:`standard_normal` splits a draw across. The hash ends with a
+    draws independent of call order and thread count, and gives
+    :func:`standard_normal` its jumped substreams. The hash ends with a
     constant -1 slot that every key includes; dropping it would move every stream.
     """
 
@@ -173,13 +174,9 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=self._philox_key()))
 
 
-# Normals per part below which a draw stays on the calling thread: on a 2-vCPU
-# host two parts break even near 2^17 normals each, and save 17 % at 2^18 and
-# about 40 % at 2^19. Then the normals per recorded state and per move, and
-# the probe length.
-_MIN_PART = 1 << 19
-_CHUNK = 1 << 16
-_PROBE = 64
+# Normals per block of a large draw: block b is drawn from the Philox stream
+# jumped b times, so a draw of at most _BLOCK normals is the stream itself.
+_BLOCK = 1 << 20
 
 
 def _usable_cores() -> int:
@@ -190,127 +187,33 @@ def _usable_cores() -> int:
 
 
 def standard_normal(stream: RngStream, shape) -> np.ndarray:
-    """Exactly ``stream.generator().standard_normal(shape)``, drawn on every
-    usable core once each core gets at least ``_MIN_PART`` normals.
+    """Standard normals of the given shape, drawn in blocks of ``_BLOCK``.
 
-    Part k of the flat output is drawn from raw position ``lo_k`` (its first
-    index): every normal reads at least one raw draw, so the earlier parts
-    end at or after it. After the join each part is stitched to the true end
-    of the part before it (:func:`_stitch`), so the bytes do not depend on
-    the number of parts. Every thread is joined before this returns, and an
-    exception raised in a part is raised here.
+    Block b of the flat output is the draw of ``Philox(key).jumped(b)``, so
+    the bytes do not depend on the core count, and a draw of at most
+    ``_BLOCK`` normals is ``stream.generator().standard_normal(shape)``.
+    ``min(cores, blocks)`` workers share the blocks round-robin: the calling
+    thread and one pool task each, and the pool starts threads only for its
+    tasks, so with one worker none starts. Every thread is joined before
+    this returns, and an exception raised in one is raised here.
     """
     out = np.empty(shape)
     flat = out.reshape(-1)
-    parts = min(_usable_cores(), flat.size // _MIN_PART)
-    if parts < 2:
-        stream.generator().standard_normal(out=out)
-        return out
-    key = stream._philox_key()
-    bounds = [k * flat.size // parts for k in range(parts + 1)]
-    slices = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    drawn: list = [None] * parts
-
-    def draw(k: int) -> None:
-        try:
-            drawn[k] = _draw_from(key, bounds[k], slices[k])
-        except BaseException as exc:  # raised on the calling thread below
-            drawn[k] = exc
-
-    threads = []
-    try:
-        for k in range(1, parts):
-            thread = threading.Thread(target=draw, args=(k,))
-            thread.start()
-            threads.append(thread)
+    workers = max(1, min(_usable_cores(), -(-flat.size // _BLOCK)))
+    draw = partial(_draw_blocks, stream._philox_key(), flat, workers)
+    with ThreadPoolExecutor(workers) as pool:
+        rest = [pool.submit(draw, k) for k in range(1, workers)]
         draw(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for result in drawn:
-        if isinstance(result, BaseException):
-            raise result
-    gen = drawn[0][0]
-    for k in range(1, parts):
-        worker, marks = drawn[k]
-        gen = _stitch(gen, bounds[k], slices[k], worker, marks)
+        for future in rest:
+            future.result()
     return out
 
 
-def _draw_from(key: int, lo: int, part: np.ndarray):
-    """Fill ``part`` with normals from raw position ``lo`` of the Philox
-    stream ``key``; returns the generator and its state after each chunk."""
-    bits = np.random.Philox(key=key)
-    bits.advance(lo // 4)  # the counter counts blocks of four raw draws
-    bits.random_raw(lo % 4)
-    gen = np.random.Generator(bits)
-    marks = []
-    for start in range(0, part.size, _CHUNK):
-        stop = min(start + _CHUNK, part.size)
-        gen.standard_normal(out=part[start:stop])
-        marks.append((stop, bits.state))
-    return gen, marks
-
-
-def _raw_position(state: dict) -> int:
-    """Raw draws made by a Philox generator that started at counter 0: it
-    steps its counter before each block of four."""
-    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
-    return 4 * counter + state["buffer_pos"] - 4
-
-
-def _same_state(a, b) -> bool:
-    if isinstance(a, dict):
-        return isinstance(b, dict) and a.keys() == b.keys() and all(
-            _same_state(a[k], b[k]) for k in a
-        )
-    return np.array_equal(a, b)
-
-
-def _find_shift(gen: np.random.Generator, lo: int, part: np.ndarray) -> int | None:
-    """How far ``part`` (drawn from raw position ``lo``) runs ahead of the
-    normals that follow ``gen``: the s with part[i + s] holding the i-th of
-    them, read off where a probe of them appears. None if it does not; the
-    caller still checks the answer against a recorded state."""
-    start = gen.bit_generator.state
-    probe = gen.standard_normal(_PROBE).view(np.uint64)
-    # part[j] starts at raw position >= lo + j, and every probe normal
-    # starts before the probe's end, so a match lies below this bound
-    reach = _raw_position(gen.bit_generator.state) - lo
-    gen.bit_generator.state = start
-    drawn = part.view(np.uint64)
-    for m in range(_PROBE):
-        for j in np.flatnonzero(drawn[:reach] == probe[m]):
-            n = min(_PROBE - m, part.size - j)
-            if j >= m and np.array_equal(drawn[j : j + n], probe[m : m + n]):
-                return int(j) - m
-    return None
-
-
-def _stitch(gen: np.random.Generator, lo: int, part: np.ndarray, worker, marks):
-    """Turn ``part``, drawn by ``worker`` from raw position ``lo`` with its
-    state recorded at ``marks``, into the normals that follow ``gen``; returns
-    a generator at the end of them.
-
-    A shift is accepted only when ``gen``, having drawn the head of the part
-    up to a mark, has exactly the state ``worker`` recorded there: from that
-    raw position on the two read the same draws. The rest of the part then
-    moves left by the shift in chunks, and ``worker``, now in step, draws
-    the last ``shift`` slots. Otherwise ``gen`` draws the rest itself."""
-    shift = _find_shift(gen, lo, part)
-    rest = part
-    if shift is not None:
-        stop, state = next((stop, state) for stop, state in marks if stop > shift)
-        gen.standard_normal(out=part[: stop - shift])
-        if _same_state(gen.bit_generator.state, state):
-            for start in range(stop, part.size, _CHUNK):
-                end = min(start + _CHUNK, part.size)
-                part[start - shift : end - shift] = part[start:end]
-            worker.standard_normal(out=part[part.size - shift :])
-            return worker
-        rest = part[stop - shift :]
-    gen.standard_normal(out=rest)
-    return gen
+def _draw_blocks(key: int, flat: np.ndarray, step: int, first: int) -> None:
+    """Draws blocks ``first``, ``first + step``, ... of ``flat``."""
+    for lo in range(first * _BLOCK, flat.size, step * _BLOCK):
+        gen = np.random.Generator(np.random.Philox(key=key).jumped(lo // _BLOCK))
+        gen.standard_normal(out=flat[lo : lo + _BLOCK])
 
 
 def gaussian_sample(stream: RngStream, layer_dims, std: float) -> LayeredVector:

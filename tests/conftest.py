@@ -52,6 +52,16 @@ def mean_gradient(model, batch) -> LayeredVector:
     return LayeredVector(tuple(t / grads.size for t in total))
 
 
+def jumped_block_normals(stream, size: int, block: int = 1 << 20) -> np.ndarray:
+    """Reference for a large standard normal draw: block b of ``block``
+    normals from the stream's Philox jumped b times, concatenated."""
+    bits = np.random.Philox(key=stream._philox_key())
+    return np.concatenate([
+        np.random.Generator(bits.jumped(b)).standard_normal(min(block, size - lo))
+        for b, lo in enumerate(range(0, size, block))
+    ])
+
+
 def random_vector(layer_dims, seed, scale=1.0) -> LayeredVector:
     gen = np.random.Generator(np.random.Philox(key=seed))
     return LayeredVector(tuple(gen.standard_normal(d) * scale for d in layer_dims))

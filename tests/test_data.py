@@ -15,14 +15,14 @@ from dplab import (
     IdxFormatError,
     RngStream,
     apply_update,
+    evaluate,
     gen_synthetic,
     init_model,
     load_idx_pair,
     logistic_regression,
     poisson_sample,
 )
-from dplab.models import accuracy
-from tests.conftest import mean_gradient
+from tests.conftest import jumped_block_normals, mean_gradient
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
@@ -114,7 +114,7 @@ class TestSynthetic:
         batch = Batch(ds.inputs, ds.labels)
         for _ in range(300):
             model = apply_update(model, mean_gradient(model, batch), 0.5)
-        assert accuracy(model, ds.inputs, ds.labels) > 0.99
+        assert evaluate(model, batch)[1] > 0.99
 
     @pytest.mark.parametrize(
         "n, d_in, n_classes, margin, seed, std",
@@ -124,16 +124,23 @@ class TestSynthetic:
             (400, 6, 3, 9.0, 1, 1e-9),
             (333, 50, 2, 12.0, 7, 0.3),
             (1000, 784, 10, 12.0, 21, 1.0),
-            (10000, 784, 10, 12.0, 3, 1.0),  # the benchmark shape: drawn on every core
+            (10000, 784, 10, 12.0, 3, 1.0),  # the benchmark shape: more than one block
         ],
     )
     def test_equals_centers_plus_noise(self, n, d_in, n_classes, margin, seed, std):
-        """The in-place build equals the reference centers[labels] + std * z."""
+        """The in-place build equals the reference centers[labels] + std * z,
+        where z is the one stream up to 2^20 normals and, beyond, block b of
+        2^20 normals is drawn from the stream jumped b times."""
         ds = gen_synthetic(n, d_in, n_classes, margin, seed, std)
         centers = np.zeros((n_classes, d_in))
         np.fill_diagonal(centers[:, :n_classes], margin / math.sqrt(2.0))
         labels = np.arange(n, dtype=np.int64) % n_classes
-        noise = std * RngStream(seed, 0, "synthetic-data").generator().standard_normal((n, d_in))
+        stream = RngStream(seed, 0, "synthetic-data")
+        if n * d_in <= 1 << 20:
+            z = stream.generator().standard_normal((n, d_in))
+        else:
+            z = jumped_block_normals(stream, n * d_in).reshape(n, d_in)
+        noise = std * z
         assert np.array_equal(ds.inputs, centers[labels] + noise)
         assert np.array_equal(ds.labels, labels)
         assert ds.name == f"synthetic-n{n}-d{d_in}-c{n_classes}"

@@ -10,12 +10,10 @@ from dplab import (
     Batch,
     ContractViolation,
     LayeredVector,
-    accuracy,
     apply_update,
     init_model,
     l2_norm,
     logistic_regression,
-    loss,
     mlp,
     per_sample_gradients,
     sub,
@@ -62,9 +60,9 @@ def finite_difference_gradient(model, batch, h=1e-5):
         for j in range(block.size):
             orig = block[j]
             block[j] = orig + h
-            up = loss(type(model)(model.arch, from_blocks(blocks)), batch)
+            up = evaluate(type(model)(model.arch, from_blocks(blocks)), batch)[0]
             block[j] = orig - h
-            down = loss(type(model)(model.arch, from_blocks(blocks)), batch)
+            down = evaluate(type(model)(model.arch, from_blocks(blocks)), batch)[0]
             block[j] = orig
             grad_blocks[li][j] = (up - down) / (2 * h)
     return from_blocks(grad_blocks)
@@ -75,7 +73,7 @@ class TestLoss:
         arch = logistic_regression(4, 10)
         model = type(init_model(arch, 0))(arch, LayeredVector.zeros(arch.parameter_layer_dims()))
         batch = Batch(np.ones((3, 4)), np.array([0, 5, 9]))
-        assert loss(model, batch) == pytest.approx(math.log(10), rel=1e-12)
+        assert evaluate(model, batch)[0] == pytest.approx(math.log(10), rel=1e-12)
 
     def test_confident_correct_logits_drive_loss_to_zero(self):
         arch = logistic_regression(1, 2)
@@ -83,29 +81,29 @@ class TestLoss:
         params = from_blocks([[-25.0, 25.0], [0.0, 0.0]])
         model = type(init_model(arch, 0))(arch, params)
         batch = Batch(np.array([[1.0]]), np.array([1]))
-        assert loss(model, batch) < 1e-8
+        assert evaluate(model, batch)[0] < 1e-8
 
     def test_against_independent_oracle(self):
         for seed in range(5):
             model, batch = random_problem(seed)
-            assert loss(model, batch) == pytest.approx(loss_oracle(model, batch), rel=1e-10)
+            assert evaluate(model, batch)[0] == pytest.approx(loss_oracle(model, batch), rel=1e-10)
 
     def test_label_out_of_range(self):
         model, _ = random_problem(0, d_in=3, n_classes=2, batch=1)
         bad = Batch(np.zeros((1, 3)), np.array([2]))
         with pytest.raises(ContractViolation):
-            loss(model, bad)
+            evaluate(model, bad)
 
     def test_empty_batch_rejected(self):
         model, _ = random_problem(0, d_in=3)
         with pytest.raises(ContractViolation):
-            loss(model, Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
+            evaluate(model, Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
 
     def test_order_invariance(self):
         model, batch = random_problem(3, batch=5)
         perm = np.array([4, 2, 0, 1, 3])
         shuffled = Batch(batch.inputs[perm], batch.labels[perm])
-        assert loss(model, shuffled) == pytest.approx(loss(model, batch), rel=1e-12)
+        assert evaluate(model, shuffled)[0] == pytest.approx(evaluate(model, batch)[0], rel=1e-12)
 
 
 class TestPerSampleGradients:
@@ -188,9 +186,9 @@ class TestApplyUpdate:
 
     def test_descent_does_not_increase_convex_loss(self):
         model, batch = random_problem(5, hidden=(), batch=5)
-        before = loss(model, batch)
+        before = evaluate(model, batch)[0]
         after = apply_update(model, mean_gradient(model, batch), 0.01)
-        assert loss(after, batch) <= before + 1e-12
+        assert evaluate(after, batch)[0] <= before + 1e-12
 
 
 class TestInit:
@@ -225,11 +223,13 @@ class TestInit:
 
 class TestEvaluate:
     def test_matches_loss_and_accuracy(self):
+        """Against the plain-python loss oracle and a count of argmax hits."""
         model, batch = random_problem(8, batch=5)
         ls, acc = evaluate(model, batch)
-        assert ls == pytest.approx(loss(model, batch), rel=1e-12)
-        assert 0.0 <= acc <= 1.0
-        assert acc == accuracy(model, batch.inputs, batch.labels)
+        assert ls == pytest.approx(loss_oracle(model, batch), rel=1e-10)
+        z, _, _ = _forward(model, batch.inputs)
+        hits = sum(int(np.argmax(row) == y) for row, y in zip(z, batch.labels))
+        assert acc == hits / batch.size
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -382,36 +382,38 @@ class TestEvalWindow:
 
 
 class TestAccuracy:
+    """The input checks of ``evaluate(model, Batch(inputs, labels))``."""
+
     def setup_method(self):
         self.model, self.batch = random_problem(4, d_in=3, hidden=(), n_classes=3, batch=6)
 
     def test_scalar_label_rejected(self):
         with pytest.raises(ContractViolation):
-            accuracy(self.model, self.batch.inputs[:1], 0)
+            evaluate(self.model, Batch(self.batch.inputs[:1], 0))
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ContractViolation):
-            accuracy(self.model, self.batch.inputs, np.full(self.batch.size, 3))
+            evaluate(self.model, Batch(self.batch.inputs, np.full(self.batch.size, 3)))
 
     def test_non_finite_input_rejected(self):
         inputs = self.batch.inputs.copy()
         inputs[0, 0] = np.nan
         with pytest.raises(ContractViolation):
-            accuracy(self.model, inputs, self.batch.labels)
+            evaluate(self.model, Batch(inputs, self.batch.labels))
 
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
-            accuracy(self.model, self.batch.inputs, self.batch.labels[:-1])
+            evaluate(self.model, Batch(self.batch.inputs, self.batch.labels[:-1]))
 
     def test_input_dimension_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
-            accuracy(self.model, self.batch.inputs[:, :2], self.batch.labels)
+            evaluate(self.model, Batch(self.batch.inputs[:, :2], self.batch.labels))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractViolation):
-            accuracy(self.model, np.zeros((0, 3)), np.zeros(0, dtype=int))
+            evaluate(self.model, Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
 
     def test_caller_arrays_stay_writable(self):
         inputs, labels = self.batch.inputs.copy(), self.batch.labels.copy()
-        accuracy(self.model, inputs, labels)
+        evaluate(self.model, Batch(inputs, labels))
         assert inputs.flags.writeable and labels.flags.writeable

@@ -17,7 +17,14 @@ from dplab import (
 )
 from dplab import vectors
 from dplab.vectors import standard_normal
-from tests.conftest import concat, dot_layer, from_blocks, random_vector, scale
+from tests.conftest import (
+    concat,
+    dot_layer,
+    from_blocks,
+    jumped_block_normals,
+    random_vector,
+    scale,
+)
 
 
 @st.composite
@@ -182,15 +189,16 @@ class TestGaussianSample:
 
 
 class TestStandardNormal:
-    """The split draw is the one-stream draw, byte for byte, on any number of
+    """Block b of the flat draw is the stream jumped b times, on any number of
     cores. The core probe is monkeypatched to force the worker count."""
 
     @staticmethod
-    def assert_one_stream(stream, shape):
+    def assert_jumped_blocks(stream, shape):
         drawn = standard_normal(stream, shape)
         assert drawn.shape == shape and drawn.dtype == np.float64 and drawn.flags.c_contiguous
-        expected = stream.generator().standard_normal(shape)
-        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+        expected = jumped_block_normals(stream, math.prod(shape))
+        assert np.array_equal(drawn.reshape(-1).view(np.uint64), expected.view(np.uint64))
+        return drawn
 
     @staticmethod
     def record_starts(monkeypatch) -> list:
@@ -204,92 +212,51 @@ class TestStandardNormal:
         monkeypatch.setattr(threading, "Thread", Recording)
         return started
 
-    @pytest.fixture
-    def small_parts(self, monkeypatch):
-        """Parts of about a thousand normals, recorded every 256: many
-        stitches, each with several marks, in little time."""
-        monkeypatch.setattr(vectors, "_MIN_PART", 1000)
-        monkeypatch.setattr(vectors, "_CHUNK", 256)
-
     @pytest.mark.parametrize("cores", [1, 2, 3, 4])
     def test_worker_counts_mid_row(self, monkeypatch, cores):
         monkeypatch.setattr(vectors, "_usable_cores", lambda: cores)
         started = self.record_starts(monkeypatch)
-        shape = (1201, 1799)  # 4 parts of >= _MIN_PART normals
-        size = shape[0] * shape[1]
-        assert all(k * size // cores % shape[1] for k in range(1, cores))  # mid-row bounds
-        self.assert_one_stream(RngStream(5, 0, "synthetic-data"), shape)
-        assert len(started) == cores - 1
+        shape = (2400, 1799)  # 5 blocks
+        assert vectors._BLOCK % shape[1]  # block bounds fall mid-row
+        self.assert_jumped_blocks(RngStream(5, 0, "synthetic-data"), shape)
+        assert len(started) < cores and bool(started) == (cores > 1)
+        assert not any(t.is_alive() for t in started)
 
-    @pytest.mark.parametrize("cores", [2, 3, 4])
-    @pytest.mark.parametrize("shape", [(1000, 7), (97, 131), (4096, 3)])
-    def test_many_small_stitches(self, monkeypatch, small_parts, cores, shape):
-        monkeypatch.setattr(vectors, "_usable_cores", lambda: cores)
-        for seed in range(6):
-            self.assert_one_stream(RngStream(seed, 1, "synthetic-data"), shape)
-
-    @pytest.mark.parametrize("size", [2 * vectors._MIN_PART - 1, 2 * vectors._MIN_PART])
+    @pytest.mark.parametrize("size", [(1 << 20) - 1, 1 << 20, (1 << 20) + 1])
     def test_sizes_at_the_floor(self, monkeypatch, size):
+        """Up to one block the draw is the stream itself, on the calling thread."""
         monkeypatch.setattr(vectors, "_usable_cores", lambda: 2)
         started = self.record_starts(monkeypatch)
         for seed in range(3):
-            self.assert_one_stream(RngStream(seed, 0, "noise-g"), (size,))
-        assert len(started) == (3 if size >= 2 * vectors._MIN_PART else 0)
+            stream = RngStream(seed, 0, "noise-g")
+            drawn = self.assert_jumped_blocks(stream, (size,))
+            one_stream = stream.generator().standard_normal(size)
+            assert np.array_equal(drawn.view(np.uint64), one_stream.view(np.uint64)) == (
+                size <= vectors._BLOCK
+            )
+        assert len(started) == (3 if size > vectors._BLOCK else 0)
 
     def test_no_thread_outlives_the_draw(self, monkeypatch):
         monkeypatch.setattr(vectors, "_usable_cores", lambda: 4)
         started = self.record_starts(monkeypatch)
         before = threading.active_count()
-        standard_normal(RngStream(0, 0, "synthetic-data"), (4 * vectors._MIN_PART,))
-        assert len(started) == 3 and not any(t.is_alive() for t in started)
+        standard_normal(RngStream(0, 0, "synthetic-data"), (4 * vectors._BLOCK,))
+        assert 0 < len(started) <= 3 and not any(t.is_alive() for t in started)
         assert threading.active_count() == before
 
-    @staticmethod
-    def record_stitches(monkeypatch) -> list:
-        """Whether each stitch kept the worker's draws (else it fell back)."""
-        stitch, kept = vectors._stitch, []
-
-        def recording(gen, lo, part, worker, marks):
-            result = stitch(gen, lo, part, worker, marks)
-            kept.append(result is worker)
-            return result
-
-        monkeypatch.setattr(vectors, "_stitch", recording)
-        return kept
-
-    def test_stitches_keep_the_workers_draws(self, monkeypatch, small_parts):
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(vectors, "_usable_cores", lambda: 3)
-        kept = self.record_stitches(monkeypatch)
-        self.assert_one_stream(RngStream(2, 0, "synthetic-data"), (300, 11))
-        assert kept == [True, True]
+        monkeypatch.setattr(vectors, "_BLOCK", 1000)
+        draw_blocks = vectors._draw_blocks
 
-    def test_probe_miss_falls_back_to_one_stream(self, monkeypatch, small_parts):
-        monkeypatch.setattr(vectors, "_usable_cores", lambda: 3)
-        monkeypatch.setattr(vectors, "_find_shift", lambda gen, lo, part: None)
-        kept = self.record_stitches(monkeypatch)
-        self.assert_one_stream(RngStream(2, 0, "synthetic-data"), (300, 11))
-        assert kept == [False, False]
+        def failing(key, flat, step, first):
+            if first > 0:
+                raise RuntimeError(f"blocks from {first} failed")
+            draw_blocks(key, flat, step, first)
 
-    def test_wrong_shift_fails_the_state_check(self, monkeypatch, small_parts):
-        monkeypatch.setattr(vectors, "_usable_cores", lambda: 3)
-        find_shift = vectors._find_shift
-        monkeypatch.setattr(vectors, "_find_shift", lambda *args: find_shift(*args) + 1)
-        kept = self.record_stitches(monkeypatch)
-        self.assert_one_stream(RngStream(2, 0, "synthetic-data"), (300, 11))
-        assert kept == [False, False]
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch, small_parts):
-        monkeypatch.setattr(vectors, "_usable_cores", lambda: 3)
-        draw_from = vectors._draw_from
-
-        def failing(key, lo, part):
-            if lo > 0:
-                raise RuntimeError(f"part at {lo} failed")
-            return draw_from(key, lo, part)
-
-        monkeypatch.setattr(vectors, "_draw_from", failing)
+        monkeypatch.setattr(vectors, "_draw_blocks", failing)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="part at 1100 failed"):
+        with pytest.raises(RuntimeError, match="blocks from 1 failed"):
             standard_normal(RngStream(2, 0, "synthetic-data"), (300, 11))
         assert threading.active_count() == before
 
