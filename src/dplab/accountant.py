@@ -7,8 +7,9 @@ subsampled Gaussian mechanism,
                        exp(k(k-1) / (2 sigma^2)) ) / (lambda - 1),
 
 evaluated in log space for all orders at once: the terms of every order sit
-on one (order, k) grid whose log-binomial coefficients are built at import,
-and one masked log-sum-exp per row gives the curve. Curves are composed
+on one (order, k) grid whose log-binomial coefficients are built at import
+and whose sigma-free terms are cached for the last few q, and one masked
+log-sum-exp per row gives the curve. Curves are composed
 additively over release events and converted to (eps, delta) by minimizing
 
     eps(lambda) = RDP_total(lambda) + log((lambda - 1) / lambda)
@@ -24,6 +25,7 @@ bisecting a single noise scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +74,15 @@ _LOG_BINOM = (
 )
 
 
+@functools.lru_cache(maxsize=4)
+def _sigma_free_terms(q: float) -> np.ndarray:
+    """The sigma-free part of the (order, k) grid at 0 < q < 1, read-only:
+    a calibration evaluates many sigmas at the same few q."""
+    terms = _LOG_BINOM + _K * math.log(q) + _NK * math.log1p(-q)
+    terms.setflags(write=False)
+    return terms
+
+
 def _validate_q(q: float) -> None:
     if not 0.0 <= q <= 1.0:
         raise ContractViolation(f"sampling ratio must be in [0, 1], got {q!r}")
@@ -110,7 +121,7 @@ def _rdp_vector(q: float, sigma: float) -> np.ndarray:
         if q == 1.0:
             return _ORDERS_ARR / two_var
         gauss = _KK1 / two_var
-    log_terms = _LOG_BINOM + _K * math.log(q) + _NK * math.log1p(-q) + gauss
+    log_terms = _sigma_free_terms(q) + gauss
     np.copyto(log_terms, -np.inf, where=_ABOVE)
     peak = log_terms.max(axis=1)
     overflowed = ~np.isfinite(peak)

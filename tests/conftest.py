@@ -131,6 +131,36 @@ def rdp_loop(q, sigma, order):
     return max(log_total / (order - 1), 0.0)
 
 
+_ORDERS = np.arange(2.0, 257.0)
+_K = np.arange(257.0)
+_NK = _ORDERS[:, None] - _K
+_LOG_BINOM = (
+    _LOG_FACT[_ORDERS.astype(np.intp), None]
+    - _LOG_FACT
+    - _LOG_FACT[np.maximum(_NK, 0.0).astype(np.intp)]
+)
+
+
+def rdp_grid_uncached(q, sigma):
+    """Reference RDP curve at orders 2..256 for 0 < q < 1: the accountant's
+    masked log-sum-exp over the (order, k) grid, with every term of the grid
+    built afresh in the order ((binomial + k log q) + (order - k) log(1 - q))
+    + k(k - 1) / (2 sigma^2)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gauss = _K * (_K - 1.0) / (2.0 * sigma * sigma)
+    log_terms = _LOG_BINOM + _K * math.log(q) + _NK * math.log1p(-q) + gauss
+    log_terms[_NK < 0] = -np.inf
+    peak = log_terms.max(axis=1)
+    overflowed = ~np.isfinite(peak)
+    log_terms[overflowed] = 0.0
+    peak[overflowed] = 0.0
+    log_terms -= peak[:, None]
+    log_total = peak + np.log(np.sum(np.exp(log_terms), axis=1))
+    rdp = np.maximum(log_total / (_ORDERS - 1.0), 0.0)
+    rdp[overflowed] = np.inf
+    return rdp
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=20240917))

@@ -19,7 +19,7 @@ from dplab import (
 from dplab import accountant
 from dplab.accountant import CALIBRATION_MAX_ITER, DEFAULT_ORDERS
 from dplab.errors import CalibrationError
-from tests.conftest import rdp_loop
+from tests.conftest import rdp_grid_uncached, rdp_loop
 
 
 def rdp_oracle(q, sigma, order):
@@ -149,6 +149,34 @@ class TestGridCurve:
         assert np.array_equal(np.isinf(ref), orders >= first_inf)
         finite = orders < first_inf
         np.testing.assert_allclose(curve[finite], ref[finite], rtol=1e-12)
+
+
+class TestSigmaFreeCache:
+    """The sigma-free grid terms are cached per q; the curves stay the ones
+    built from fresh terms, bit for bit."""
+
+    QS = (1e-4, 256 / 60000, 256 / 10000, 0.5, 0.99)
+    # 1e-170: 2 sigma^2 underflows to 0 and every order is inf; 1e-153:
+    # orders >= 20 overflow to inf
+    SIGMAS = (1e-170, 1e-153, 1e-3, 0.05, 0.3, 0.9326171875, 1.0, 2.0, 7.5, 50.0)
+
+    def test_matches_uncached_formula_bit_for_bit(self):
+        # the first sigma at each q fills the cache, the others read it
+        accountant._sigma_free_terms.cache_clear()
+        for q in self.QS:
+            for sigma in self.SIGMAS:
+                curve = accountant._rdp_vector(q, sigma)
+                assert curve.tobytes() == rdp_grid_uncached(q, sigma).tobytes(), (q, sigma)
+        assert accountant._sigma_free_terms.cache_info().hits == len(self.QS) * (len(self.SIGMAS) - 1)
+        assert np.isinf(accountant._rdp_vector(0.5, 1e-170)).all()
+
+    def test_cached_terms_are_read_only(self):
+        terms = accountant._sigma_free_terms(0.5)
+        assert terms is accountant._sigma_free_terms(0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            terms[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            terms += 1.0
 
 
 class TestEffectiveSigma:
