@@ -11,20 +11,15 @@ Reductions run per layer and then left-to-right across layers. Within a
 layer they use numpy's fixed pairwise summation, so results do not depend
 on scheduling or thread count. Random draws do not depend on it either: a
 large draw (:func:`standard_normal`) is cut into fixed blocks, each from
-its own jumped Philox substream, whichever thread draws it. Up to four
-threads per usable core claim the blocks from one shared counter: after a
-threaded BLAS product OpenBLAS's idle worker busy-waits on a core for
-about 0.1 s, and with more drawing threads than cores the draw keeps most
-of both cores while a slowed thread claims fewer blocks.
+its own jumped Philox substream, whichever core draws it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -195,54 +190,29 @@ def standard_normal(stream: RngStream, shape) -> np.ndarray:
     """Standard normals of the given shape, drawn in blocks of ``_BLOCK``.
 
     Block b of the flat output is the draw of ``Philox(key).jumped(b)``, so
-    the bytes do not depend on which thread draws which block, and a draw of
-    at most ``_BLOCK`` normals is ``stream.generator().standard_normal(shape)``.
-    ``min(blocks, 4 * cores)`` workers, the calling thread and one started
-    thread per other worker, take block indices in order from one shared
-    counter. More workers than cores keep the cores drawing while
-    OpenBLAS's idle worker spins after a threaded product, and the counter
-    lets a slowed worker take fewer blocks: on 2 vCPUs, a 10000 x 784 draw
-    right after a product took about 90 ms with one worker per core and
-    about 60 ms with eight, against about 52 ms with no product before it.
-    On one core, or for at most one block, the calling thread draws alone
-    and no thread starts. Every thread is joined before this returns, and
-    an exception raised in one is raised here.
+    the bytes do not depend on the core count, and a draw of at most
+    ``_BLOCK`` normals is ``stream.generator().standard_normal(shape)``.
+    ``min(cores, blocks)`` workers share the blocks round-robin: the calling
+    thread and one pool task each, and the pool starts threads only for its
+    tasks, so with one worker none starts. Every thread is joined before
+    this returns, and an exception raised in one is raised here.
     """
     out = np.empty(shape)
     flat = out.reshape(-1)
-    cores = _usable_cores()
-    workers = min(-(-flat.size // _BLOCK), 4 * cores) if cores > 1 else 1
-    # next() on an itertools.count is one C call, atomic under the GIL
-    draw = partial(_draw_blocks, stream._philox_key(), flat, itertools.count())
-    failures = []
-
-    def work():
-        try:
-            draw()
-        except BaseException as exc:  # re-raised on the calling thread
-            failures.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        draw()
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
+    workers = max(1, min(_usable_cores(), -(-flat.size // _BLOCK)))
+    draw = partial(_draw_blocks, stream._philox_key(), flat, workers)
+    with ThreadPoolExecutor(workers) as pool:
+        rest = [pool.submit(draw, k) for k in range(1, workers)]
+        draw(0)
+        for future in rest:
+            future.result()
     return out
 
 
-def _draw_blocks(key: int, flat: np.ndarray, claims) -> None:
-    """Draws each block of ``flat`` whose index it takes from ``claims``,
-    until an index lies past the end."""
-    for b in claims:
-        lo = b * _BLOCK
-        if lo >= flat.size:
-            return
-        gen = np.random.Generator(np.random.Philox(key=key).jumped(b))
+def _draw_blocks(key: int, flat: np.ndarray, step: int, first: int) -> None:
+    """Draws blocks ``first``, ``first + step``, ... of ``flat``."""
+    for lo in range(first * _BLOCK, flat.size, step * _BLOCK):
+        gen = np.random.Generator(np.random.Philox(key=key).jumped(lo // _BLOCK))
         gen.standard_normal(out=flat[lo : lo + _BLOCK])
 
 
