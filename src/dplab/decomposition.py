@@ -72,11 +72,11 @@ class Decomposition:
 def normalize_base(noisy_grad: LayeredVector, step: int) -> GdrBase:
     """Normalize each layer block to unit norm; zero out near-zero layers."""
     threshold = DEGENERATE_REL_TOL * max(1.0, l2_norm(noisy_grad))
-    blocks: list[np.ndarray] = []
-    for layer, block in enumerate(noisy_grad.blocks):
-        n = l2_norm_layer(noisy_grad, layer)
-        blocks.append(np.zeros_like(block) if n < threshold else block / n)
-    return GdrBase(LayeredVector(tuple(blocks)), step)
+    norms = [l2_norm_layer(noisy_grad, layer) for layer in range(noisy_grad.layer_count)]
+    scale = np.repeat(norms, noisy_grad.layer_dims)
+    flat = np.zeros(noisy_grad.total_dim)
+    np.divide(noisy_grad.flat, scale, out=flat, where=scale >= threshold)
+    return GdrBase(LayeredVector(flat, noisy_grad.layer_dims), step)
 
 
 def decompose(g: LayeredVector, base: GdrBase) -> Decomposition:
@@ -84,8 +84,8 @@ def decompose(g: LayeredVector, base: GdrBase) -> Decomposition:
     if g.layer_dims != base.b.layer_dims:
         raise ContractViolation(f"shape mismatch: {g.layer_dims} vs {base.b.layer_dims}")
     alphas = np.array([np.sum(gb * bb) for gb, bb in zip(g.blocks, base.b.blocks)])
-    perp = tuple(gb - a * bb for gb, a, bb in zip(g.blocks, alphas, base.b.blocks))
-    return Decomposition(alphas, LayeredVector(perp))
+    perp = g.flat - np.repeat(alphas, g.layer_dims) * base.b.flat
+    return Decomposition(alphas, LayeredVector(perp, g.layer_dims))
 
 
 def reconstruct(
@@ -97,13 +97,10 @@ def reconstruct(
         raise ContractViolation(
             f"coefficient vector shape {alphas.shape} does not match {base.layer_count} layers"
         )
-    if g_perp_noisy.layer_dims != base.b.layer_dims:
-        raise ContractViolation(
-            f"shape mismatch: {g_perp_noisy.layer_dims} vs {base.b.layer_dims}"
-        )
-    return LayeredVector(
-        tuple(a * bb + pb for a, bb, pb in zip(alphas, base.b.blocks, g_perp_noisy.blocks))
-    )
+    dims = base.b.layer_dims
+    if g_perp_noisy.layer_dims != dims:
+        raise ContractViolation(f"shape mismatch: {g_perp_noisy.layer_dims} vs {dims}")
+    return LayeredVector(np.repeat(alphas, dims) * base.b.flat + g_perp_noisy.flat, dims)
 
 
 def decompose_batch(per_sample: list[LayeredVector], base: GdrBase) -> list[Decomposition]:

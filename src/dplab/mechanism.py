@@ -10,12 +10,12 @@ row source: per-sample gradients from their factors (:class:`GradientRows`),
 per-sample differences against a dense vector on dense rows
 (:class:`DifferenceRows`), the dpdr orthogonal remainders from the factors
 (:class:`OrthogonalRows`), or small dense rows such as the coefficients
-(:class:`DenseRows`). The list-based functions (:func:`aggregate_and_perturb`,
-:func:`clip_to_norm`)
-clip one materialized vector at a time and serve as the reference the row
-sources are tested against; their coefficient counterparts
-(:func:`aggregate_and_perturb_scalars`, :func:`clip_alpha_vec`) call them
-on one-block vectors.
+(:class:`DenseRows`). A source's ``clipped_sum`` gives the clip norms and the
+clipped sum as one flat array, layers in order. The list-based functions
+(:func:`aggregate_and_perturb`, :func:`clip_to_norm`) clip one materialized
+vector at a time and serve as the reference the row sources are tested
+against; their coefficient counterparts (:func:`aggregate_and_perturb_scalars`,
+:func:`clip_alpha_vec`) call them on one-block vectors.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .models import GradientFactors
-from .vectors import LayeredVector, RngStream, gaussian_sample, l2_norm
+from .vectors import LayeredVector, RngStream, _layer_views, gaussian_sample, l2_norm
 
 __all__ = [
     "CANCELLATION_TAU",
@@ -111,21 +111,21 @@ def clip_to_norm(v: LayeredVector, c: float) -> LayeredVector:
             # n exceeds c by less than half an ulp; no representable scale
             # can shrink it further
             return w
-        new_blocks = tuple(b * f for b in w.blocks)
-        if all(np.array_equal(nb, ob) for nb, ob in zip(new_blocks, w.blocks)):
+        scaled = w.flat * f
+        if np.array_equal(scaled, w.flat):
             return w
-        w = LayeredVector(new_blocks)
+        w = LayeredVector(scaled, w.layer_dims)
 
 
 def _coefficient_vector(alphas) -> LayeredVector:
     """A coefficient vector as a one-block vector over a copy of it."""
-    return LayeredVector((np.array(alphas, dtype=np.float64),))
+    return LayeredVector(np.array(alphas, dtype=np.float64), (np.size(alphas),))
 
 
 def clip_alpha_vec(alphas: np.ndarray, c: float) -> np.ndarray:
     """Clip an m-length coefficient vector to L2 norm c, preserving signs:
     :func:`clip_to_norm` of it as a one-block vector."""
-    return clip_to_norm(_coefficient_vector(alphas), c).blocks[0]
+    return clip_to_norm(_coefficient_vector(alphas), c).flat
 
 
 def aggregate_and_perturb(
@@ -148,22 +148,20 @@ def aggregate_and_perturb(
         raise ContractViolation("a stream is required when sigma > 0")
     dims = per_sample[0].layer_dims
     batch = len(per_sample)
-    acc: list[np.ndarray] | None = None
+    acc: np.ndarray | None = None
     for g in per_sample:
         if g.layer_dims != dims:
             raise ContractViolation(f"shape mismatch: {g.layer_dims} vs {dims}")
-        clipped = clip_to_norm(g, c)
+        clipped = clip_to_norm(g, c).flat
+        # a copy of the first vector, not zeros plus it, so a -0.0 keeps its sign
         if acc is None:
-            acc = [block.copy() for block in clipped.blocks]
+            acc = clipped.copy()
         else:
-            for a, block in zip(acc, clipped.blocks):
-                a += block
+            acc += clipped
     assert acc is not None
     if sigma > 0:
-        noise = gaussian_sample(stream, dims, sigma * c)
-        for a, nb in zip(acc, noise.blocks):
-            a += nb
-    return LayeredVector(tuple(a / batch for a in acc))
+        acc += gaussian_sample(stream, dims, sigma * c).flat
+    return LayeredVector(acc / batch, dims)
 
 
 def aggregate_and_perturb_scalars(
@@ -175,7 +173,7 @@ def aggregate_and_perturb_scalars(
     """Coefficient-vector counterpart of :func:`aggregate_and_perturb`: the
     same release of the vectors as one-block vectors."""
     vectors = [_coefficient_vector(a) for a in per_sample]
-    return aggregate_and_perturb(vectors, c, sigma, stream).blocks[0]
+    return aggregate_and_perturb(vectors, c, sigma, stream).flat
 
 
 def clip_factors(norms: np.ndarray, c: float) -> np.ndarray:
@@ -193,7 +191,7 @@ class GradientRows:
     grads: GradientFactors
     sq_norms: np.ndarray
 
-    def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def clipped_sum(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         norms = np.sqrt(self.sq_norms)
         return norms, self.grads.weighted_sum(clip_factors(norms, c))
 
@@ -204,9 +202,9 @@ class DenseRows:
 
     rows: np.ndarray
 
-    def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def clipped_sum(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         norms = np.sqrt(np.sum(self.rows * self.rows, axis=1))
-        return norms, (clip_factors(norms, c) @ self.rows,)
+        return norms, clip_factors(norms, c) @ self.rows
 
 
 def _sq_norms(rows: list[np.ndarray]) -> np.ndarray:
@@ -307,15 +305,16 @@ class DifferenceRows:
         """Norms of the g_i themselves, from dense rows chunked as in :meth:`clipped_sum`."""
         return self._norms(False)
 
-    def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def clipped_sum(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         norms = np.empty(self.grads.size)
-        total = [np.zeros(d) for d in self.v.layer_dims]
+        total = np.zeros(self.v.total_dim)
+        blocks = _layer_views(total, self.v.layer_dims)
         for lo, hi, rows in self._chunks(True):
             norms[lo:hi] = np.sqrt(_sq_norms(rows))
             f = clip_factors(norms[lo:hi], c)
-            for acc, r in zip(total, rows):
+            for acc, r in zip(blocks, rows):
                 acc += f @ r
-        return norms, tuple(total)
+        return norms, total
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,39 +345,34 @@ class OrthogonalRows:
         if self.diffs.coeffs is None:
             raise ContractViolation("the orthogonal channel needs the coefficients")
 
-    def clipped_sum(self, c: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        alphas = self.diffs.coeffs
+    def clipped_sum(self, c: float) -> tuple[np.ndarray, np.ndarray]:
+        alphas, v = self.diffs.coeffs, self.diffs.v
         norms, dense = self.diffs._expanded(self.g_sq, alphas)
         f = clip_factors(norms, c)
         f[dense] = 0.0
         dense_norms, dense_total = self.diffs._subset(dense).clipped_sum(c)
         norms[dense] = dense_norms
-        total = tuple(
-            t - w * b + d
-            for t, w, b, d in zip(
-                self.diffs.grads.weighted_sum(f), f @ alphas, self.diffs.v.blocks, dense_total
-            )
-        )
-        return norms, total
+        weights = np.repeat(f @ alphas, v.layer_dims)
+        return norms, self.diffs.grads.weighted_sum(f) - weights * v.flat + dense_total
 
 
 def privatize(
     rows, c: float, sigma: float, stream: RngStream | None, denom: float
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Clip each row to norm c, sum, add N(0, (sigma*c)^2 I), divide by denom.
 
     ``rows`` is a row source (:class:`GradientRows`, :class:`DifferenceRows`,
-    :class:`OrthogonalRows` or :class:`DenseRows`). Returns the released
-    blocks and the per-sample norms the clip measured. The noise is a
-    :func:`gaussian_sample` draw, so this and :func:`aggregate_and_perturb`
-    consume a stream identically; sigma == 0 consumes none. A source with
-    zero rows has a zero sum, so its release is the noise alone.
+    :class:`OrthogonalRows` or :class:`DenseRows`). Returns the release as
+    one flat array, layers in order, and the per-sample norms the clip
+    measured. The noise is a :func:`gaussian_sample` draw, so this and
+    :func:`aggregate_and_perturb` consume a stream identically; sigma == 0
+    consumes none. A source with zero rows has a zero sum, so its release is
+    the noise alone.
     """
     _require_sigma(sigma)
     if sigma > 0 and stream is None:
         raise ContractViolation("a stream is required when sigma > 0")
     norms, total = rows.clipped_sum(c)
     if sigma > 0:
-        noise = gaussian_sample(stream, tuple(t.size for t in total), sigma * c)
-        total = tuple(t + n for t, n in zip(total, noise.blocks))
-    return tuple(t / denom for t in total), norms
+        total = total + gaussian_sample(stream, (total.size,), sigma * c).flat
+    return total / denom, norms

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .vectors import LayeredVector, RngStream, axpy
+from .vectors import LayeredVector, RngStream, _layer_views, axpy
 
 __all__ = [
     "Architecture",
@@ -157,12 +157,11 @@ class Batch:
 def init_model(arch: Architecture, seed: int) -> Model:
     """Deterministic init: weights N(0, 1/fan_in) (std 1/sqrt(fan_in)), biases zero."""
     gen = RngStream(seed, 0, "model-init").generator()
-    blocks: list[np.ndarray] = []
-    for fan_in, fan_out in arch.weight_shapes():
-        w = gen.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
-        blocks.append(w.ravel())
-        blocks.append(np.zeros(fan_out, dtype=np.float64))
-    return Model(arch, LayeredVector(tuple(blocks)))
+    dims = arch.parameter_layer_dims()
+    flat = np.zeros(sum(dims))
+    for w, (fan_in, _) in zip(_layer_views(flat, dims)[::2], arch.weight_shapes()):
+        w[:] = gen.standard_normal(w.size) / math.sqrt(fan_in)
+    return Model(arch, LayeredVector(flat, dims))
 
 
 def _weight(model: Model, layer: int) -> np.ndarray:
@@ -383,13 +382,15 @@ class GradientFactors:
         """(B,) global L2 norms, the square roots of :meth:`sq_norms`."""
         return np.sqrt(self.sq_norms())
 
-    def weighted_sum(self, f: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Blocks of sum_i f_i g_i: a_k^T (f * delta_k) and f @ delta_k."""
-        blocks: list[np.ndarray] = []
-        for a, d in zip(self.inputs, self.signals):
-            blocks.append((a.T @ (f[:, None] * d)).ravel())
-            blocks.append(f @ d)
-        return tuple(blocks)
+    def weighted_sum(self, f: np.ndarray) -> np.ndarray:
+        """Flat sum_i f_i g_i: per layer a_k^T (f * delta_k), then f @ delta_k."""
+        dims = self.layer_dims
+        total = np.empty(sum(dims))
+        blocks = _layer_views(total, dims)
+        for a, d, w, b in zip(self.inputs, self.signals, blocks[::2], blocks[1::2]):
+            np.matmul(a.T, f[:, None] * d, out=w.reshape(a.shape[1], d.shape[1]))
+            np.matmul(f, d, out=b)
+        return total
 
     def block_dots(self, v: LayeredVector) -> np.ndarray:
         """(B, blocks) inner products <g_i block, v block>."""
@@ -429,8 +430,9 @@ def per_sample_gradients(model: Model, batch: Batch) -> list[LayeredVector]:
     its own vector; the trainers work on :func:`backprop`'s factors instead.
     """
     grads = backprop(model, batch)
-    rows = [grads.block_rows(j) for j in range(len(grads.layer_dims))]
-    return [LayeredVector(tuple(r[i] for r in rows)) for i in range(grads.size)]
+    dims = grads.layer_dims
+    rows = np.concatenate([grads.block_rows(j) for j in range(len(dims))], axis=1)
+    return [LayeredVector(row, dims) for row in rows]
 
 
 def apply_update(model: Model, direction: LayeredVector, lr: float) -> Model:

@@ -196,8 +196,7 @@ def _median(values: np.ndarray) -> float:
 def sgd_step(model: Model, batch: Batch, denom: float) -> StepOutcome:
     """Non-private baseline: release the exact gradient sum over ``denom``."""
     grads = backprop(model, batch)
-    total = grads.weighted_sum(np.ones(batch.size))
-    released = LayeredVector(tuple(t / denom for t in total))
+    released = LayeredVector(grads.weighted_sum(np.ones(batch.size)) / denom, grads.layer_dims)
     row = replace(_blank_row(0), grad_norm_median=_median(grads.norms()))
     return StepOutcome(released, row)
 
@@ -221,7 +220,7 @@ def dpsgd_step(
     """
     grads = backprop(model, batch)
     g_sq = grads.sq_norms()
-    blocks, norms = privatize(GradientRows(grads, g_sq), c_g, sigma_g, stream, denom)
+    flat, norms = privatize(GradientRows(grads, g_sq), c_g, sigma_g, stream, denom)
     diff_median = 0.0
     if prev_release is not None:
         diff_median = _median(DifferenceRows(grads, prev_release).norms(g_sq))
@@ -230,7 +229,7 @@ def dpsgd_step(
         grad_norm_median=_median(norms),
         diff_norm_median=diff_median,
     )
-    return StepOutcome(LayeredVector(blocks), row)
+    return StepOutcome(LayeredVector(flat, grads.layer_dims), row)
 
 
 def diff_step(
@@ -247,7 +246,7 @@ def diff_step(
     larger than the gradient norm; both norms come from the same dense rows."""
     diffs = DifferenceRows(backprop(model, batch), prev_release)
     noisy_diff, diff_norms = privatize(diffs, c_d, sigma_d, stream, denom)
-    released = LayeredVector(tuple(d + p for d, p in zip(noisy_diff, prev_release.blocks)))
+    released = LayeredVector(noisy_diff + prev_release.flat, prev_release.layer_dims)
     row = replace(
         _blank_row(stream.step),
         grad_norm_median=_median(diffs.grad_norms()),
@@ -265,10 +264,9 @@ def gdr_step(
     perp_stream: RngStream,
     alpha_stream: RngStream,
     denom: float,
-) -> tuple[StepOutcome, GdrBase]:
+) -> StepOutcome:
     """Decompose per-sample gradients against the base, privatize the two
-    channels separately, reconstruct, and renormalize the release into the
-    next base."""
+    channels separately, and reconstruct the release."""
     grads = backprop(model, batch)
     g_sq = grads.sq_norms()
     alphas = grads.block_dots(base.b)
@@ -276,18 +274,17 @@ def gdr_step(
         OrthogonalRows(DifferenceRows(grads, base.b, alphas), g_sq),
         clip.c_perp, noise.sigma_perp, perp_stream, denom,
     )
-    (noisy_alpha,), _ = privatize(
+    noisy_alpha, _ = privatize(
         DenseRows(alphas), clip.c_alpha, noise.sigma_alpha, alpha_stream, denom
     )
-    released = reconstruct(noisy_alpha, LayeredVector(noisy_perp), base)
-    new_base = normalize_base(released, perp_stream.step)
+    released = reconstruct(noisy_alpha, LayeredVector(noisy_perp, grads.layer_dims), base)
     row = replace(
         _blank_row(perp_stream.step),
         grad_norm_median=_median(np.sqrt(g_sq)),
         perp_norm_median=_median(perp_norms),
         alpha_vec_norm=float(math.sqrt(np.sum(noisy_alpha * noisy_alpha))),
     )
-    return StepOutcome(released, row, perp_norms), new_base
+    return StepOutcome(released, row, perp_norms)
 
 
 def privacy_schedule(
@@ -375,7 +372,6 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     # (row without loss and accuracy, step ms) of each step awaiting its window
     pending: list[tuple[MetricsRow, float]] = []
     prev_release: LayeredVector | None = None
-    base: GdrBase | None = None
     snapshot: np.ndarray | None = None
 
     mark = time.perf_counter()
@@ -394,8 +390,8 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
                 model, batch, prev, config.clip.c_g, noise.sigma_g, noise_g, denom
             )
         elif role == ROLE_GDR:
-            outcome, base = gdr_step(
-                model, batch, base, config.clip, noise,
+            outcome = gdr_step(
+                model, batch, normalize_base(prev_release, t - 1), config.clip, noise,
                 RngStream(config.seed, t, NOISE_PERP_TAG),
                 RngStream(config.seed, t, NOISE_ALPHA_TAG),
                 denom,
@@ -407,8 +403,6 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
             outcome = dpsgd_step(
                 model, batch, config.clip.c_g, noise.sigma_g, noise_g, denom, track_diff
             )
-            if role == ROLE_FIRST:
-                base = normalize_base(outcome.released, 1)
 
         if sigma.get(role, 0.0) > 0:
             ledger.append(ReleaseEvent(q, sigma[role]))

@@ -1,27 +1,29 @@
 """Layered vectors and deterministic Gaussian streams.
 
 Parameters, released gradients and decomposition bases are
-``LayeredVector``s: float64 coordinates split into per-layer blocks.
-Values are immutable after construction and safe to share across threads.
-Per-sample gradients are not: the trainers keep them as per-layer factors
-(:class:`dplab.models.GradientFactors`) and only the reference path
+``LayeredVector``s: one immutable flat float64 array whose consecutive
+slices are the per-layer blocks; elementwise operations are one numpy call
+on it. Per-sample gradients are not: the trainers keep them as per-layer
+factors (:class:`dplab.models.GradientFactors`) and only the reference path
 (:func:`dplab.models.per_sample_gradients`) expands them into vectors.
 
-Reductions run per layer and then left-to-right across layers. Within a
-layer they use numpy's fixed pairwise summation, so results do not depend
-on scheduling or thread count. Random draws do not depend on it either: a
-large draw (:func:`standard_normal`) is cut into fixed blocks, each from
-its own jumped Philox substream, whichever core draws it.
+Reductions run per layer, with numpy's fixed pairwise summation, and then
+left-to-right across layers, so they do not depend on the BLAS thread
+count. Random draws do not either: a large draw (:func:`standard_normal`)
+is cut into fixed blocks, each from its own jumped Philox substream. BLAS
+products do: OpenBLAS's dgemm with inner dimension 784 and its gemv give
+other bits at one thread than at two, so runs on MNIST-shaped data do too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -44,52 +46,57 @@ __all__ = [
 class LayeredVector:
     """Flat float64 vector partitioned into per-layer blocks.
 
-    Blocks must be 1-d float64 arrays with at least one coordinate each;
-    every coordinate must be finite. The constructor takes ownership of the
-    arrays it is given and marks them read-only; copy an array first to keep
-    it writable.
+    ``flat`` must be a 1-d float64 array of ``sum(layer_dims)`` finite
+    coordinates, and every layer needs at least one. The constructor takes
+    ownership of ``flat`` and marks it read-only; copy an array first to
+    keep it writable. ``blocks`` are read-only views of ``flat``, one per
+    layer.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    flat: np.ndarray
+    layer_dims: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(self.blocks)
-        if not blocks:
-            raise ContractViolation("a layered vector needs at least one layer block")
-        for i, block in enumerate(blocks):
-            if not isinstance(block, np.ndarray) or block.ndim != 1 or block.dtype != np.float64:
-                raise ContractViolation(f"layer {i}: blocks must be 1-d float64 arrays")
-            if block.size == 0:
-                raise ContractViolation(f"layer {i}: layer dimensions must be positive")
-            if not np.all(np.isfinite(block)):
-                raise ContractViolation(f"layer {i}: non-finite coordinate")
-            block.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
+        dims = tuple(int(d) for d in self.layer_dims)
+        if not dims or min(dims) <= 0:
+            raise ContractViolation(f"need at least one layer, each of positive size: {dims}")
+        flat, size = self.flat, sum(dims)
+        if not isinstance(flat, np.ndarray) or flat.dtype != np.float64 or flat.shape != (size,):
+            raise ContractViolation(f"coordinates must be a 1-d float64 array of {size}")
+        if not np.all(np.isfinite(flat)):
+            raise ContractViolation("non-finite coordinate")
+        flat.setflags(write=False)
+        object.__setattr__(self, "layer_dims", dims)
 
     @classmethod
     def zeros(cls, layer_dims) -> "LayeredVector":
-        return cls(tuple(np.zeros(int(d), dtype=np.float64) for d in layer_dims))
+        dims = tuple(layer_dims)
+        return cls(np.zeros(sum(dims)), dims)
 
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return _layer_views(self.flat, self.layer_dims)
 
     @property
     def layer_count(self) -> int:
-        return len(self.blocks)
+        return len(self.layer_dims)
 
     @property
     def total_dim(self) -> int:
-        return sum(b.size for b in self.blocks)
+        return self.flat.size
 
     def equals(self, other: "LayeredVector") -> bool:
         """Bit-exact equality."""
-        return self.layer_dims == other.layer_dims and all(
-            np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)
-        )
+        return self.layer_dims == other.layer_dims and np.array_equal(self.flat, other.flat)
 
     def __repr__(self) -> str:
         return f"LayeredVector(layer_dims={self.layer_dims})"
+
+
+def _layer_views(flat: np.ndarray, layer_dims) -> tuple[np.ndarray, ...]:
+    """Consecutive views of ``flat``, one per layer, sliced at fixed offsets."""
+    ends = itertools.accumulate(layer_dims)
+    return tuple(flat[end - d : end] for d, end in zip(layer_dims, ends))
 
 
 def _require_compatible(a: LayeredVector, b: LayeredVector) -> None:
@@ -128,12 +135,12 @@ def axpy(c: float, x: LayeredVector, y: LayeredVector) -> LayeredVector:
     _require_compatible(x, y)
     if not math.isfinite(c):
         raise ContractViolation(f"non-finite scalar {c!r}")
-    return LayeredVector(tuple(c * bx + by for bx, by in zip(x.blocks, y.blocks)))
+    return LayeredVector(c * x.flat + y.flat, x.layer_dims)
 
 
 def sub(x: LayeredVector, y: LayeredVector) -> LayeredVector:
     _require_compatible(x, y)
-    return LayeredVector(tuple(bx - by for bx, by in zip(x.blocks, y.blocks)))
+    return LayeredVector(x.flat - y.flat, x.layer_dims)
 
 
 @dataclass(frozen=True)
@@ -219,7 +226,8 @@ def _draw_blocks(key: int, flat: np.ndarray, step: int, first: int) -> None:
 def gaussian_sample(stream: RngStream, layer_dims, std: float) -> LayeredVector:
     """I.i.d. zero-mean Gaussian draws with the given standard deviation.
 
-    std == 0 returns the zero vector without consuming the stream.
+    One draw of ``sum(layer_dims)`` normals: the blocks drawn one after
+    another. std == 0 returns the zero vector without consuming the stream.
     """
     dims = tuple(int(d) for d in layer_dims)
     if any(d <= 0 for d in dims):
@@ -228,5 +236,4 @@ def gaussian_sample(stream: RngStream, layer_dims, std: float) -> LayeredVector:
         raise ContractViolation(f"std must be finite and >= 0, got {std!r}")
     if std == 0:
         return LayeredVector.zeros(dims)
-    gen = stream.generator()
-    return LayeredVector(tuple(gen.standard_normal(d) * std for d in dims))
+    return LayeredVector(stream.generator().standard_normal(sum(dims)) * std, dims)

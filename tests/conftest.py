@@ -7,16 +7,22 @@ from dplab import Architecture, Batch, LayeredVector, backprop, init_model
 from dplab.models import _forward
 
 
-# list-based LayeredVector helpers that no training step uses
+# block-based LayeredVector helpers that no training step uses
+
+
+def join(blocks) -> LayeredVector:
+    """A vector from its per-layer 1-d blocks, copied into one flat array."""
+    blocks = list(blocks)
+    return LayeredVector(np.concatenate(blocks), tuple(b.size for b in blocks))
 
 
 def add(x: LayeredVector, y: LayeredVector) -> LayeredVector:
     assert x.layer_dims == y.layer_dims
-    return LayeredVector(tuple(bx + by for bx, by in zip(x.blocks, y.blocks)))
+    return join(bx + by for bx, by in zip(x.blocks, y.blocks))
 
 
 def scale(c: float, x: LayeredVector) -> LayeredVector:
-    return LayeredVector(tuple(c * b for b in x.blocks))
+    return join(c * b for b in x.blocks)
 
 
 def dot_layer(a: LayeredVector, b: LayeredVector, layer: int) -> float:
@@ -26,12 +32,12 @@ def dot_layer(a: LayeredVector, b: LayeredVector, layer: int) -> float:
 
 def from_blocks(blocks) -> LayeredVector:
     """A vector from arbitrary nested sequences, one per layer (copied)."""
-    return LayeredVector(tuple(np.array(b, dtype=np.float64).ravel() for b in blocks))
+    return join(np.array(b, dtype=np.float64).ravel() for b in blocks)
 
 
 def concat(v: LayeredVector) -> np.ndarray:
     """All coordinates as one fresh array, layers in order."""
-    return np.concatenate(v.blocks)
+    return v.flat.copy()
 
 
 def allclose(x: LayeredVector, y: LayeredVector, rtol: float = 1e-12, atol: float = 0.0) -> bool:
@@ -49,7 +55,7 @@ def mean_gradient(model, batch) -> LayeredVector:
     """Gradient of the mean cross-entropy over a non-empty batch."""
     grads = backprop(model, batch)
     total = grads.weighted_sum(np.ones(grads.size))
-    return LayeredVector(tuple(t / grads.size for t in total))
+    return LayeredVector(total / grads.size, grads.layer_dims)
 
 
 def jumped_block_normals(stream, size: int, block: int = 1 << 20) -> np.ndarray:
@@ -64,7 +70,7 @@ def jumped_block_normals(stream, size: int, block: int = 1 << 20) -> np.ndarray:
 
 def random_vector(layer_dims, seed, scale=1.0) -> LayeredVector:
     gen = np.random.Generator(np.random.Philox(key=seed))
-    return LayeredVector(tuple(gen.standard_normal(d) * scale for d in layer_dims))
+    return join(gen.standard_normal(d) * scale for d in layer_dims)
 
 
 def random_problem(seed, d_in=None, hidden=None, n_classes=None, batch=None, activation="tanh"):
@@ -92,7 +98,7 @@ def tilted(g, angle, seed) -> LayeredVector:
         u -= (u @ block) / (block @ block) * block
         u *= np.linalg.norm(block) / np.linalg.norm(u)
         blocks.append(block * math.cos(angle) + u * math.sin(angle))
-    return LayeredVector(tuple(blocks))
+    return join(blocks)
 
 
 def row_major_evaluate(model, batch):

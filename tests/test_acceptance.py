@@ -42,7 +42,14 @@ from dplab import (
 from dplab.diagnostics import steps_to_target_loss
 from dplab.mechanism import DenseRows, DifferenceRows, privatize
 from dplab.models import GradientFactors
-from tests.conftest import dot_layer, mean_gradient, random_problem, random_vector, scale
+from tests.conftest import (
+    dot_layer,
+    join,
+    mean_gradient,
+    random_problem,
+    random_vector,
+    scale,
+)
 from tests.test_models import finite_difference_gradient
 
 LOOSE = ClipSpec(1e9, 1e9, 1e9)
@@ -54,11 +61,8 @@ def report(criterion, passed, detail=""):
 
 
 def mean_of(vectors):
-    return type(vectors[0])(
-        tuple(
-            np.mean([v.blocks[l] for v in vectors], axis=0)
-            for l in range(vectors[0].layer_count)
-        )
+    return join(
+        np.mean([v.blocks[l] for v in vectors], axis=0) for l in range(vectors[0].layer_count)
     )
 
 
@@ -68,7 +72,7 @@ class TestCriterion1ReconstructionExactness:
         for seed in range(100):
             model, batch = random_problem(seed, batch=4)
             base = normalize_base(random_vector(model.params.layer_dims, seed + 5000), 0)
-            out, _ = gdr_step(
+            out = gdr_step(
                 model, batch, base, LOOSE, SILENT,
                 RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"), batch.size,
             )
@@ -173,13 +177,10 @@ class TestCriterion5NoiseStatistics:
     B, SIGMA, C = 4, 1.0, 2.0
 
     def noise_std_error(self, rows, seed, tag):
-        clean = np.concatenate(privatize(rows, self.C, 0.0, None, self.B)[0])
+        clean = privatize(rows, self.C, 0.0, None, self.B)[0]
         noise = np.concatenate(
             [
-                np.concatenate(
-                    privatize(rows, self.C, self.SIGMA, RngStream(seed, t, tag), self.B)[0]
-                )
-                - clean
+                privatize(rows, self.C, self.SIGMA, RngStream(seed, t, tag), self.B)[0] - clean
                 for t in range(2000)
             ]
         )

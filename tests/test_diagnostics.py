@@ -11,7 +11,7 @@ from dplab import (
     normalize_base,
     steps_to_target_loss,
 )
-from tests.conftest import from_blocks, random_vector, scale
+from tests.conftest import from_blocks, join, random_vector, scale
 
 
 class TestCoherenceStats:
@@ -41,10 +41,10 @@ class TestCoherenceStats:
         lr = 0.3
         prev_grad = None
         for _ in range(20):
-            grad = LayeredVector(tuple(bw - bt for bw, bt in zip(w.blocks, target.blocks)))
+            grad = join(bw - bt for bw, bt in zip(w.blocks, target.blocks))
             if prev_grad is not None:
                 assert coherence_stats(prev_grad, grad) >= 0.0
-            w = LayeredVector(tuple(bw - lr * bg for bw, bg in zip(w.blocks, grad.blocks)))
+            w = join(bw - lr * bg for bw, bg in zip(w.blocks, grad.blocks))
             prev_grad = grad
 
 
@@ -81,12 +81,13 @@ class TestOrthogonalShare:
         shares = []
         for t in range(2, 51):
             batch = poisson_sample(ds, q, RngStream(0, t, "batch"))
-            out, base = gdr_step(
+            out = gdr_step(
                 model, batch, base, clip, noise,
                 RngStream(0, t, "noise-perp"), RngStream(0, t, "noise-alpha"), batch.size,
             )
             shares.append(float(np.median(out.perp_norms / backprop(model, batch).norms())))
             model = apply_update(model, out.released, lr)
+            base = normalize_base(out.released, t)
         assert float(np.median(shares)) < 0.9
 
 

@@ -23,7 +23,15 @@ from dplab import (
 )
 from dplab.decomposition import normalize_base
 from dplab.mechanism import DifferenceRows, OrthogonalRows
-from tests.conftest import concat, from_blocks, random_problem, random_vector, scale, tilted
+from tests.conftest import (
+    concat,
+    from_blocks,
+    join,
+    random_problem,
+    random_vector,
+    scale,
+    tilted,
+)
 
 
 class TestClipToNorm:
@@ -94,6 +102,12 @@ class TestAggregateAndPerturb:
         v = from_blocks([[0.0, 4.0]])  # norm 4 = 2c
         out = aggregate_and_perturb([v], 2.0, 0.0)
         assert list(out.blocks[0]) == [0.0, 2.0]
+
+    def test_negative_zero_keeps_its_sign(self):
+        # the sum starts from the first vector, not from +0.0
+        v = from_blocks([[-0.0, 1.0], [-0.0]])
+        out = aggregate_and_perturb([v, v], 10.0, 0.0)
+        assert np.signbit(out.flat).tolist() == [True, False, True]
 
     def test_empty_list_rejected(self):
         with pytest.raises(ContractViolation):
@@ -208,7 +222,7 @@ class TestFactoredDifferenceNorms:
         coeffs[0] = 0.5
         factored = DifferenceRows(backprop(model, batch), v, coeffs).norms()
         dense = np.array([
-            l2_norm(LayeredVector(tuple(b - s * vb for b, s, vb in zip(g.blocks, c, v.blocks))))
+            l2_norm(join(b - s * vb for b, s, vb in zip(g.blocks, c, v.blocks)))
             for g, c in zip(grads, coeffs)
         ])
         np.testing.assert_allclose(factored, dense, rtol=1e-12, atol=0.0)
@@ -252,10 +266,10 @@ class TestOrthogonalRowsMatchDenseRows:
         raw = self.base_of(kind, per_sample_gradients(model, pool)[0], dims, seed)
         zeroed = data.draw(st.sets(st.integers(0, len(dims) - 1)))  # degenerate layers
         base = normalize_base(
-            LayeredVector(tuple(
+            join(
                 np.zeros_like(b) if layer in zeroed else b.copy()
                 for layer, b in enumerate(raw.blocks)
-            )),
+            ),
             0,
         )
         batch = Batch(pool.inputs[picks], pool.labels[picks])
@@ -269,7 +283,7 @@ class TestOrthogonalRowsMatchDenseRows:
         assert np.all(
             np.abs(norms - expected_norms) <= 1e-12 * np.maximum(1.0, expected_norms)
         )
-        expected, total = LayeredVector(expected), LayeredVector(total)
+        expected, total = LayeredVector(expected, dims), LayeredVector(total, dims)
         assert l2_norm(sub(total, expected)) <= 1e-12 * max(1.0, l2_norm(expected))
 
     def test_needs_coefficients(self):

@@ -21,6 +21,7 @@ from dplab import (
 from dplab.models import EVAL_CHUNK_BYTES, EvalWindow, Model, _chunk_rows, _forward, evaluate
 from tests.conftest import (
     from_blocks,
+    join,
     mean_gradient,
     random_problem,
     random_vector,
@@ -324,7 +325,7 @@ class TestEvalWindow:
             w, b = blocks[-2].reshape(fan_in, n_classes), blocks[-1]
             w[:, 2], b[2] = w[:, 1], b[1]
             b[1:3] += lift  # a large lift puts the tie on top of every row
-            return Model(arch, LayeredVector(tuple(blocks)))
+            return Model(arch, join(blocks))
 
         models = [tied(1, 50.0), random_model(arch, 2), tied(3, 0.0), tied(4, 50.0)]
         window = EvalWindow(arch, batch, len(models))

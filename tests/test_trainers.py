@@ -18,6 +18,7 @@ from dplab import (
     TrainConfig,
     aggregate_and_perturb,
     aggregate_and_perturb_scalars,
+    apply_update,
     decompose_batch,
     diff_step,
     dpsgd_step,
@@ -45,6 +46,7 @@ from tests.conftest import (
     degenerate_layers,
     dot_layer,
     from_blocks,
+    join,
     random_problem,
     random_vector,
     row_major_evaluate,
@@ -191,7 +193,7 @@ class TestGdrStep:
         for seed in range(10):
             model, batch = random_problem(seed, batch=4)
             base = normalize_base(random_vector(model.params.layer_dims, seed + 99), 0)
-            out, _ = gdr_step(
+            out = gdr_step(
                 model, batch, base, LOOSE, SILENT,
                 RngStream(0, 2, "noise-perp"), RngStream(0, 2, "noise-alpha"), batch.size,
             )
@@ -206,7 +208,7 @@ class TestGdrStep:
         single = Batch(
             np.repeat(batch.inputs[:1], 3, axis=0), np.repeat(batch.labels[:1], 3)
         )
-        out, _ = gdr_step(
+        out = gdr_step(
             model, single, base, LOOSE, SILENT,
             RngStream(0, 2, "noise-perp"), RngStream(0, 2, "noise-alpha"), single.size,
         )
@@ -238,15 +240,27 @@ class TestGdrStep:
         assert calls == expected
 
     def test_base_refreshes_from_release(self):
-        model, batch = random_problem(8, batch=4)
-        base = normalize_base(random_vector(model.params.layer_dims, 1), 0)
-        out, new_base = gdr_step(
-            model, batch, base, LOOSE, SILENT,
-            RngStream(0, 3, "noise-perp"), RngStream(0, 3, "noise-alpha"), batch.size,
-        )
-        expected = normalize_base(out.released, 3)
-        assert allclose(new_base.b, expected.b, rtol=1e-12, atol=1e-15)
-        assert new_base.source_step == 3
+        # train() hands the gdr step at t the release of step t - 1, normalized
+        dataset = gen_synthetic(128, 6, 2, margin=6.0, seed=11)
+        bases, releases = [], []
+
+        def recording_step(model, batch, base, *args):
+            bases.append(base)
+            return gdr_step(model, batch, base, *args)
+
+        def recording_update(model, direction, lr):
+            releases.append(direction)
+            return apply_update(model, direction, lr)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dplab.trainers.gdr_step", recording_step)
+            mp.setattr("dplab.trainers.apply_update", recording_update)
+            train(make_config("dpdr", total_steps=6, switch_step=4, seed=8), dataset)
+        assert len(bases) == 3
+        for t, base in enumerate(bases, start=2):
+            expected = normalize_base(releases[t - 2], t - 1)
+            assert base.b.equals(expected.b)
+            assert base.source_step == t - 1
 
     def test_never_reads_raw_history(self):
         # only the released base carries information between steps: feed the
@@ -255,13 +269,13 @@ class TestGdrStep:
         base = normalize_base(random_vector(model.params.layer_dims, 5), 0)
         history_a = [random_vector(model.params.layer_dims, i) for i in range(3)]
 
-        out_a, _ = gdr_step(
+        out_a = gdr_step(
             model, batch, base, LOOSE, SILENT,
             RngStream(1, 2, "noise-perp"), RngStream(1, 2, "noise-alpha"), batch.size,
         )
         del history_a
         _history_b = [random_vector(model.params.layer_dims, 100 + i, scale=9.0) for i in range(3)]
-        out_b, _ = gdr_step(
+        out_b = gdr_step(
             model, batch, base, LOOSE, SILENT,
             RngStream(1, 2, "noise-perp"), RngStream(1, 2, "noise-alpha"), batch.size,
         )
@@ -563,7 +577,7 @@ class TestEmptyBatchSteps:
         base = normalize_base(random_vector(self.dims, 32), 0)
         clip, noise = ClipSpec(1.0, 0.5, 1.5), NoisePlan(1.0, 1.2, 2.0)
         streams = RngStream(4, 3, "noise-perp"), RngStream(4, 3, "noise-alpha")
-        out, _ = gdr_step(self.model, self.empty, base, clip, noise, *streams, self.B)
+        out = gdr_step(self.model, self.empty, base, clip, noise, *streams, self.B)
         noisy_perp = self.noise_only(clip.c_perp, noise.sigma_perp, streams[0])
         noisy_alpha = (
             streams[1].generator().standard_normal(base.layer_count)
@@ -596,7 +610,7 @@ class TestSilentStepsMatchSgd:
             prev = random_vector(model.params.layer_dims, seed + 12, scale=0.2)
             b = diff_step(model, batch, prev, 1e9, 0.0, stream, batch.size)
             base = normalize_base(random_vector(model.params.layer_dims, seed + 13), 0)
-            c, _ = gdr_step(
+            c = gdr_step(
                 model, batch, base, LOOSE, SILENT,
                 RngStream(seed, 1, "noise-perp"), RngStream(seed, 1, "noise-alpha"), batch.size,
             )
@@ -698,7 +712,7 @@ class TestDifferenceChannelSensitivity:
             c = 0.5 * math.sin(self.ANGLE) * l2_norm(g)  # below the orthogonal norm
             # c_alpha = c keeps the parallel part of the release small, so the
             # projection below does not add rounding relative to ||g||
-            out, _ = gdr_step(
+            out = gdr_step(
                 model, batch, base, ClipSpec(1.0, c, c), SILENT,
                 RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"), batch.size,
             )
@@ -729,7 +743,7 @@ class TestOrthogonalReleaseAcrossTheGuard:
             assert not degenerate_layers(base)
             c = 0.5 * math.sin(angle) * l2_norm(g)  # below the orthogonal norm
             expanded.clear()
-            out, _ = gdr_step(
+            out = gdr_step(
                 model, batch, base, ClipSpec(1.0, c, c), SILENT,
                 RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"), batch.size,
             )
@@ -783,9 +797,7 @@ def step_problems(draw):
     gen = np.random.Generator(np.random.Philox(key=seed))
     model = init_model(arch, seed)
     batch = Batch(gen.standard_normal((size, d_in)), gen.integers(0, n_classes, size=size))
-    other = LayeredVector(
-        tuple(gen.standard_normal(d) * 0.3 for d in model.params.layer_dims)
-    )
+    other = join(gen.standard_normal(d) * 0.3 for d in model.params.layer_dims)
     return model, batch, other, seed
 
 
@@ -847,11 +859,9 @@ class TestFactoredStepsMatchReference:
         # zero some layers of the base so that they are degenerate
         zeroed = data.draw(st.sets(st.integers(0, raw_base.layer_count - 1)))
         base = normalize_base(
-            LayeredVector(
-                tuple(
-                    np.zeros_like(b) if layer in zeroed else b.copy()
-                    for layer, b in enumerate(raw_base.blocks)
-                )
+            join(
+                np.zeros_like(b) if layer in zeroed else b.copy()
+                for layer, b in enumerate(raw_base.blocks)
             ),
             0,
         )
@@ -869,7 +879,7 @@ class TestFactoredStepsMatchReference:
         noise = NoisePlan(sigma, sigma, 2.0 * sigma)
         perp_stream = RngStream(seed, 5, "noise-perp")
         alpha_stream = RngStream(seed, 5, "noise-alpha")
-        out, _ = gdr_step(model, batch, base, clip, noise, perp_stream, alpha_stream, batch.size)
+        out = gdr_step(model, batch, base, clip, noise, perp_stream, alpha_stream, batch.size)
         noisy_perp = aggregate_and_perturb(perps, clip.c_perp, noise.sigma_perp, perp_stream)
         noisy_alpha = aggregate_and_perturb_scalars(
             alphas, clip.c_alpha, noise.sigma_alpha, alpha_stream

@@ -118,20 +118,46 @@ class TestAxpy:
 class TestConstruction:
     def test_rejects_non_finite(self):
         with pytest.raises(ContractViolation):
-            from_blocks([[1.0, math.nan]])
+            LayeredVector(np.array([1.0, math.nan]), (2,))
         with pytest.raises(ContractViolation):
-            from_blocks([[math.inf]])
+            LayeredVector(np.array([0.0, math.inf]), (1, 1))
 
     def test_rejects_empty(self):
         with pytest.raises(ContractViolation):
-            LayeredVector(())
+            LayeredVector(np.zeros(0), ())
         with pytest.raises(ContractViolation):
-            from_blocks([[]])
+            LayeredVector(np.zeros(0), (0,))
+        with pytest.raises(ContractViolation):
+            LayeredVector(np.zeros(2), (2, 0))
+
+    @pytest.mark.parametrize("flat, dims", [
+        (np.zeros(3, dtype=np.float32), (3,)),
+        (np.zeros(3, dtype=np.int64), (3,)),
+        ([0.0] * 3, (3,)),
+        (np.zeros((1, 3)), (3,)),
+        (np.zeros(4), (3,)),
+        (np.zeros(3), (2, 2)),
+    ], ids=["float32", "int64", "list", "2-d", "too-long", "too-short"])
+    def test_rejects_malformed_coordinates(self, flat, dims):
+        with pytest.raises(ContractViolation):
+            LayeredVector(flat, dims)
 
     def test_blocks_read_only(self):
         v = random_vector((3,), seed=9)
         with pytest.raises(ValueError):
             v.blocks[0][0] = 5.0
+        with pytest.raises(ValueError):
+            v.flat[0] = 5.0
+
+    def test_blocks_are_views_of_flat(self):
+        flat = np.arange(6.0)
+        v = LayeredVector(flat, (1, 2, 3))
+        assert v.flat is flat and not flat.flags.writeable
+        assert [b.tolist() for b in v.blocks] == [[0.0], [1.0, 2.0], [3.0, 4.0, 5.0]]
+        for block in v.blocks:
+            assert np.shares_memory(block, flat)
+            with pytest.raises(ValueError):
+                block[0] = 5.0
 
     def test_dims(self):
         v = LayeredVector.zeros((2, 5, 1))
@@ -162,6 +188,17 @@ class TestGaussianSample:
         assert draws.size == 10_000
         assert abs(draws.std() - 2.0) / 2.0 < 0.03
         assert abs(draws.mean()) < 0.05
+
+    @pytest.mark.parametrize("dims", [(7840, 10), (50176, 64, 640, 10), (3, 1, 4)])
+    def test_one_flat_draw(self, dims):
+        """The blocks are one draw of sum(dims) normals, which is the blocks
+        drawn one after another from one generator."""
+        stream = RngStream(7, 3, "noise-perp")
+        drawn = gaussian_sample(stream, dims, 1.3).flat
+        flat = stream.generator().standard_normal(sum(dims)) * 1.3
+        gen = stream.generator()
+        per_block = np.concatenate([gen.standard_normal(d) * 1.3 for d in dims])
+        assert drawn.tobytes() == flat.tobytes() == per_block.tobytes()
 
     def test_replay_is_bit_identical(self):
         a = gaussian_sample(RngStream(7, 3, "noise-perp"), self.DIMS, 1.3)
