@@ -10,9 +10,13 @@ factors (:class:`dplab.models.GradientFactors`) and only the reference path
 Reductions run per layer, with numpy's fixed pairwise summation, and then
 left-to-right across layers, so they do not depend on the BLAS thread
 count. Random draws do not either: a large draw (:func:`standard_normal`)
-is cut into fixed blocks, each from its own jumped Philox substream. BLAS
-products do: OpenBLAS's dgemm with inner dimension 784 and its gemv give
-other bits at one thread than at two, so runs on MNIST-shaped data do too.
+is cut into fixed blocks, each from its own jumped Philox substream, and
+up to four threads per core draw them (one on a single core): OpenBLAS
+keeps a worker busy-waiting after ``import numpy`` and after each threaded
+product, and more draw threads than cores keep most of the CPU for the
+draw while it spins. BLAS products do depend on the thread count:
+OpenBLAS's dgemm with inner dimension 784 and its gemv give other bits at
+one thread than at two, so runs on MNIST-shaped data do too.
 """
 
 from __future__ import annotations
@@ -87,7 +91,9 @@ class LayeredVector:
 
     def equals(self, other: "LayeredVector") -> bool:
         """Bit-exact equality."""
-        return self.layer_dims == other.layer_dims and np.array_equal(self.flat, other.flat)
+        return self.layer_dims == other.layer_dims and np.array_equal(
+            self.flat.view(np.uint64), other.flat.view(np.uint64)
+        )
 
     def __repr__(self) -> str:
         return f"LayeredVector(layer_dims={self.layer_dims})"
@@ -199,14 +205,25 @@ def standard_normal(stream: RngStream, shape) -> np.ndarray:
     Block b of the flat output is the draw of ``Philox(key).jumped(b)``, so
     the bytes do not depend on the core count, and a draw of at most
     ``_BLOCK`` normals is ``stream.generator().standard_normal(shape)``.
-    ``min(cores, blocks)`` workers share the blocks round-robin: the calling
-    thread and one pool task each, and the pool starts threads only for its
-    tasks, so with one worker none starts. Every thread is joined before
+    ``min(4 * cores, blocks)`` workers share the blocks round-robin, or one
+    worker on a single usable core: the calling thread and one pool task
+    each, and the pool starts threads only for its tasks, so with one worker
+    none starts. More workers than cores keep most of the CPU for the draw
+    while OpenBLAS's idle worker busy-waits, as it does after ``import
+    numpy`` and after each threaded product. Every thread is joined before
     this returns, and an exception raised in one is raised here.
     """
     out = np.empty(shape)
     flat = out.reshape(-1)
-    workers = max(1, min(_usable_cores(), -(-flat.size // _BLOCK)))
+    cores = _usable_cores()
+    # The spinning worker competes for its core with each draw thread there,
+    # so more draw threads leave it a smaller share. The (10000, 784) draw
+    # started 30 ms after `import numpy` took a median 87.0 ms at 1 worker
+    # per core, 65.8 at 2 and 62.2 at 4; started 0.4 s after it, with
+    # nothing spinning, 56.4, 58.3 and 58.3 ms (fresh processes, 2 vCPU,
+    # 12 runs each). One core has no idle BLAS worker to share with.
+    per_core = 4 if cores > 1 else 1
+    workers = max(1, min(per_core * cores, -(-flat.size // _BLOCK)))
     draw = partial(_draw_blocks, stream._philox_key(), flat, workers)
     with ThreadPoolExecutor(workers) as pool:
         rest = [pool.submit(draw, k) for k in range(1, workers)]
