@@ -17,7 +17,7 @@ from .accountant import (
     schedule_ledger,
 )
 from .datasets import Dataset, gen_synthetic, load_idx_pair, poisson_sample
-from .decomposition import Decomposition, GdrBase, decompose, decompose_batch, normalize_base, reconstruct
+from .decomposition import GdrBase, normalize_base, reconstruct
 from .diagnostics import (
     CSV_COLUMNS,
     MetricsRow,
@@ -32,14 +32,7 @@ from .errors import (
     ContractViolation,
     IdxFormatError,
 )
-from .mechanism import (
-    ClipSpec,
-    NoisePlan,
-    aggregate_and_perturb,
-    aggregate_and_perturb_scalars,
-    clip_alpha_vec,
-    clip_to_norm,
-)
+from .mechanism import ClipSpec, NoisePlan
 from .models import (
     Architecture,
     Batch,
@@ -47,11 +40,9 @@ from .models import (
     Model,
     apply_update,
     backprop,
-    evaluate,
     init_model,
     logistic_regression,
     mlp,
-    per_sample_gradients,
 )
 from .trainers import (
     METHODS,
@@ -73,7 +64,6 @@ from .vectors import (
     gaussian_sample,
     l2_norm,
     l2_norm_layer,
-    sub,
 )
 
 __version__ = "0.1.0"

@@ -249,7 +249,8 @@ def calibrate_sigma(
     sigma_alpha: float,
     ratio_g: float = 1.0,
 ) -> tuple[float, float]:
-    """Find (sigma_perp, sigma_g) hitting eps_target at delta.
+    """Find (sigma_perp, sigma_g) whose eps at delta lies in
+    [eps_target - tol, eps_target], tol = CALIBRATION_REL_TOL * eps_target.
 
     One scale s is bisected with sigma_perp = s and sigma_g = ratio_g * s,
     accounted by :func:`schedule_ledger`. sigma_alpha is fixed by the caller.
@@ -299,9 +300,9 @@ def calibrate_sigma(
     tol = CALIBRATION_REL_TOL * eps_target
     # lo: the largest scale seen whose eps is above the target; hi: the
     # smallest seen below it. Double lo until the target is bracketed (or
-    # halve hi), then bisect. The tolerance is checked at scale 1 and once
-    # the target is met or bracketed, never on a scale passed while doubling
-    # or halving toward it.
+    # halve hi), then bisect. A scale is returned only if its eps is at most
+    # the target and within tol of it, and only at scale 1 or once the target
+    # is met or bracketed, never on a scale passed while halving toward it.
     lo = hi = None
     scale = 1.0
     for i in range(CALIBRATION_MAX_ITER):
@@ -311,7 +312,7 @@ def calibrate_sigma(
         elif e < eps_target:
             hi = scale
         may_stop = i == 0 or e == eps_target or (lo is not None and hi is not None)
-        if may_stop and abs(e - eps_target) <= tol:
+        if may_stop and eps_target - tol <= e <= eps_target:
             return scale, ratio_g * scale
         if hi is None:
             scale = 2.0 * lo

@@ -9,8 +9,10 @@ so without any special case it gets alpha 0 and passes the gradient through
 the orthogonal channel untouched.
 
 The trainers take every sample's alphas from gradient factors (their
-:meth:`~dplab.models.GradientFactors.block_dots` with the base); :func:`decompose`
-and :func:`decompose_batch` split materialized vectors and are their reference.
+:meth:`~dplab.models.GradientFactors.block_dots` with the base). :func:`decompose`,
+:func:`decompose_batch` and :class:`Decomposition` split materialized vectors;
+they are test oracles, not exported, and stay here because the benchmark
+tracer (``perfbench/spans.py``) resolves ``dplab.decomposition.decompose_batch``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,7 @@ from .errors import ContractViolation
 from .vectors import LayeredVector, l2_norm, l2_norm_layer
 
 __all__ = [
-    "Decomposition",
     "GdrBase",
-    "decompose",
-    "decompose_batch",
     "normalize_base",
     "reconstruct",
 ]

@@ -15,7 +15,9 @@ clipped sum as one flat array, layers in order. The list-based functions
 (:func:`aggregate_and_perturb`, :func:`clip_to_norm`) clip one materialized
 vector at a time and serve as the reference the row sources are tested
 against; their coefficient counterparts (:func:`aggregate_and_perturb_scalars`,
-:func:`clip_alpha_vec`) call them on one-block vectors.
+:func:`clip_alpha_vec`) call them on one-block vectors. These four are test
+oracles, not exported, and stay here because the benchmark tracer
+(``perfbench/spans.py``) resolves them as ``dplab.mechanism.<name>``.
 """
 
 from __future__ import annotations
@@ -38,11 +40,7 @@ __all__ = [
     "NoisePlan",
     "OrthogonalRows",
     "ROW_CHUNK_BYTES",
-    "aggregate_and_perturb",
-    "aggregate_and_perturb_scalars",
-    "clip_alpha_vec",
     "clip_factors",
-    "clip_to_norm",
     "privatize",
 ]
 

@@ -12,7 +12,7 @@ Every model is a stack of dense layers, so one backward pass
 layer, the input a_i the layer saw and the signal delta_i at its output.
 The weight gradient is their outer product, with norm ||a_i|| ||delta_i||
 (Goodfellow 2015, "Efficient per-example gradient computations").
-:func:`per_sample_gradients` is derived from the factors.
+:func:`per_sample_gradients` expands the factors into one vector per sample.
 
 Inference has one forward implementation, :class:`EvalWindow`, which
 scores several models of one architecture on one batch. It stacks their
@@ -25,7 +25,9 @@ products, then max, log-sum-exp and hits over the class axis. A chunk holds
 as many samples as keep its working arrays within
 :data:`EVAL_CHUNK_BYTES`, so the product runs near its single-call speed
 and the memory does not grow with n. :func:`evaluate` is the window of one
-model.
+model. It and :func:`per_sample_gradients` are test oracles, not exported,
+and stay here because the benchmark tracer (``perfbench/spans.py``) resolves
+them as ``dplab.models.<name>``.
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ __all__ = [
     "Model",
     "apply_update",
     "backprop",
-    "evaluate",
     "init_model",
     "logistic_regression",
     "mlp",
-    "per_sample_gradients",
 ]
 
 _ACTIVATIONS = ("relu", "tanh")

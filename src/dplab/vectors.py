@@ -6,6 +6,8 @@ slices are the per-layer blocks; elementwise operations are one numpy call
 on it. Per-sample gradients are not: the trainers keep them as per-layer
 factors (:class:`dplab.models.GradientFactors`) and only the reference path
 (:func:`dplab.models.per_sample_gradients`) expands them into vectors.
+:func:`sub` is a test helper, not exported; it stays here because the
+benchmark tracer (``perfbench/spans.py``) resolves ``dplab.vectors.sub``.
 
 Reductions run per layer, with numpy's fixed pairwise summation, and then
 left-to-right across layers, so they do not depend on the BLAS thread
@@ -42,7 +44,6 @@ __all__ = [
     "l2_norm",
     "l2_norm_layer",
     "standard_normal",
-    "sub",
 ]
 
 

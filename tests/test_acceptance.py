@@ -23,8 +23,8 @@ from dplab import (
     ReleaseEvent,
     RngStream,
     TrainConfig,
+    backprop,
     calibrate_sigma,
-    decompose,
     effective_sigma,
     gdr_step,
     gen_synthetic,
@@ -33,15 +33,14 @@ from dplab import (
     load_idx_pair,
     mlp,
     normalize_base,
-    per_sample_gradients,
     rdp_subsampled_gaussian,
     diff_step,
-    sub,
     train,
 )
 from dplab.diagnostics import steps_to_target_loss
 from dplab.mechanism import DenseRows, DifferenceRows, privatize
-from dplab.models import GradientFactors
+from dplab.models import GradientFactors, per_sample_gradients
+from dplab.vectors import sub
 from tests.conftest import (
     dot_layer,
     join,
@@ -66,6 +65,11 @@ def mean_of(vectors):
     )
 
 
+def sample_rows(grads):
+    """The dense (B, d) rows of every parameter block, expanded from the factors."""
+    return [grads.block_rows(j) for j in range(len(grads.layer_dims))]
+
+
 class TestCriterion1ReconstructionExactness:
     def test_noiseless_decomposition_step_equals_sgd(self):
         worst = 0.0
@@ -84,21 +88,33 @@ class TestCriterion1ReconstructionExactness:
 
 
 class TestCriterion2DecompositionInvariants:
+    """The decomposition as ``gdr_step`` makes it: per-sample alphas are the
+    ``block_dots`` of ``backprop``'s factors with a ``normalize_base`` base,
+    and the remainders are the factors' dense ``block_rows`` minus alpha
+    times the base block, as the orthogonal channel builds its dense rows."""
+
     def test_orthogonality_and_pythagoras_per_layer(self):
         checked = 0
         gen = np.random.Generator(np.random.Philox(key=77))
         while checked < 1000:
-            layers = int(gen.integers(1, 5))
-            dims = tuple(int(gen.integers(2, 12)) for _ in range(layers))
-            g = random_vector(dims, int(gen.integers(0, 2**32)), scale=3.0)
+            model, batch = random_problem(int(gen.integers(0, 2**31)))
+            grads = backprop(model, batch)
+            dims = grads.layer_dims
             base = normalize_base(random_vector(dims, int(gen.integers(0, 2**32))), 0)
-            dec = decompose(g, base)
-            for layer in range(layers):
-                g_norm = l2_norm_layer(g, layer)
-                assert abs(dot_layer(dec.g_perp, base.b, layer)) <= 1e-9 * max(g_norm, 1e-300)
-                lhs = dec.alphas[layer] ** 2 + l2_norm_layer(dec.g_perp, layer) ** 2
-                assert lhs == pytest.approx(g_norm**2, rel=1e-9, abs=1e-15)
-                checked += 1
+            alphas = grads.block_dots(base.b)
+            rows = sample_rows(grads)
+            perps = [
+                r - alphas[:, j, None] * b for j, (r, b) in enumerate(zip(rows, base.b.blocks))
+            ]
+            for i in range(grads.size):
+                g = join(r[i] for r in rows)
+                g_perp = join(p[i] for p in perps)
+                for layer in range(len(dims)):
+                    g_norm = l2_norm_layer(g, layer)
+                    assert abs(dot_layer(g_perp, base.b, layer)) <= 1e-9 * max(g_norm, 1e-300)
+                    lhs = alphas[i, layer] ** 2 + l2_norm_layer(g_perp, layer) ** 2
+                    assert lhs == pytest.approx(g_norm**2, rel=1e-9, abs=1e-15)
+                    checked += 1
         report(2, True, f"({checked} layers checked)")
 
 
@@ -207,6 +223,10 @@ class TestCriterion5NoiseStatistics:
 
 
 class TestCriterion6PerSampleGradients:
+    """``backprop``'s factors against central differences, both as the
+    trainers sum them (``weighted_sum``, in ``mean_gradient``) and as the
+    mean of the per-sample rows they expand to (``block_rows``)."""
+
     def test_finite_difference_agreement(self):
         worst = 0.0
         for seed in range(20):
@@ -214,8 +234,7 @@ class TestCriterion6PerSampleGradients:
             assert model.params.total_dim <= 60
             fd = finite_difference_gradient(model, batch)
             mean = mean_gradient(model, batch)
-            grads = per_sample_gradients(model, batch)
-            stacked = mean_of(grads)
+            stacked = join(np.mean(r, axis=0) for r in sample_rows(backprop(model, batch)))
             for candidate in (mean, stacked):
                 err = l2_norm(sub(candidate, fd)) / max(l2_norm(fd), 1e-300)
                 worst = max(worst, err)
@@ -317,7 +336,7 @@ class TestCriterion8CoherencePhenomena:
 
     def test_staleness_inflates_difference_norm(self):
         model, batch = random_problem(41, batch=1)
-        g = per_sample_gradients(model, batch)[0]
+        g = join(r[0] for r in sample_rows(backprop(model, batch)))
         out = diff_step(
             model, batch, scale(-1.0, g), 1e9, 0.0, RngStream(0, 1, "noise-g"), batch.size
         )

@@ -15,13 +15,13 @@ from dplab import (
     IdxFormatError,
     RngStream,
     apply_update,
-    evaluate,
     gen_synthetic,
     init_model,
     load_idx_pair,
     logistic_regression,
     poisson_sample,
 )
+from dplab.models import evaluate
 from tests.conftest import jumped_block_normals, mean_gradient
 
 

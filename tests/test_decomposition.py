@@ -6,14 +6,13 @@ from dplab import (
     ContractViolation,
     LayeredVector,
     axpy,
-    decompose,
-    decompose_batch,
     l2_norm,
     l2_norm_layer,
     normalize_base,
     reconstruct,
-    sub,
 )
+from dplab.decomposition import decompose, decompose_batch
+from dplab.vectors import sub
 from tests.conftest import allclose, degenerate_layers, dot_layer, from_blocks, random_vector
 
 

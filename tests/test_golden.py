@@ -33,12 +33,12 @@ PINS = {
         "summary.json": "fb02b1e7fbf84d7900cff956630a4bab9cc00a3d6d49857eeb21f438339053e1",
     },
     "dpsgd": {
-        "metrics.csv": "d169bdf212d2d88d9d99421fe5163216631c29e0c5ef73aeae8b246fb4ffa95d",
-        "summary.json": "0136cba80406e2327775fb17a7f73da43cc5a81aa73196222555b30e86ff505b",
+        "metrics.csv": "bbc2b10f2a38acd54ae70dfe32eb8dcd3e820ebea140662a4f2ab9a108c109ea",
+        "summary.json": "52dd7aa99f95345c50686b1b0bb10cd266434acf4eea121ea19a3e8f8840cf0e",
     },
     "diff": {
-        "metrics.csv": "ad3f1c2ce31f7890ce7680c47ab39ec0e41a45823261e8e8d603bd84897e1f4a",
-        "summary.json": "19ef5c1766ada45f29588fbb458529aa95bd1199407bc968e53ee3c2b560b2d5",
+        "metrics.csv": "aae20d0d1b5d1febd16c3418aaa7be6735fc701a65799cfa8c842490ef8efc88",
+        "summary.json": "811351cfb49ca8e1b0a207726f3ddd365a8fa1c48492e144d8eae9c96c32282a",
     },
     "dpdr": {
         "metrics.csv": "397ea690c62a960f3241f2c561827511a9f61c420eea507fc5e3371e7ac9188d",

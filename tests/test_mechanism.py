@@ -11,18 +11,21 @@ from dplab import (
     LayeredVector,
     NoisePlan,
     RngStream,
-    aggregate_and_perturb,
-    aggregate_and_perturb_scalars,
     backprop,
-    clip_alpha_vec,
-    clip_to_norm,
     dot,
     l2_norm,
-    per_sample_gradients,
-    sub,
 )
 from dplab.decomposition import normalize_base
-from dplab.mechanism import DifferenceRows, OrthogonalRows
+from dplab.mechanism import (
+    DifferenceRows,
+    OrthogonalRows,
+    aggregate_and_perturb,
+    aggregate_and_perturb_scalars,
+    clip_alpha_vec,
+    clip_to_norm,
+)
+from dplab.models import per_sample_gradients
+from dplab.vectors import sub
 from tests.conftest import (
     concat,
     from_blocks,

@@ -15,10 +15,17 @@ from dplab import (
     l2_norm,
     logistic_regression,
     mlp,
-    per_sample_gradients,
-    sub,
 )
-from dplab.models import EVAL_CHUNK_BYTES, EvalWindow, Model, _chunk_rows, _forward, evaluate
+from dplab.models import (
+    EVAL_CHUNK_BYTES,
+    EvalWindow,
+    Model,
+    _chunk_rows,
+    _forward,
+    evaluate,
+    per_sample_gradients,
+)
+from dplab.vectors import sub
 from tests.conftest import (
     from_blocks,
     join,

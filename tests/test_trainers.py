@@ -16,10 +16,7 @@ from dplab import (
     ReleaseEvent,
     RngStream,
     TrainConfig,
-    aggregate_and_perturb,
-    aggregate_and_perturb_scalars,
     apply_update,
-    decompose_batch,
     diff_step,
     dpsgd_step,
     gaussian_sample,
@@ -29,17 +26,18 @@ from dplab import (
     l2_norm,
     mlp,
     normalize_base,
-    per_sample_gradients,
     poisson_sample,
     privacy_schedule,
     reconstruct,
     release_sigma,
     schedule_ledger,
-    sub,
     train,
 )
-from dplab.mechanism import CANCELLATION_TAU
+from dplab.decomposition import decompose_batch
+from dplab.mechanism import CANCELLATION_TAU, aggregate_and_perturb, aggregate_and_perturb_scalars
+from dplab.models import per_sample_gradients
 from dplab.trainers import EVAL_WINDOW, METHODS, sgd_step
+from dplab.vectors import sub
 from tests.conftest import (
     add,
     allclose,
