@@ -33,8 +33,11 @@ class Dataset:
     """A labelled dataset. It holds read-only views of the given arrays,
     sharing their memory when no conversion is needed; the caller's arrays
     stay writable. ``examples`` is every row as one :class:`Batch`, which
-    checks the shapes, the label signs and (in the dataset's one scan of its
-    inputs) finiteness; the dataset adds only its own rules."""
+    checks the shapes and the labels (integral and non-negative) and, in
+    the dataset's one scan of its inputs, computes every row's squared norm
+    ||x_i||^2 and checks finiteness; :func:`poisson_sample` gathers batches
+    with their norms from it, so no step recomputes them. The dataset adds
+    only its own rules."""
 
     name: str
     inputs: np.ndarray  # (n, d_in) float64
@@ -43,7 +46,7 @@ class Dataset:
     examples: Batch = field(init=False, repr=False)
 
     def __post_init__(self):
-        examples = Batch(self.inputs, self.labels)  # shape, finiteness, label sign
+        examples = Batch(self.inputs, self.labels)  # shape, labels, finiteness, row norms
         if examples.size < 1:
             raise ContractViolation("dataset must contain at least one example")
         if self.n_classes < 2:

@@ -12,6 +12,10 @@ Every model is a stack of dense layers, so one backward pass
 layer, the input a_i the layer saw and the signal delta_i at its output.
 The weight gradient is their outer product, with norm ||a_i|| ||delta_i||
 (Goodfellow 2015, "Efficient per-example gradient computations").
+Layer 0's ||a_i||^2 is the squared norm of a dataset row, which never
+changes: a :class:`Batch` computes every row's ||x_i||^2 in its one scan of
+the inputs, which is also its finiteness check, and :func:`backprop` takes
+layer 0's norms from the batch instead of recomputing them every step.
 :func:`per_sample_gradients` expands the factors into one vector per sample.
 
 Inference has one forward implementation, :class:`EvalWindow`, which
@@ -33,7 +37,7 @@ them as ``dplab.models.<name>``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,40 +118,76 @@ class Model:
             )
 
 
+def _row_sq_norms(inputs: np.ndarray) -> np.ndarray:
+    """(n,) squared row norms ||x_i||^2 of a C-contiguous (n, d) array, and
+    its finiteness check in the same pass.
+
+    ``np.sum(x * x, axis=1)`` over chunks of rows: each row is summed alone,
+    so any rows gathered from the array give the same bits. A NaN or inf
+    coordinate makes its row's norm non-finite, so only such rows are
+    rescanned; a finite row whose square overflows is kept with norm inf.
+    """
+    n, d = inputs.shape
+    out = np.empty(n)
+    # not smaller: under glibc's default malloc, freeing a temporary this
+    # large lifts the mmap threshold above the later step and evaluation
+    # buffers, which smaller chunks leave to fresh, page-faulting mappings
+    rows = max(1, EVAL_CHUNK_BYTES // (8 * max(d, 1)))
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, rows):
+            part = inputs[lo : lo + rows]
+            out[lo : lo + rows] = np.sum(part * part, axis=1)
+    unbounded = ~np.isfinite(out)
+    if unbounded.any() and not np.all(np.isfinite(inputs[unbounded])):
+        raise ContractViolation("non-finite input coordinate")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Batch:
     """A batch of examples; empty when a Poisson draw comes up empty. It
-    holds read-only views of the given arrays, sharing their memory when no
-    conversion is needed; the caller's arrays stay writable."""
+    holds read-only views of the given arrays, sharing their memory when
+    they are already C-contiguous float64 inputs and int64 labels; the
+    caller's arrays stay writable.
+
+    Building a batch scans its inputs once: the scan yields each row's
+    ||x_i||^2 (``input_sq_norms``) and is the finiteness check. Float
+    labels that are not finite or not integral are rejected, not truncated.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
+    input_sq_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64).view()
-        labels = np.asarray(self.labels, dtype=np.int64).view()
+        # row-major: a row's np.sum follows the layout, and the scan's norms
+        # must have the bits of every batch gathered from these rows
+        inputs = np.ascontiguousarray(self.inputs, dtype=np.float64).view()
+        raw = np.asarray(self.labels)
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
+            raise ContractViolation("labels must be finite integers")
+        labels = np.asarray(raw, dtype=np.int64).view()
         if inputs.ndim != 2:
             raise ContractViolation(f"inputs must be 2-d (batch, d_in), got shape {inputs.shape}")
         if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
             raise ContractViolation("inputs and labels must have equal length")
-        if not np.all(np.isfinite(inputs)):
-            raise ContractViolation("non-finite input coordinate")
+        sq_norms = _row_sq_norms(inputs)
         if labels.size and labels.min() < 0:
             raise ContractViolation("negative label")
-        inputs.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
+        for name, held in (("inputs", inputs), ("labels", labels), ("input_sq_norms", sq_norms)):
+            held.setflags(write=False)
+            object.__setattr__(self, name, held)
 
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
 
     def take(self, idx: np.ndarray) -> Batch:
-        """The rows ``idx``, in that order. They were checked when this batch
-        was built, so they are not scanned again."""
+        """The rows ``idx``, in that order, with their squared norms. They
+        were checked when this batch was built, so they are not scanned
+        again."""
         rows = object.__new__(Batch)
-        for name in ("inputs", "labels"):
+        for name in ("inputs", "labels", "input_sq_norms"):
             held = getattr(self, name)[idx]
             held.setflags(write=False)
             object.__setattr__(rows, name, held)
@@ -336,10 +376,13 @@ class GradientFactors:
     like the parameter block) and its gradient of the bias block is delta_ik.
     Norms, weighted sums and projections are computed from the factors, so
     no (B, D) array is needed; :meth:`block_rows` expands rows on demand.
+    ``input_sq_norms`` is the (B,) ||a_i0||^2 of layer 0, whose inputs are
+    the batch rows: :func:`backprop` takes it from the batch's scan.
     """
 
     inputs: tuple[np.ndarray, ...]
     signals: tuple[np.ndarray, ...]
+    input_sq_norms: np.ndarray
 
     @property
     def size(self) -> int:
@@ -365,16 +408,19 @@ class GradientFactors:
     def take(self, idx: np.ndarray) -> GradientFactors:
         """Factors of the samples ``idx``, in that order."""
         return GradientFactors(
-            tuple(a[idx] for a in self.inputs), tuple(d[idx] for d in self.signals)
+            tuple(a[idx] for a in self.inputs),
+            tuple(d[idx] for d in self.signals),
+            self.input_sq_norms[idx],
         )
 
     def sq_norms(self) -> np.ndarray:
         """(B,) squared global L2 norms, sum_k ||a_ik||^2 ||delta_ik||^2 + ||delta_ik||^2,
-        blocks summed left to right."""
+        blocks summed left to right; ||a_i0||^2 is ``input_sq_norms``."""
         total = np.zeros(self.size)
-        for a, d in zip(self.inputs, self.signals):
+        for k, (a, d) in enumerate(zip(self.inputs, self.signals)):
+            a_sq = np.sum(a * a, axis=1) if k else self.input_sq_norms
             d_sq = np.sum(d * d, axis=1)
-            total += np.sum(a * a, axis=1) * d_sq
+            total += a_sq * d_sq
             total += d_sq
         return total
 
@@ -406,7 +452,8 @@ class GradientFactors:
 
 def backprop(model: Model, batch: Batch) -> GradientFactors:
     """Per-sample gradient factors of each example's own cross-entropy;
-    (0, .) factors for an empty batch."""
+    (0, .) factors for an empty batch. Layer 0's squared input norms are the
+    batch's ``input_sq_norms``."""
     _check_batch(model.arch, batch)
     z, hidden_zs, layer_inputs = _forward(model, batch.inputs)
     n_layers = len(model.arch.weight_shapes())
@@ -419,7 +466,7 @@ def backprop(model: Model, batch: Batch) -> GradientFactors:
             delta = upstream * _activation_grad(
                 model.arch.activation, hidden_zs[k - 1], layer_inputs[k]
             )
-    return GradientFactors(tuple(layer_inputs), tuple(signals))
+    return GradientFactors(tuple(layer_inputs), tuple(signals), batch.input_sq_norms)
 
 
 def per_sample_gradients(model: Model, batch: Batch) -> list[LayeredVector]:

@@ -58,6 +58,17 @@ def mean_gradient(model, batch) -> LayeredVector:
     return LayeredVector(total / grads.size, grads.layer_dims)
 
 
+def reference_sq_norms(grads) -> np.ndarray:
+    """Uncached reference for ``GradientFactors.sq_norms``: every layer's
+    ||a_ik||^2 recomputed from its inputs, blocks summed left to right."""
+    total = np.zeros(grads.size)
+    for a, d in zip(grads.inputs, grads.signals):
+        d_sq = np.sum(d * d, axis=1)
+        total += np.sum(a * a, axis=1) * d_sq
+        total += d_sq
+    return total
+
+
 def jumped_block_normals(stream, size: int, block: int = 1 << 20) -> np.ndarray:
     """Reference for a large standard normal draw: block b of ``block``
     normals from the stream's Philox jumped b times, concatenated."""

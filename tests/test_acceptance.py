@@ -207,8 +207,9 @@ class TestCriterion5NoiseStatistics:
     def test_vector_channel_noise_std(self):
         # one dense layer with 4 inputs and 1 output: blocks (4, 1), 5 coordinates
         gen = np.random.default_rng(0)
-        grads = GradientFactors((0.3 * gen.standard_normal((self.B, 4)),),
-                                (0.3 * gen.standard_normal((self.B, 1)),))
+        a = 0.3 * gen.standard_normal((self.B, 4))
+        grads = GradientFactors((a,), (0.3 * gen.standard_normal((self.B, 1)),),
+                                np.sum(a * a, axis=1))
         base = normalize_base(random_vector(grads.layer_dims, seed=1), 0)
         rows = DifferenceRows(grads, base.b, grads.block_dots(base.b))
         err = self.noise_std_error(rows, 1, "noise-perp")

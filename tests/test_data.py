@@ -21,7 +21,7 @@ from dplab import (
     logistic_regression,
     poisson_sample,
 )
-from dplab.models import evaluate
+from dplab.models import EVAL_CHUNK_BYTES, evaluate
 from tests.conftest import jumped_block_normals, mean_gradient
 
 
@@ -260,3 +260,80 @@ class TestDatasetInvariants:
     def test_label_range_checked(self):
         with pytest.raises(ContractViolation):
             Dataset("x", np.zeros((2, 3)), np.array([0, 5]), 2)
+
+
+# 12000 rows of 200 inputs (19.2 MB) span three chunks of the input scan
+WIDE = (12000, 200)
+SCAN_ROWS = EVAL_CHUNK_BYTES // (8 * WIDE[1])
+
+
+def build(kind, inputs, labels):
+    if kind == "dataset":
+        return Dataset("x", inputs, labels, 2).examples
+    return Batch(inputs, labels)
+
+
+class TestInputScan:
+    """The one scan of a batch's inputs computes every row's ||x_i||^2 and
+    is the finiteness check: a NaN or inf coordinate anywhere is rejected,
+    a finite row whose square overflows is kept with norm inf."""
+
+    def setup_method(self):
+        assert WIDE[0] > 2 * SCAN_ROWS
+        self.labels = np.arange(WIDE[0]) % 2
+
+    @pytest.mark.parametrize("kind", ["dataset", "batch"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "where", [(0, 0), (WIDE[0] - 1, WIDE[1] - 1), (2 * SCAN_ROWS + 17, 123)],
+        ids=["first", "last", "third-chunk"],
+    )
+    def test_non_finite_coordinate_rejected(self, kind, bad, where):
+        inputs = np.ones(WIDE)
+        inputs[where] = bad
+        with pytest.raises(ContractViolation, match="non-finite"):
+            build(kind, inputs, self.labels)
+
+    @pytest.mark.parametrize("kind", ["dataset", "batch"])
+    def test_overflowing_rows_kept_with_norm_inf(self, kind):
+        inputs = np.ones(WIDE)
+        rows = [0, SCAN_ROWS - 1, SCAN_ROWS, 2 * SCAN_ROWS + 5, WIDE[0] - 1]
+        inputs[rows, 7] = 1e200
+        inputs[rows[2], 8] = -3e200
+        examples = build(kind, inputs, self.labels)
+        with np.errstate(over="ignore"):
+            expected = np.sum(inputs * inputs, axis=1)
+        assert np.all(np.isinf(examples.input_sq_norms[rows]))
+        assert examples.input_sq_norms.tobytes() == expected.tobytes()
+
+    def test_non_finite_beside_overflowing_row_rejected(self):
+        inputs = np.ones(WIDE)
+        inputs[SCAN_ROWS, 3] = 1e200
+        inputs[2 * SCAN_ROWS + 1, 3] = np.nan
+        with pytest.raises(ContractViolation, match="non-finite"):
+            Batch(inputs, self.labels)
+
+    def test_norms_are_read_only_and_gathered_with_rows(self):
+        ds = gen_synthetic(40, 5, 2, margin=4.0, seed=3)
+        idx = np.array([39, 0, 7, 7])
+        batch = ds.examples.take(idx)
+        assert batch.input_sq_norms.tobytes() == ds.examples.input_sq_norms[idx].tobytes()
+        for held in (ds.examples.input_sq_norms, batch.input_sq_norms):
+            assert not held.flags.writeable
+
+
+class TestLabels:
+    """Labels are integers: a float label that is not finite or not
+    integral is rejected, never truncated or cast with a warning."""
+
+    @pytest.mark.parametrize("kind", ["dataset", "batch"])
+    @pytest.mark.parametrize("label", [1.9, 0.5, -0.25, np.nan, np.inf, -np.inf])
+    def test_bad_float_label_rejected(self, kind, label):
+        with pytest.raises(ContractViolation, match="finite integers"):
+            build(kind, np.zeros((2, 3)), np.array([0.0, label]))
+
+    @pytest.mark.parametrize("kind", ["dataset", "batch"])
+    def test_integral_float_labels_accepted(self, kind):
+        examples = build(kind, np.zeros((2, 3)), np.array([1.0, 0.0]))
+        assert examples.labels.dtype == np.int64
+        assert examples.labels.tolist() == [1, 0]

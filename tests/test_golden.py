@@ -8,9 +8,15 @@ trajectory keeps these bytes. A change that moves trajectories on purpose
 (ROADMAP item 1, say) updates the pins and records each before → after in
 CHANGES.md.
 
+A fifth run, ``dpdr-wide``, is the dpdr run on a 12000 x 200 dataset: its
+19.2 MB of inputs span three chunks of the dataset's scan
+(``models.EVAL_CHUNK_BYTES``), so a slip at a chunk boundary in the cached
+row norms moves its bytes. Its pins were recorded before layer 0's norms
+were cached.
+
 The pins hold for the environment they were recorded in: numpy 2.4 with
-scipy-openblas 0.3.31. At these sizes (D = 102) the same bytes came out at
-1 and 2 OpenBLAS threads.
+scipy-openblas 0.3.31. At these sizes (D = 102 and 402, products over at
+most 200 inputs) the same bytes came out at 1 and 2 OpenBLAS threads.
 """
 
 import contextlib
@@ -45,10 +51,19 @@ PINS = {
         "summary.json": "0b9205509bd2ec44fdb49e6a0f90c796de40fc2fac00fde07418ca4c4e063804",
         "perp_norms.txt": "93a5d33649b86b5243ec2aaff2661b1c1416541c8be532a2cb68fd7600872126",
     },
+    "dpdr-wide": {
+        "metrics.csv": "b3e6b506f50d55882323d3b661ccc33bff73dfb60ef98f7463ba65a53afc42b9",
+        "summary.json": "902fccba63b4f17566f0e93ff2371f7775272518a23917c6a59f3fb7f908d90d",
+        "perp_norms.txt": "0248481c54a683bd1e810f98bda8965a9ae0275ed613630b06f8c94bf886933b",
+    },
 }
 
 
 def short_config(method: str) -> dict:
+    if method == "dpdr-wide":
+        doc = short_config("dpdr")
+        doc["dataset"]["params"].update(n=12000, d_in=200)
+        return doc
     source = "dpsgd" if method == "sgd" else method
     doc = json.loads((CONFIGS / f"synthetic_{source}.json").read_text(encoding="utf-8"))
     doc["total_steps"] = STEPS

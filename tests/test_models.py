@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -11,11 +12,14 @@ from dplab import (
     ContractViolation,
     LayeredVector,
     apply_update,
+    backprop,
+    gen_synthetic,
     init_model,
     l2_norm,
     logistic_regression,
     mlp,
 )
+from dplab.mechanism import DifferenceRows
 from dplab.models import (
     EVAL_CHUNK_BYTES,
     EvalWindow,
@@ -32,6 +36,7 @@ from tests.conftest import (
     mean_gradient,
     random_problem,
     random_vector,
+    reference_sq_norms,
     row_major_evaluate,
 )
 
@@ -425,3 +430,72 @@ class TestAccuracy:
         inputs, labels = self.batch.inputs.copy(), self.batch.labels.copy()
         evaluate(self.model, Batch(inputs, labels))
         assert inputs.flags.writeable and labels.flags.writeable
+
+
+@functools.cache
+def wide_dataset():
+    """12000 x 200 inputs (19.2 MB): three chunks of the input scan."""
+    ds = gen_synthetic(12000, 200, 3, margin=6.0, seed=8)
+    assert ds.n * ds.d_in * 8 > 2 * EVAL_CHUNK_BYTES
+    return ds
+
+
+def assert_sq_norms_uncached(grads):
+    assert grads.sq_norms().tobytes() == reference_sq_norms(grads).tobytes()
+
+
+class TestCachedInputNorms:
+    """Layer 0's ||x_i||^2 comes from the batch's scan, not from the layer
+    inputs; ``sq_norms`` keeps the bytes of recomputing it (the uncached
+    reference in conftest) on batches, their ``take`` subsets, the factors'
+    own ``take`` and a ``DifferenceRows`` subset."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([(), (3,), (4, 2)]),
+        st.sampled_from(["relu", "tanh"]),
+        st.integers(0, 9),
+        st.data(),
+    )
+    def test_matches_uncached_reference(self, seed, hidden, activation, size, data):
+        model, batch = random_problem(seed, hidden=hidden, batch=size, activation=activation)
+        picks = st.lists(st.integers(0, size - 1), max_size=7) if size else st.just([])
+        idx = np.array(data.draw(picks), dtype=np.intp)
+        grads = backprop(model, batch)
+        assert_sq_norms_uncached(grads)
+        for sub_idx in (idx, idx[:1], idx[:0]):
+            assert_sq_norms_uncached(backprop(model, batch.take(sub_idx)))
+            assert_sq_norms_uncached(grads.take(sub_idx))
+        v = random_vector(grads.layer_dims, seed)
+        subset = DifferenceRows(grads, v, grads.block_dots(v))._subset(idx)
+        assert_sq_norms_uncached(subset.grads)
+
+    def test_fortran_order_inputs_stored_row_major(self):
+        # a row's sum follows the memory layout, so the scan and every
+        # gathered batch must see the rows in one layout
+        model, batch = random_problem(6, d_in=300, hidden=(4,), batch=40)
+        fortran = Batch(np.asfortranarray(batch.inputs), batch.labels)
+        assert fortran.inputs.flags.c_contiguous
+        idx = np.array([3, 5, 39, 0])
+        assert_sq_norms_uncached(backprop(model, fortran))
+        assert_sq_norms_uncached(backprop(model, fortran.take(idx)))
+
+    def test_scan_spans_chunks_bit_for_bit(self):
+        ds = wide_dataset()
+        expected = np.sum(ds.inputs * ds.inputs, axis=1)
+        assert ds.examples.input_sq_norms.tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(), (5,)]), st.lists(st.integers(0, 11_999), max_size=40))
+    def test_batches_across_chunks(self, hidden, picks):
+        ds = wide_dataset()
+        rows = EVAL_CHUNK_BYTES // (8 * ds.d_in)
+        edges = [0, rows - 1, rows, 2 * rows - 1, 2 * rows, ds.n - 1]
+        idx = np.array(edges + picks, dtype=np.intp)
+        model = init_model(mlp(ds.d_in, hidden, ds.n_classes), 3)
+        grads = backprop(model, ds.examples.take(idx))
+        assert_sq_norms_uncached(grads)
+        assert grads.input_sq_norms.tobytes() == np.sum(
+            ds.inputs[idx] * ds.inputs[idx], axis=1
+        ).tobytes()
