@@ -6,11 +6,13 @@ subsampled Gaussian mechanism,
     RDP(lambda) = log( sum_{k=0}^{lambda} C(lambda,k) (1-q)^(lambda-k) q^k
                        exp(k(k-1) / (2 sigma^2)) ) / (lambda - 1),
 
-evaluated in log space for all orders at once: the terms of every order sit
-on one (order, k) grid whose log-binomial coefficients are built at import
-and whose sigma-free terms are cached for the last few q, and one masked
-log-sum-exp per row gives the curve. Curves are composed
-additively over release events and converted to (eps, delta) by minimizing
+evaluated in log space for a prefix of the orders at once: the terms of
+every order sit on one (order, k) grid whose log-binomial coefficients are
+built at import and whose sigma-free terms are cached for the last few q,
+and one masked log-sum-exp per row gives the curve, so the first n orders
+cost n rows and have the bits of the full curve's first n entries. Curves
+are composed additively over release events and converted to (eps, delta)
+by minimizing
 
     eps(lambda) = RDP_total(lambda) + log((lambda - 1) / lambda)
                   - (log(delta) + log(lambda)) / (lambda - 1)
@@ -19,8 +21,16 @@ over the integer order grid 2..256, clamped at 0. This is the conversion of
 Balle et al. 2020, "Hypothesis testing interpretations and Renyi
 differential privacy", Thm 21 (also Canonne, Kamath & Steinke 2020). It is
 a sound bound and, at every order, tighter than the classic
-RDP + log(1/delta) / (lambda - 1). Calibration inverts the composition by
-bisecting a single noise scale.
+RDP + log(1/delta) / (lambda - 1).
+
+At integer orders the binomial sum is the exact Renyi divergence of the
+subsampled Gaussian (Mironov, Talwar & Zhang 2019), and a Renyi divergence
+is nondecreasing in its order (van Erven & Harremoes 2014). A ledger
+therefore evaluates a prefix of the orders and bounds every order past it
+from below by the RDP at the prefix's last order plus the smallest
+conversion term among the later orders; it grows the prefix only while
+that floor could undercut the prefix's minimum. Calibration inverts the
+composition by bisecting a single noise scale.
 """
 
 from __future__ import annotations
@@ -93,6 +103,11 @@ def _validate_sigma(sigma: float) -> None:
         raise ContractViolation(f"noise multiplier must be positive, got {sigma!r}")
 
 
+def _validate_role(role: str) -> None:
+    if role not in _ROLES:
+        raise ContractViolation(f"unknown schedule role {role!r}")
+
+
 def rdp_subsampled_gaussian(q: float, sigma: float, order: int) -> float:
     """RDP of one Poisson-subsampled Gaussian release at an integer order >= 2."""
     _validate_q(q)
@@ -103,26 +118,30 @@ def rdp_subsampled_gaussian(q: float, sigma: float, order: int) -> float:
         raise ContractViolation(f"order must be >= 2, got {order}")
     if order > 256:
         raise ContractViolation(f"order {order} beyond the supported grid (max 256)")
-    return float(_rdp_vector(q, sigma)[order - 2])
+    return float(_rdp_vector(q, sigma, order - 1)[order - 2])
 
 
-def _rdp_vector(q: float, sigma: float) -> np.ndarray:
-    """RDP at every order of DEFAULT_ORDERS; q and sigma already validated.
+def _rdp_vector(q: float, sigma: float, count: int = len(DEFAULT_ORDERS)) -> np.ndarray:
+    """RDP at the first ``count`` orders of DEFAULT_ORDERS; q and sigma
+    already validated.
 
-    One masked log-sum-exp over the (order, k) grid. An order whose largest
-    term overflows (a tiny sigma) has RDP inf.
+    One masked log-sum-exp over the first ``count`` rows of the (order, k)
+    grid. Each order is its own row, so the result is bit for bit the first
+    ``count`` entries of the full curve. An order whose largest term
+    overflows (a tiny sigma) has RDP inf.
     """
     if q == 0.0:
-        return np.zeros(len(DEFAULT_ORDERS))
+        return np.zeros(count)
+    orders = _ORDERS_ARR[:count]
     two_var = 2.0 * sigma * sigma
     # for a tiny sigma, k(k-1) / (2 sigma^2) overflows to inf (or is 0/0 once
     # 2 sigma^2 underflows); the orders it reaches get RDP inf below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if q == 1.0:
-            return _ORDERS_ARR / two_var
+            return orders / two_var
         gauss = _KK1 / two_var
-    log_terms = _sigma_free_terms(q) + gauss
-    np.copyto(log_terms, -np.inf, where=_ABOVE)
+    log_terms = _sigma_free_terms(q)[:count] + gauss
+    np.copyto(log_terms, -np.inf, where=_ABOVE[:count])
     peak = log_terms.max(axis=1)
     overflowed = ~np.isfinite(peak)
     log_terms[overflowed] = 0.0
@@ -130,7 +149,7 @@ def _rdp_vector(q: float, sigma: float) -> np.ndarray:
     log_terms -= peak[:, None]
     log_total = peak + np.log(np.sum(np.exp(log_terms, out=log_terms), axis=1))
     # the sum is >= 1 analytically; clamp rounding residue
-    rdp = np.maximum(log_total / (_ORDERS_ARR - 1.0), 0.0)
+    rdp = np.maximum(log_total / (orders - 1.0), 0.0)
     rdp[overflowed] = np.inf
     return rdp
 
@@ -150,7 +169,9 @@ def effective_sigma(sigma_perp: float, sigma_alpha: float) -> float:
 def release_sigma(role: str, sigma_g: float, sigma_perp: float, sigma_alpha: float) -> float:
     """Multiplier a release of schedule ``role`` is accounted at: ``sigma_g``
     for "first" and "dpsgd" releases, effective_sigma(sigma_perp, sigma_alpha)
-    for "gdr" releases, and 0.0 (no privacy) when either gdr channel is silent."""
+    for "gdr" releases, and 0.0 (no privacy) when either gdr channel is silent.
+    Any other role raises ContractViolation."""
+    _validate_role(role)
     if role != ROLE_GDR:
         return sigma_g
     if sigma_perp <= 0 or sigma_alpha <= 0:
@@ -176,23 +197,60 @@ class ReleaseEvent:
             raise ContractViolation(f"steps must be >= 1, got {self.steps}")
 
 
-def _eps_from_rdp(rdp: np.ndarray, orders: np.ndarray, delta: float) -> np.ndarray:
-    """(eps, delta)-DP bound implied at each order by the RDP curve ``rdp``.
+# the delta-free parts of the conversion, at every order of DEFAULT_ORDERS
+_LOG1P_NEG_INV = np.log1p(-1.0 / _ORDERS_ARR)
+_LOG_ORDERS = np.log(_ORDERS_ARR)
+
+
+def _eps_from_rdp(rdp: np.ndarray, delta: float) -> np.ndarray:
+    """(eps, delta)-DP bound implied at each of the first ``rdp.size`` orders
+    of DEFAULT_ORDERS by the RDP curve ``rdp``.
 
     Balle et al. 2020, Thm 21. A negative value is clamped to 0, since
-    (eps < 0, delta)-DP implies (0, delta)-DP.
+    (eps < 0, delta)-DP implies (0, delta)-DP. Elementwise, so a prefix of
+    the orders gets the bits of the full grid's prefix.
     """
-    eps = rdp + np.log1p(-1.0 / orders) - (math.log(delta) + np.log(orders)) / (orders - 1.0)
+    n = rdp.size
+    eps = rdp + _LOG1P_NEG_INV[:n] - (math.log(delta) + _LOG_ORDERS[:n]) / (_ORDERS_ARR[:n] - 1.0)
     return np.maximum(eps, 0.0)
+
+
+@functools.lru_cache(maxsize=4)
+def _conversion_floor(delta: float) -> np.ndarray:
+    """Entry i is the smallest unclamped conversion term
+    log1p(-1/lambda) - (log(delta) + log(lambda)) / (lambda - 1) over the
+    orders of DEFAULT_ORDERS from index i on. Read-only, computed once per
+    delta."""
+    terms = _LOG1P_NEG_INV - (math.log(delta) + _LOG_ORDERS) / (_ORDERS_ARR - 1.0)
+    floor = np.minimum.accumulate(terms[::-1])[::-1]
+    floor.setflags(write=False)
+    return floor
+
+
+# A ledger evaluates the first _PREFIX_ORDERS orders and doubles that prefix
+# while an order past it could hold the minimum. The floor of the unevaluated
+# orders must clear the prefix minimum by _FLOOR_MARGIN times the size of the
+# terms: the accumulated RDP, the conversion terms (at most 1 + |log delta|)
+# and one per step, since a computed curve may fall with the order by a few
+# ulp of 1 (the log-sum-exp's rounding residue where the RDP is below it).
+_PREFIX_ORDERS = 16
+_FLOOR_MARGIN = 1e-9
 
 
 class PrivacyLedger:
     """Ordered record of release events with accumulated RDP per order.
 
     Append mutates under exclusive access and also returns the ledger for
-    chaining; queries are pure. Accumulated RDP is additive over events, so
-    the query result does not depend on append order. Orders are
-    :data:`DEFAULT_ORDERS`.
+    chaining. Accumulated RDP is additive over events, so the query result
+    is the same for any append order up to rounding; its bits follow the
+    append order. Orders are :data:`DEFAULT_ORDERS`.
+
+    The ledger keeps its accumulated RDP, and one per-step curve per
+    (q, sigma), on a prefix of the orders. :meth:`epsilon` grows the prefix
+    only while an order past it could hold the minimum, and
+    :meth:`rdp_values` grows it to every order; a grown prefix is
+    accumulated afresh from the events, in append order. Queries return the
+    same results whatever the prefix, while these caches grow.
     """
 
     def __init__(self, delta: float):
@@ -201,29 +259,55 @@ class PrivacyLedger:
         self.delta = float(delta)
         self.orders = DEFAULT_ORDERS
         self.events: list[ReleaseEvent] = []
-        self._rdp = np.zeros(len(self.orders))
-        self._per_step_cache: dict[tuple[float, float], np.ndarray] = {}
+        self._rdp = np.zeros(_PREFIX_ORDERS)
+        self._steps = 0
+        self._curves: dict[tuple[float, float], np.ndarray] = {}
+
+    def _per_step(self, event: ReleaseEvent) -> np.ndarray:
+        """The event's per-step curve on the current prefix."""
+        key = (event.q, event.sigma_eff)
+        curve = self._curves.get(key)
+        if curve is None or curve.size < self._rdp.size:
+            curve = _rdp_vector(event.q, event.sigma_eff, self._rdp.size)
+            self._curves[key] = curve
+        return curve
 
     def append(self, event: ReleaseEvent) -> "PrivacyLedger":
-        key = (event.q, event.sigma_eff)
-        per_step = self._per_step_cache.get(key)
-        if per_step is None:
-            per_step = _rdp_vector(event.q, event.sigma_eff)
-            self._per_step_cache[key] = per_step
-        self._rdp = self._rdp + event.steps * per_step
+        self._rdp += event.steps * self._per_step(event)
+        self._steps += event.steps
         self.events.append(event)
         return self
 
+    def _grow(self, count: int) -> None:
+        """Evaluate the first ``count`` orders: every event again, in append
+        order, from zero."""
+        self._rdp = np.zeros(count)
+        for event in self.events:
+            self._rdp += event.steps * self._per_step(event)
+
     def rdp_values(self) -> np.ndarray:
+        if self._rdp.size < len(self.orders):
+            self._grow(len(self.orders))
         return self._rdp.copy()
 
     def epsilon(self) -> tuple[float, int]:
         """(eps, minimizing order) at the ledger's delta."""
         if not self.events:
             raise ContractViolation("cannot convert an empty ledger")
-        eps_all = _eps_from_rdp(self._rdp, _ORDERS_ARR, self.delta)
-        idx = int(np.argmin(eps_all))
-        return float(eps_all[idx]), self.orders[idx]
+        floor = _conversion_floor(self.delta)
+        while True:
+            eps = _eps_from_rdp(self._rdp, self.delta)
+            idx = int(np.argmin(eps))
+            count, last = self._rdp.size, float(self._rdp[-1])
+            # every later order has RDP >= last, so eps >= last + floor[count]
+            scale = last + 1.0 - math.log(self.delta) + self._steps
+            if (
+                count == len(self.orders)
+                or last == math.inf
+                or last + floor[count] - _FLOOR_MARGIN * scale > eps[idx]
+            ):
+                return float(eps[idx]), self.orders[idx]
+            self._grow(min(2 * count, len(self.orders)))
 
 
 def schedule_ledger(
@@ -273,11 +357,10 @@ def calibrate_sigma(
         _validate_q(q)
         if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
             raise ContractViolation(f"schedule steps must be integers >= 1, got {steps!r}")
-        if role not in _ROLES:
-            raise ContractViolation(f"unknown schedule role {role!r}")
+        _validate_role(role)
 
     # the conversion of a vanishing RDP curve: what an unbounded scale approaches
-    grid_floor = float(np.min(_eps_from_rdp(np.zeros_like(_ORDERS_ARR), _ORDERS_ARR, delta)))
+    grid_floor = max(float(_conversion_floor(delta)[0]), 0.0)
     if eps_target <= grid_floor:
         raise CalibrationInfeasible(
             f"eps target {eps_target:g} is at or below the conversion floor "

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dplab import Architecture, Batch, LayeredVector, backprop, init_model
+from dplab import Architecture, Batch, LayeredVector, accountant, backprop, init_model
 from dplab.models import _forward
 
 
@@ -176,6 +176,22 @@ def rdp_grid_uncached(q, sigma):
     rdp = np.maximum(log_total / (_ORDERS - 1.0), 0.0)
     rdp[overflowed] = np.inf
     return rdp
+
+
+def eager_ledger(events, delta):
+    """Reference (accumulated RDP, eps, order) of a ledger: the full
+    255-order curve of every event, accumulated from zero in append order,
+    converted at every order by Balle et al. 2020 (Thm 21), clamped at 0 and
+    minimized (first minimizing order)."""
+    rdp = np.zeros(_ORDERS.size)
+    for e in events:
+        rdp = rdp + e.steps * accountant._rdp_vector(e.q, e.sigma_eff)
+    eps = np.maximum(
+        rdp + np.log1p(-1.0 / _ORDERS) - (math.log(delta) + np.log(_ORDERS)) / (_ORDERS - 1.0),
+        0.0,
+    )
+    idx = int(np.argmin(eps))
+    return rdp, float(eps[idx]), int(_ORDERS[idx])
 
 
 @pytest.fixture

@@ -14,12 +14,13 @@ from dplab import (
     effective_sigma,
     privacy_schedule,
     rdp_subsampled_gaussian,
+    release_sigma,
     schedule_ledger,
 )
 from dplab import accountant
 from dplab.accountant import CALIBRATION_MAX_ITER, DEFAULT_ORDERS
 from dplab.errors import CalibrationError
-from tests.conftest import rdp_grid_uncached, rdp_loop
+from tests.conftest import eager_ledger, rdp_grid_uncached, rdp_loop
 
 
 def rdp_oracle(q, sigma, order):
@@ -48,6 +49,19 @@ def classic_eps(ledger):
     """The classic conversion min_lambda RDP(lambda) + log(1/delta)/(lambda-1)."""
     orders = np.array(ledger.orders, dtype=np.float64)
     return float(np.min(ledger.rdp_values() + math.log(1.0 / ledger.delta) / (orders - 1)))
+
+
+def spy_curve_counts(monkeypatch):
+    """The ``count`` of every ``_rdp_vector`` call from here on."""
+    counts = []
+    rdp_vector = accountant._rdp_vector
+
+    def spy(q, sigma, count=len(DEFAULT_ORDERS)):
+        counts.append(count)
+        return rdp_vector(q, sigma, count)
+
+    monkeypatch.setattr(accountant, "_rdp_vector", spy)
+    return counts
 
 
 class TestRdpSubsampledGaussian:
@@ -88,6 +102,21 @@ class TestRdpSubsampledGaussian:
     def test_subsampling_amplifies(self):
         for q in (0.001, 0.1, 0.9):
             assert rdp_subsampled_gaussian(q, 1.0, 16) <= rdp_subsampled_gaussian(1.0, 1.0, 16)
+
+    # 1e-170: every order is inf; 1e-153: orders >= 20 are inf
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1e-4, 256 / 60000, 0.3, 0.99])
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-153, 0.5, 1.0, 50.0])
+    def test_equals_full_curve_at_every_order(self, q, sigma):
+        full = accountant._rdp_vector(q, sigma)
+        for order in DEFAULT_ORDERS:
+            got = rdp_subsampled_gaussian(q, sigma, order)
+            assert np.float64(got).tobytes() == full[order - 2].tobytes(), order
+
+    def test_evaluates_only_orders_up_to_its_own(self, monkeypatch):
+        counts = spy_curve_counts(monkeypatch)
+        for order in (2, 7, 256):
+            rdp_subsampled_gaussian(0.01, 1.0, order)
+        assert counts == [1, 6, 255]
 
     def test_contract_violations(self):
         with pytest.raises(ContractViolation):
@@ -204,6 +233,22 @@ class TestEffectiveSigma:
             effective_sigma(1.0, -2.0)
 
 
+class TestReleaseSigma:
+    @pytest.mark.parametrize("role", ["GDR", "Dpsgd", "", "sgd", None])
+    def test_unknown_role_rejected(self, role):
+        # an unknown role was accounted at sigma_g: "GDR" gave eps 4.1117 at
+        # order 5 where "gdr" gives 5.1786 at order 4
+        with pytest.raises(ContractViolation, match="unknown schedule role"):
+            release_sigma(role, 1.0, 1.0, 2.0)
+        with pytest.raises(ContractViolation, match="unknown schedule role"):
+            schedule_ledger([(0.05, 100, role)], 1e-5, 1.0, 2.0, 1.0)
+
+    def test_gdr_reference_value(self):
+        eps, order = schedule_ledger([(0.05, 100, "gdr")], 1e-5, 1.0, 2.0, 1.0).epsilon()
+        assert eps == pytest.approx(5.1786, abs=5e-5)
+        assert order == 4
+
+
 class TestLedger:
     def test_single_event_scan_oracle(self):
         led = PrivacyLedger(1e-5)
@@ -304,6 +349,100 @@ class TestLedger:
             ReleaseEvent(0.1, 1.0, 0)
         with pytest.raises(ContractViolation):
             PrivacyLedger(0.0)
+
+
+_Q = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+)
+_EVENTS = st.lists(
+    st.builds(ReleaseEvent, _Q, st.floats(1e-170, 1e3), st.integers(1, 10_000)),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestOrderPrefix:
+    """The ledger evaluates a growing prefix of the orders; every answer is
+    the eager full-grid ledger's, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_EVENTS, st.floats(1e-12, 0.5), st.integers(1, len(DEFAULT_ORDERS)))
+    def test_matches_eager_full_grid_ledger(self, events, delta, count):
+        led = PrivacyLedger(delta)
+        for e in events:
+            led.append(e)
+        rdp, eps, order = eager_ledger(events, delta)
+        got = led.epsilon()
+        assert np.float64(got[0]).tobytes() == np.float64(eps).tobytes()
+        assert got[1] == order
+        assert led.rdp_values().tobytes() == rdp.tobytes()
+        # the same answer once every order is evaluated
+        assert led.epsilon() == got
+        orders = np.array(DEFAULT_ORDERS, dtype=np.float64)
+        for e in events:
+            full = accountant._rdp_vector(e.q, e.sigma_eff)
+            prefix = accountant._rdp_vector(e.q, e.sigma_eff, count)
+            assert prefix.tobytes() == full[:count].tobytes()
+            # nondecreasing in the order, up to the log-sum-exp's rounding
+            # residue: where the RDP lies below an ulp of 1 (q near 1e-18)
+            # the computed curve may fall by a few ulp of 1 over (order - 1)
+            slack = 16 * np.finfo(np.float64).eps / (orders[:-1] - 1.0)
+            assert np.all(full[1:] >= full[:-1] - slack)
+
+    def test_curves_nondecreasing_on_shipped_scales(self):
+        for q in (256 / 60000, 256 / 10000, 128 / 4096, 0.05, 1.0):
+            for sigma in np.geomspace(0.3, 50.0, 40):
+                curve = accountant._rdp_vector(q, float(sigma))
+                assert np.all(curve[1:] >= curve[:-1])
+
+    def test_all_q_zero_grows_to_full_grid(self, monkeypatch):
+        counts = spy_curve_counts(monkeypatch)
+        events = [ReleaseEvent(0.0, 1.0, 10), ReleaseEvent(0.0, 3.0, 5)]
+        led = PrivacyLedger(1e-5)
+        for e in events:
+            led.append(e)
+        got = led.epsilon()
+        assert counts == [16, 16, 32, 32, 64, 64, 128, 128, 255, 255]
+        assert got == eager_ledger(events, 1e-5)[1:]
+        assert got[1] == 256
+
+    def test_calibrated_schedule_grows_an_intermediate_prefix(self, monkeypatch):
+        schedule = [(0.05, 1000, "dpsgd")]
+        assert calibrate_sigma(0.5, 1e-5, schedule, 1.0) == (12.203125, 12.203125)
+        counts = spy_curve_counts(monkeypatch)
+        led = schedule_ledger(schedule, 1e-5, 12.203125, 1.0, 1.0)
+        got = led.epsilon()
+        assert counts == [16, 32, 64]
+        assert got == eager_ledger(led.events, 1e-5)[1:]
+        assert got[1] == 32
+
+    def test_shipped_schedule_stays_on_first_prefix(self, monkeypatch):
+        counts = spy_curve_counts(monkeypatch)
+        led = schedule_ledger(_SHORT_DPDR, 1e-5, 1.0, 2.0, 1.0)
+        got = led.epsilon()
+        # one curve per distinct (q, sigma): first and dpsgd share sigma_g
+        assert counts == [16, 16]
+        assert got == eager_ledger(led.events, 1e-5)[1:]
+
+    def test_rounding_residue_falling_with_order(self):
+        # q ~ 1e-15: each step's computed curve is rounding residue of about
+        # an ulp of 1 over (order - 1), falling with the order; 1e16 steps
+        # make the fall larger than a floor margin without a per-step share
+        events = [ReleaseEvent(9.740010054467618e-16, 14.580088359672688, 9638406778825612)]
+        led = PrivacyLedger(0.015873148181246046)
+        led.append(events[0])
+        assert led.epsilon() == eager_ledger(events, 0.015873148181246046)[1:] == (0.0, 24)
+
+    def test_replay_follows_append_order_and_skips_append(self, monkeypatch):
+        events = [ReleaseEvent(0.0, 1.0, 3), ReleaseEvent(0.01, 0.9, 7), ReleaseEvent(0.0, 2.0, 1)]
+        led = PrivacyLedger(1e-5)
+        for e in events:
+            led.append(e)
+        appended = []
+        monkeypatch.setattr(PrivacyLedger, "append", lambda self, e: appended.append(e))
+        assert led.rdp_values().tobytes() == eager_ledger(events, 1e-5)[0].tobytes()
+        assert appended == []
+        assert led.events == events
 
 
 class TestCalibrateSigma:
