@@ -22,7 +22,6 @@ from .diagnostics import (
     CSV_COLUMNS,
     MetricsRow,
     coherence_stats,
-    histogram,
     steps_to_target_loss,
 )
 from .errors import (

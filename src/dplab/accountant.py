@@ -273,7 +273,9 @@ class PrivacyLedger:
         return curve
 
     def append(self, event: ReleaseEvent) -> "PrivacyLedger":
-        self._rdp += event.steps * self._per_step(event)
+        # steps times a finite curve may overflow to inf, the sound answer
+        with np.errstate(over="ignore"):
+            self._rdp += event.steps * self._per_step(event)
         self._steps += event.steps
         self.events.append(event)
         return self
@@ -282,8 +284,9 @@ class PrivacyLedger:
         """Evaluate the first ``count`` orders: every event again, in append
         order, from zero."""
         self._rdp = np.zeros(count)
-        for event in self.events:
-            self._rdp += event.steps * self._per_step(event)
+        with np.errstate(over="ignore"):  # as in append
+            for event in self.events:
+                self._rdp += event.steps * self._per_step(event)
 
     def rdp_values(self) -> np.ndarray:
         if self._rdp.size < len(self.orders):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .accountant import calibrate_sigma, effective_sigma, schedule_ledger
 from .datasets import Dataset, gen_synthetic, load_idx_pair
-from .diagnostics import histogram, steps_to_target_loss
+from .diagnostics import steps_to_target_loss
 from .errors import (
     CalibrationError,
     CalibrationInfeasible,
@@ -36,13 +36,7 @@ from .errors import (
     IdxFormatError,
 )
 from .mechanism import ClipSpec, NoisePlan
-from .runio import (
-    PERP_SNAPSHOT_FILENAME,
-    build_summary,
-    read_metrics_csv,
-    read_perp_snapshot,
-    write_run,
-)
+from .runio import _atomic_write, build_summary, read_metrics_csv, write_run
 from .trainers import TrainConfig, TrainResult, privacy_schedule, train
 
 __all__ = ["main"]
@@ -378,8 +372,7 @@ def cmd_compare(args) -> int:
                 float(np.mean(eps_list)),
             )
         )
-    out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _atomic_write(out_root / "comparison.csv", "\n".join(lines) + "\n")
 
     print(f"target_loss={target!r} (max of per-config mean final losses)")
     print(f"{'config':<24}{'final_acc (mean+/-std)':<28}{'steps_to_target':<18}eps")
@@ -398,23 +391,11 @@ def cmd_plotdata(args) -> int:
                 f"{int(r['step'])} {r['grad_norm_median']!r} {r['perp_norm_median']!r} "
                 f"{r['diff_norm_median']!r}"
             )
-    elif args.kind == "convergence":
+    else:  # convergence
         lines = ["# eps_cum train_accuracy"]
         for r in rows:
             lines.append(f"{r['eps_cum']!r} {r['train_accuracy']!r}")
-    else:  # hist-perp
-        snap_path = Path(args.metrics).parent / PERP_SNAPSHOT_FILENAME
-        if not snap_path.exists():
-            raise ConfigError(
-                f"no {PERP_SNAPSHOT_FILENAME} beside {args.metrics}; "
-                "hist-perp needs a run with decomposition steps"
-            )
-        values = read_perp_snapshot(snap_path)
-        lines = ["# bin_left_edge count"]
-        for edge, count in histogram(values, args.bins):
-            lines.append(f"{edge!r} {count}")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _atomic_write(out_path, "\n".join(lines) + "\n")
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -450,9 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot-data", help="emit plot-ready text data from a metrics CSV")
     p_plot.add_argument("--metrics", required=True)
-    p_plot.add_argument("--kind", required=True, choices=("norms", "convergence", "hist-perp"))
+    p_plot.add_argument("--kind", required=True, choices=("norms", "convergence"))
     p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--bins", type=int, default=20)
     p_plot.set_defaults(func=cmd_plotdata)
     return parser
 

@@ -1,9 +1,12 @@
-"""Gradient-coherence telemetry and plot-data support.
+"""Per-step telemetry, gradient coherence and the loss-target crossing
+that ``dplab compare`` reports.
 
 Per-step records track how similar consecutive released gradients are, how
 much of each per-sample gradient the orthogonal channel carries, and the
 cumulative privacy spend. Medians (not means) summarize per-sample norms
-since those are heavy-tailed.
+since those are heavy-tailed. The loss, accuracy and per-sample norm
+medians are read from the private data without noise: they are debug
+telemetry, and no privacy accounting covers them.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence
-
-import numpy as np
 
 from .errors import ContractViolation
 from .vectors import LayeredVector, dot, l2_norm
@@ -22,7 +23,6 @@ __all__ = [
     "LOSS_WINDOW",
     "MetricsRow",
     "coherence_stats",
-    "histogram",
     "steps_to_target_loss",
 ]
 
@@ -61,19 +61,6 @@ def coherence_stats(prev: LayeredVector, curr: LayeredVector) -> float:
     if n_prev == 0.0 or n_curr == 0.0:
         return 0.0
     return min(1.0, max(-1.0, dot(prev, curr) / (n_prev * n_curr)))
-
-
-def histogram(values: Sequence[float], bins: int) -> list[tuple[float, int]]:
-    """Equal-width bins over [min, max]; returns (left edge, count) pairs."""
-    vals = np.asarray(list(values), dtype=np.float64)
-    if vals.size == 0:
-        raise ContractViolation("cannot histogram an empty list")
-    if bins < 1:
-        raise ContractViolation(f"bins must be >= 1, got {bins}")
-    if not np.all(np.isfinite(vals)):
-        raise ContractViolation("non-finite value")
-    counts, edges = np.histogram(vals, bins=bins)
-    return [(float(edges[i]), int(counts[i])) for i in range(bins)]
 
 
 def steps_to_target_loss(losses: Sequence[float], target: float) -> int | None:

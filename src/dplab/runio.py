@@ -1,4 +1,4 @@
-"""Run artifact persistence: metrics CSV, summary JSON, norm snapshots.
+"""Run artifact persistence: metrics CSV and summary JSON.
 
 Artifacts are written atomically (temp file + rename) and are byte-stable:
 floats go through repr, and the wall_ms / runtime_ms fields are zeroed on
@@ -14,21 +14,16 @@ import tempfile
 from dataclasses import asdict, astuple
 from pathlib import Path
 
-import numpy as np
-
 from .diagnostics import CSV_COLUMNS, MetricsRow
 from .errors import ContractViolation
 from .trainers import TrainResult
 
 __all__ = [
-    "PERP_SNAPSHOT_FILENAME",
     "build_summary",
     "read_metrics_csv",
     "write_metrics_csv",
     "write_run",
 ]
-
-PERP_SNAPSHOT_FILENAME = "perp_norms.txt"
 
 
 def _fmt(value: float) -> str:
@@ -57,15 +52,6 @@ def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
-def _lines(path, what: str) -> list[tuple[int, str]]:
-    """The non-empty lines of a text artifact with their 1-based line numbers."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [(i, line) for i, line in enumerate(text.split("\n"), 1) if line]
-    if not lines:
-        raise ContractViolation(f"{path}: empty {what} file")
-    return lines
-
-
 def _float(path, lineno: int, cell: str) -> float:
     try:
         return float(cell)
@@ -74,7 +60,11 @@ def _float(path, lineno: int, cell: str) -> float:
 
 
 def read_metrics_csv(path) -> list[dict[str, float]]:
-    (_, head), *body = _lines(path, "metrics")
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [(i, line) for i, line in enumerate(text.split("\n"), 1) if line]
+    if not lines:
+        raise ContractViolation(f"{path}: empty metrics file")
+    (_, head), *body = lines
     header = tuple(head.split(","))
     if header != CSV_COLUMNS:
         raise ContractViolation(
@@ -87,10 +77,6 @@ def read_metrics_csv(path) -> list[dict[str, float]]:
             raise ContractViolation(f"{path}: malformed row {line!r}")
         rows.append({name: _float(path, lineno, v) for name, v in zip(CSV_COLUMNS, parts)})
     return rows
-
-
-def read_perp_snapshot(path) -> np.ndarray:
-    return np.array([_float(path, lineno, v) for lineno, v in _lines(path, "snapshot")])
 
 
 def build_summary(config_echo: dict, result: TrainResult) -> dict:
@@ -123,9 +109,4 @@ def write_run(out_dir, result: TrainResult, summary: dict) -> dict[str, str]:
     summary_path = out / "summary.json"
     write_metrics_csv(metrics_path, result.rows)
     _atomic_write(summary_path, json.dumps(summary, indent=2) + "\n")
-    paths = {"metrics": str(metrics_path), "summary": str(summary_path)}
-    if result.perp_snapshot is not None and result.perp_snapshot.size:
-        snap_path = out / PERP_SNAPSHOT_FILENAME
-        _atomic_write(snap_path, "\n".join(_fmt(v) for v in result.perp_snapshot) + "\n")
-        paths["perp_snapshot"] = str(snap_path)
-    return paths
+    return {"metrics": str(metrics_path), "summary": str(summary_path)}

@@ -115,6 +115,7 @@ class TrainConfig:
 
     Either ``noise`` is given explicitly, or ``eps_target`` (with ``delta``
     and, for dpdr, ``sigma_alpha``) asks for calibration before training.
+    ``switch_step`` and ``sigma_alpha`` are dpdr's alone.
     ``lr``, ``ratio_g`` and, when given, ``eps_target`` and ``sigma_alpha``
     must be finite and positive. ``arch`` defaults to logistic regression
     sized from the dataset.
@@ -159,8 +160,10 @@ class TrainConfig:
                 raise ContractViolation(
                     f"switch_step must lie in [1, {self.total_steps}], got {self.switch_step}"
                 )
-        elif self.switch_step is not None:
-            raise ContractViolation(f"switch_step is only valid for dpdr, not {self.method}")
+        else:
+            for name in ("switch_step", "sigma_alpha"):
+                if getattr(self, name) is not None:
+                    raise ContractViolation(f"{name} is only valid for dpdr, not {self.method}")
         if self.method != "sgd":
             if self.clip is None:
                 raise ContractViolation(f"{self.method} requires clip bounds")

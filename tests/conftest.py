@@ -184,8 +184,9 @@ def eager_ledger(events, delta):
     converted at every order by Balle et al. 2020 (Thm 21), clamped at 0 and
     minimized (first minimizing order)."""
     rdp = np.zeros(_ORDERS.size)
-    for e in events:
-        rdp = rdp + e.steps * accountant._rdp_vector(e.q, e.sigma_eff)
+    with np.errstate(over="ignore"):  # steps times a finite curve may reach inf
+        for e in events:
+            rdp = rdp + e.steps * accountant._rdp_vector(e.q, e.sigma_eff)
     eps = np.maximum(
         rdp + np.log1p(-1.0 / _ORDERS) - (math.log(delta) + np.log(_ORDERS)) / (_ORDERS - 1.0),
         0.0,

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dplab import (
     CalibrationInfeasible,
@@ -367,6 +367,10 @@ class TestOrderPrefix:
 
     @settings(max_examples=200, deadline=None)
     @given(_EVENTS, st.floats(1e-12, 0.5), st.integers(1, len(DEFAULT_ORDERS)))
+    # steps times a finite curve overflows to inf: past the first prefix
+    # (on growth), and within it (on append)
+    @example([ReleaseEvent(1.0, 7.86e-153, 87)], 1e-5, 1)
+    @example([ReleaseEvent(1.0, 7.86e-153, 10_000)], 1e-5, 1)
     def test_matches_eager_full_grid_ledger(self, events, delta, count):
         led = PrivacyLedger(delta)
         for e in events:

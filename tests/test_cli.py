@@ -101,6 +101,8 @@ def _rejections():
     for m in ("dpsgd", "diff"):
         cases.append(pytest.param(m, "noise", lambda d: d.update(switch_step=2),
                                   id=f"{m}-switch_step"))
+        cases.append(pytest.param(m, "privacy", lambda d: d["privacy"].update(sigma_alpha=2.0),
+                                  id=f"{m}-sigma_alpha"))
     cases += [
         pytest.param("dpdr", "noise", lambda d: d.pop("switch_step"), id="dpdr-no-switch_step"),
         pytest.param("dpdr", "noise", lambda d: d.update(switch_step=0), id="dpdr-switch_step-0"),
@@ -427,24 +429,11 @@ class TestPlotData:
         eps = [float(line.split()[0]) for line in dest.read_text().splitlines()[1:]]
         assert eps == sorted(eps)
 
-    def test_hist_perp_counts_sum_to_snapshot(self, tmp_path):
-        run = self._run(tmp_path, dpdr_config)
-        snapshot = (run / "perp_norms.txt").read_text().splitlines()
-        dest = tmp_path / "hist.dat"
-        assert main(["plot-data", "--metrics", str(run / "metrics.csv"), "--kind", "hist-perp",
-                     "--out", str(dest), "--bins", "4"]) == 0
-        counts = [int(line.split()[1]) for line in dest.read_text().splitlines()[1:]]
-        assert sum(counts) == len(snapshot)
-
-    def test_hist_perp_missing_snapshot_exits_2(self, tmp_path):
-        run = self._run(tmp_path, dpsgd_config)  # no decomposition steps -> no snapshot
-        assert main(["plot-data", "--metrics", str(run / "metrics.csv"), "--kind", "hist-perp",
-                     "--out", str(tmp_path / "h.dat")]) == 2
-
     def test_unknown_kind_exits_2(self, tmp_path):
         run = self._run(tmp_path, dpsgd_config)
-        assert main(["plot-data", "--metrics", str(run / "metrics.csv"), "--kind", "spiral",
-                     "--out", str(tmp_path / "x.dat")]) == 2
+        for kind in ("spiral", "hist-perp"):
+            assert main(["plot-data", "--metrics", str(run / "metrics.csv"), "--kind", kind,
+                         "--out", str(tmp_path / "x.dat")]) == 2
 
     def test_missing_columns_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -453,19 +442,18 @@ class TestPlotData:
                      "--out", str(tmp_path / "x.dat")]) == 2
 
 
-def _run_dir(tmp_path, cell="0.5", snapshot="0.5\n1.5\n"):
-    """A run directory with a one-row metrics.csv (second column ``cell``) and a snapshot."""
+def _run_dir(tmp_path, cell="0.5"):
+    """A run directory with a one-row metrics.csv (second column ``cell``)."""
     run = tmp_path / "run"
     run.mkdir()
     row = ["1", cell] + ["0.5"] * (len(CSV_COLUMNS) - 2)
     (run / "metrics.csv").write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
-    (run / "perp_norms.txt").write_text(snapshot)
     return run
 
 
-def _plot(run, kind, *extra):
+def _plot(run, kind):
     return ["plot-data", "--metrics", str(run / "metrics.csv"), "--kind", kind,
-            "--out", str(run.parent / "plot.dat"), *extra]
+            "--out", str(run.parent / "plot.dat")]
 
 
 def _single_class_compare(tmp_path):
@@ -503,12 +491,6 @@ class TestExitCodes:
                                 "--out", str(t / "x.dat")], 2,
                      "error: [Errno 2] No such file or directory", id="missing-metrics"),
         pytest.param(_single_class_compare, 5, "completed runs: none", id="compare-one-class"),
-        pytest.param(lambda t: _plot(_run_dir(t), "hist-perp", "--bins", "0"), 2,
-                     "bins must be >= 1, got 0", id="zero-bins"),
-        pytest.param(lambda t: _plot(_run_dir(t, snapshot=""), "hist-perp"), 2,
-                     "perp_norms.txt: empty snapshot file", id="empty-snapshot"),
-        pytest.param(lambda t: _plot(_run_dir(t, snapshot="1.0\nabc\n"), "hist-perp"), 2,
-                     "perp_norms.txt: line 2: not a number: 'abc'", id="non-numeric-snapshot"),
         pytest.param(lambda t: _plot(_run_dir(t, cell="xyz"), "norms"), 2,
                      "metrics.csv: line 2: not a number: 'xyz'", id="non-numeric-metrics"),
         pytest.param(_out_under_file, 2, "error: [Errno 20] Not a directory",

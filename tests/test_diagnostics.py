@@ -1,5 +1,3 @@
-import statistics
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from dplab import (
     ContractViolation,
     LayeredVector,
     coherence_stats,
-    histogram,
     normalize_base,
     steps_to_target_loss,
 )
@@ -89,45 +86,6 @@ class TestOrthogonalShare:
             model = apply_update(model, out.released, lr)
             base = normalize_base(out.released, t)
         assert float(np.median(shares)) < 0.9
-
-
-class TestHistogram:
-    def test_constant_list_single_occupied_bin(self):
-        out = histogram([5.0] * 10, bins=3)
-        assert sum(count for _, count in out) == 10
-        assert sum(1 for _, count in out if count > 0) == 1
-
-    def test_four_values_two_bins(self):
-        out = histogram([0.0, 1.0, 2.0, 3.0], bins=2)
-        assert [count for _, count in out] == [2, 2]
-        assert out[0][0] == 0.0
-
-    def test_counts_sum_to_input_size(self):
-        gen = np.random.Generator(np.random.Philox(key=1))
-        values = gen.standard_normal(257)
-        out = histogram(values, bins=12)
-        assert sum(c for _, c in out) == 257
-
-    def test_normal_iqr_against_analytic_quantiles(self):
-        gen = np.random.Generator(np.random.Philox(key=2))
-        values = gen.standard_normal(10_000)
-        bins = 20
-        out = histogram(values, bins)
-        edges = [e for e, _ in out] + [float(values.max())]
-        counts = np.array([c for _, c in out], dtype=float)
-        cdf = np.concatenate([[0.0], np.cumsum(counts) / counts.sum()])
-        # interpolate the empirical quartiles from the binned cdf
-        q25, q75 = np.interp([0.25, 0.75], cdf, edges)
-        analytic = statistics.NormalDist().inv_cdf(0.75) - statistics.NormalDist().inv_cdf(0.25)
-        assert abs((q75 - q25) - analytic) / analytic < 0.05
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractViolation):
-            histogram([], bins=2)
-
-    def test_bad_bins_rejected(self):
-        with pytest.raises(ContractViolation):
-            histogram([1.0], bins=0)
 
 
 class TestStepsToTargetLoss:

@@ -1,5 +1,6 @@
 """Golden artifacts: the sha256 of every file ``dplab train`` writes for four
-short runs on the shipped synthetic task.
+short runs on the shipped synthetic task. The file set is pinned too: every
+run writes ``metrics.csv`` and ``summary.json`` and nothing else.
 
 The runs are sgd and the three ``configs/synthetic_*.json`` (dpsgd, diff,
 dpdr), cut to 60 steps, with dpdr switching at step 20; sgd is the dpsgd
@@ -49,12 +50,10 @@ PINS = {
     "dpdr": {
         "metrics.csv": "397ea690c62a960f3241f2c561827511a9f61c420eea507fc5e3371e7ac9188d",
         "summary.json": "0b9205509bd2ec44fdb49e6a0f90c796de40fc2fac00fde07418ca4c4e063804",
-        "perp_norms.txt": "93a5d33649b86b5243ec2aaff2661b1c1416541c8be532a2cb68fd7600872126",
     },
     "dpdr-wide": {
         "metrics.csv": "b3e6b506f50d55882323d3b661ccc33bff73dfb60ef98f7463ba65a53afc42b9",
         "summary.json": "902fccba63b4f17566f0e93ff2371f7775272518a23917c6a59f3fb7f908d90d",
-        "perp_norms.txt": "0248481c54a683bd1e810f98bda8965a9ae0275ed613630b06f8c94bf886933b",
     },
 }
 
