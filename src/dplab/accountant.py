@@ -8,11 +8,11 @@ subsampled Gaussian mechanism,
 
 evaluated in log space for a prefix of the orders at once: the terms of
 every order sit on one (order, k) grid whose log-binomial coefficients are
-built at import and whose sigma-free terms are cached for the last few q,
-and one masked log-sum-exp per row gives the curve, so the first n orders
-cost n rows and have the bits of the full curve's first n entries. Curves
-are composed additively over release events and converted to (eps, delta)
-by minimizing
+built at import and whose sigma-free terms are built for the rows a prefix
+reads and cached for the last few q, and one masked log-sum-exp per row
+gives the curve, so the first n orders cost n rows and have the bits of the
+full curve's first n entries. Curves are composed additively over release
+events and converted to (eps, delta) by minimizing
 
     eps(lambda) = RDP_total(lambda) + log((lambda - 1) / lambda)
                   - (log(delta) + log(lambda)) / (lambda - 1)
@@ -84,11 +84,14 @@ _LOG_BINOM = (
 )
 
 
-@functools.lru_cache(maxsize=4)
-def _sigma_free_terms(q: float) -> np.ndarray:
-    """The sigma-free part of the (order, k) grid at 0 < q < 1, read-only:
-    a calibration evaluates many sigmas at the same few q."""
-    terms = _LOG_BINOM + _K * math.log(q) + _NK * math.log1p(-q)
+@functools.lru_cache(maxsize=8)
+def _sigma_free_terms(q: float, count: int = len(DEFAULT_ORDERS)) -> np.ndarray:
+    """The sigma-free part of the first ``count`` rows of the (order, k)
+    grid at 0 < q < 1, read-only: a calibration evaluates many sigmas at the
+    same few q and prefixes. Elementwise, so each row has the bits of the
+    full grid's row, and a ledger that doubles its prefix builds the longer
+    prefix then."""
+    terms = _LOG_BINOM[:count] + _K * math.log(q) + _NK[:count] * math.log1p(-q)
     terms.setflags(write=False)
     return terms
 
@@ -140,7 +143,7 @@ def _rdp_vector(q: float, sigma: float, count: int = len(DEFAULT_ORDERS)) -> np.
         if q == 1.0:
             return orders / two_var
         gauss = _KK1 / two_var
-    log_terms = _sigma_free_terms(q)[:count] + gauss
+    log_terms = _sigma_free_terms(q, count) + gauss
     np.copyto(log_terms, -np.inf, where=_ABOVE[:count])
     peak = log_terms.max(axis=1)
     overflowed = ~np.isfinite(peak)

@@ -28,10 +28,25 @@ stacked first-layer product, then stacked biases, activations and later
 products, then max, log-sum-exp and hits over the class axis. A chunk holds
 as many samples as keep its working arrays within
 :data:`EVAL_CHUNK_BYTES`, so the product runs near its single-call speed
-and the memory does not grow with n. :func:`evaluate` is the window of one
-model. It and :func:`per_sample_gradients` are test oracles, not exported,
-and stay here because the benchmark tracer (``perfbench/spans.py``) resolves
-them as ``dplab.models.<name>``.
+and the memory does not grow with n.
+
+Evaluation is telemetry that never feeds training, so it computes in
+float32: the stacked weights, biases and layer outputs are float32, and
+each chunk of the float64 inputs is cast into one reused float32 buffer just
+before its product, so no float32 copy of the dataset is kept. The
+exponentials are summed, and the per-sample loss terms and their mean are
+kept, in float64. The loss is therefore approximate (the tests hold it
+within 1e-5 relative of a float64 reference), and a float32 near-tie in the
+logits may flip a hit.
+A window computes in float64 instead when its inputs' largest norm reaches
+:data:`_FLOAT32_BOUND`, which it checks once, when it is built, from the
+batch's scan; and it widens to float64 for good when an added model's
+logits could reach that bound (:func:`_logit_bound`), so an input or a
+model beyond float32's range is scored as before, never as inf or NaN.
+:func:`evaluate` is the window of one model. It and
+:func:`per_sample_gradients` are test oracles, not exported, and stay here
+because the benchmark tracer (``perfbench/spans.py``) resolves them as
+``dplab.models.<name>``.
 """
 
 from __future__ import annotations
@@ -63,6 +78,11 @@ _ACTIVATIONS = ("relu", "tanh")
 # chunk of samples: larger chunks run the first-layer product closer to its
 # single-call speed but raise the evaluation's peak memory
 EVAL_CHUNK_BYTES = 8 << 20
+
+# an EvalWindow computes in float32 while its inputs' norms and its models'
+# logit bounds stay below this; the 2**28 headroom to float32's largest value
+# covers the rounding of float32 sums and the log-sum-exp's subtractions
+_FLOAT32_BOUND = 2.0**100
 
 
 @dataclass(frozen=True)
@@ -254,12 +274,29 @@ def _check_batch(arch: Architecture, batch: Batch) -> None:
 
 
 def _chunk_rows(count: int, widths: list[int], n: int) -> int:
-    """Samples per chunk of a window of ``count`` models with layer output
-    widths ``widths``: as many as keep within EVAL_CHUNK_BYTES the float64s
-    held per model and sample, which are every layer's output, the
-    exponentials, the logits the first-max fallback gathers and ten scalars."""
-    per_sample = 8 * count * (sum(widths) + 2 * widths[-1] + 10)
+    """Samples per chunk of a float32 window of ``count`` models, ``widths``
+    being the input width and then every layer's output width: as many as
+    keep within EVAL_CHUNK_BYTES what is held per sample, which is its cast
+    input row and, per model, the float32 layer outputs, exponentials and
+    logits the first-max fallback gathers, and ten 8-byte scalars. A float64
+    window holds twice the bytes, so it takes half as many samples."""
+    d_in, *outs = widths
+    per_sample = 4 * d_in + count * (4 * (sum(outs) + 2 * outs[-1]) + 80)
     return min(n, max(1, EVAL_CHUNK_BYTES // per_sample))
+
+
+def _logit_bound(model: Model, input_norm: float) -> float:
+    """A bound on the model's logits, and on every partial sum of its
+    products, for inputs of norm at most ``input_norm``: per layer
+    ||z|| <= ||a|| ||W||_F + ||b||, each block's norm is at most the
+    parameters' norm p, and relu and tanh never raise a norm, so
+    ||a_(k+1)|| <= p (||a_k|| + 1). NaN when a parameter is."""
+    with np.errstate(over="ignore"):
+        p = float(np.linalg.norm(model.params.flat))
+    bound = input_norm
+    for _ in model.arch.weight_shapes():
+        bound = p * (bound + 1.0)
+    return bound
 
 
 class EvalWindow:
@@ -271,6 +308,10 @@ class EvalWindow:
     fan_out) stack and every bias into a (size, fan_out, 1) stack.
     :meth:`evaluate` then scores all added models in one stacked pass per
     chunk of samples, so the inputs are read once per window.
+
+    The stacks are float32 unless the batch's largest row norm reaches
+    :data:`_FLOAT32_BOUND`. A float32 window widens every stack to float64,
+    for good, before it adds a model whose :func:`_logit_bound` reaches it.
     """
 
     def __init__(self, arch: Architecture, batch: Batch, size: int):
@@ -279,10 +320,12 @@ class EvalWindow:
         _check_batch(arch, batch)
         self.arch = arch
         self.batch = batch
+        self._input_norm = math.sqrt(float(batch.input_sq_norms.max()))
+        dtype = np.float32 if self._input_norm < _FLOAT32_BOUND else np.float64
         shapes = arch.weight_shapes()
-        self._stack = np.empty((size * shapes[0][1], arch.d_in))
-        self._weights = [np.empty((size, *shape)) for shape in shapes[1:]]
-        self._biases = [np.empty((size, fan_out, 1)) for _, fan_out in shapes]
+        self._stack = np.empty((size * shapes[0][1], arch.d_in), dtype)
+        self._weights = [np.empty((size, *shape), dtype) for shape in shapes[1:]]
+        self._biases = [np.empty((size, fan_out, 1), dtype) for _, fan_out in shapes]
         self._count = 0
 
     def add(self, model: Model) -> None:
@@ -291,6 +334,12 @@ class EvalWindow:
         j = self._count
         if j == len(self._biases[0]):
             raise ContractViolation("window is full")
+        if self._stack.dtype == np.float32 and not (
+            _logit_bound(model, self._input_norm) < _FLOAT32_BOUND
+        ):
+            self._stack = self._stack.astype(np.float64)
+            self._weights = [w.astype(np.float64) for w in self._weights]
+            self._biases = [b.astype(np.float64) for b in self._biases]
         h = self._biases[0].shape[1]
         self._stack[j * h : (j + 1) * h] = _weight(model, 0).T
         for k, w in enumerate(self._weights, 1):
@@ -304,30 +353,39 @@ class EvalWindow:
         added; empties the window. Ties in the logits go to the lowest class.
 
         Each chunk of samples is one pass over the stacked models: the
-        stacked first-layer product, then per layer the stacked biases and
-        activation in place and the stacked weights' product, then max,
-        log-sum-exp and the label logit over the class axis. A sample is a
-        hit when its label logit equals the max; a tied max sums to at least
-        2 in the log-sum-exp (two exact ones), so only hits with such a sum
-        are rechecked by argmax, which takes the first max. Each model's
+        chunk's inputs cast into the window's dtype, the stacked first-layer
+        product, then per layer the stacked biases and activation in place
+        and the stacked weights' product, then max, log-sum-exp and the
+        label logit over the class axis. The exponentials are summed in
+        float64, so the loss terms keep float64's resolution near 0. A sample
+        is a hit when its label logit equals the max; a tied max sums to at
+        least 2 in the log-sum-exp (two exact ones), so only hits with such a
+        sum are rechecked by argmax, which takes the first max. Each model's
         per-sample loss terms and hits fill one row of length n, reduced
         once, so chunking does not change the summation order.
         """
         count = self._count
         if count == 0:
             raise ContractViolation("no model to evaluate")
+        dtype = self._stack.dtype
         widths = [b.shape[1] for b in self._biases]
         inputs, labels, n = self.batch.inputs, self.batch.labels, self.batch.size
         terms = np.empty((count, n))
         hits = np.empty((count, n), dtype=bool)
-        rows = _chunk_rows(count, widths, n)
-        # one buffer per layer output and one for the exponentials, reused by every chunk
-        outs = [np.empty(count * w * rows) for w in widths]
-        exps = np.empty(count * widths[-1] * rows)
+        rows = _chunk_rows(count, [self.arch.d_in, *widths], n)
+        if dtype == np.float64:
+            rows = max(1, rows // 2)
+        # one buffer per layer output, one for the exponentials and one for
+        # the cast inputs, reused by every chunk
+        outs = [np.empty(count * w * rows, dtype) for w in widths]
+        exps = np.empty(count * widths[-1] * rows, dtype)
+        cast = np.empty((rows, self.arch.d_in), dtype)
         for lo in range(0, n, rows):
             c = min(rows, n - lo)
+            x = cast[:c]
+            np.copyto(x, inputs[lo : lo + c])
             first = outs[0][: count * widths[0] * c].reshape(count * widths[0], c)
-            np.matmul(self._stack[: len(first)], inputs[lo : lo + c].T, out=first)
+            np.matmul(self._stack[: len(first)], x.T, out=first)
             z = first.reshape(count, widths[0], c)
             z += self._biases[0][:count]
             for k, w in enumerate(self._weights, 1):
@@ -339,7 +397,7 @@ class EvalWindow:
             top = z.max(axis=1)
             e = exps[: z.size].reshape(z.shape)
             np.subtract(z, top[:, None], out=e)
-            total = np.exp(e, out=e).sum(axis=1)
+            total = np.exp(e, out=e).sum(axis=1, dtype=np.float64)
             picked = z[:, y, np.arange(c)]
             np.subtract(top + np.log(total), picked, out=terms[:, lo : lo + c])
             hit = np.equal(picked, top, out=hits[:, lo : lo + c])

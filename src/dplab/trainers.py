@@ -28,9 +28,13 @@ Full-training-set loss and accuracy are telemetry and never feed the
 trajectory. :func:`train` adds each step's updated model to a
 :class:`dplab.models.EvalWindow` and scores the window every
 :data:`EVAL_WINDOW` steps and at the last step, so the dataset is read once
-per window. A row's ``wall_ms`` is its own step time plus an equal share of
-its window's evaluation time, so the rows' ``wall_ms`` add up to the loop's
-elapsed time.
+per window. The window computes in float32, so ``train_loss`` is
+approximate (the tests hold it within 1e-5 relative of a float64
+reference) and a float32 near-tie may flip a hit in ``train_accuracy``;
+parameters, releases, the ledger and every other row field keep their
+float64 bits. A row's ``wall_ms`` is its own step time plus an equal share
+of its window's evaluation time, so the rows' ``wall_ms`` add up to the
+loop's elapsed time.
 
 A release is divided by the realized Poisson batch size, or by the expected
 size ``config.batch`` when the draw is empty (one line in :func:`train`). An
@@ -114,8 +118,9 @@ class TrainConfig:
     values fit together.
 
     Either ``noise`` is given explicitly, or ``eps_target`` (with ``delta``
-    and, for dpdr, ``sigma_alpha``) asks for calibration before training.
-    ``switch_step`` and ``sigma_alpha`` are dpdr's alone.
+    and, for dpdr, ``sigma_alpha``) asks for calibration before training;
+    ``sigma_alpha`` is a calibration input, so it is rejected beside
+    ``noise``. ``switch_step`` and ``sigma_alpha`` are dpdr's alone.
     ``lr``, ``ratio_g`` and, when given, ``eps_target`` and ``sigma_alpha``
     must be finite and positive. ``arch`` defaults to logistic regression
     sized from the dataset.
@@ -173,6 +178,10 @@ class TrainConfig:
                 )
             if self.noise is not None and self.eps_target is not None:
                 raise ContractViolation("give either noise multipliers or an eps target, not both")
+            if self.noise is not None and self.sigma_alpha is not None:
+                raise ContractViolation(
+                    "sigma_alpha is a calibration input; the noise multipliers already fix it"
+                )
             if self.eps_target is not None and self.method == "dpdr" and self.sigma_alpha is None:
                 raise ContractViolation("dpdr calibration requires sigma_alpha")
 

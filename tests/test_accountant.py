@@ -181,8 +181,9 @@ class TestGridCurve:
 
 
 class TestSigmaFreeCache:
-    """The sigma-free grid terms are cached per q; the curves stay the ones
-    built from fresh terms, bit for bit."""
+    """The sigma-free grid terms are built for the rows a prefix reads and
+    cached per q; the rows and curves stay the ones built from the full
+    grid's fresh terms, bit for bit."""
 
     QS = (1e-4, 256 / 60000, 256 / 10000, 0.5, 0.99)
     # 1e-170: 2 sigma^2 underflows to 0 and every order is inf; 1e-153:
@@ -198,6 +199,12 @@ class TestSigmaFreeCache:
                 assert curve.tobytes() == rdp_grid_uncached(q, sigma).tobytes(), (q, sigma)
         assert accountant._sigma_free_terms.cache_info().hits == len(self.QS) * (len(self.SIGMAS) - 1)
         assert np.isinf(accountant._rdp_vector(0.5, 1e-170)).all()
+
+    @pytest.mark.parametrize("q", QS)
+    def test_prefix_rows_are_the_full_grids_bit_for_bit(self, q):
+        full = accountant._sigma_free_terms(q)
+        for count in (1, 16, 32, 64, 128, 200):
+            assert accountant._sigma_free_terms(q, count).tobytes() == full[:count].tobytes()
 
     def test_cached_terms_are_read_only(self):
         terms = accountant._sigma_free_terms(0.5)

@@ -18,6 +18,9 @@ were cached.
 The pins hold for the environment they were recorded in: numpy 2.4 with
 scipy-openblas 0.3.31. At these sizes (D = 102 and 402, products over at
 most 200 inputs) the same bytes came out at 1 and 2 OpenBLAS threads.
+``train_loss`` (and ``summary.json``'s ``final``) comes from the float32
+evaluation, so its last digits follow the float32 products; every other
+column is float64 training output.
 """
 
 import contextlib
@@ -36,24 +39,24 @@ STEPS, SWITCH = 60, 20
 
 PINS = {
     "sgd": {
-        "metrics.csv": "52739da95bbf5dfbcb815097ead9551ddca19d2b77434d34c3e556d9cd23bb60",
-        "summary.json": "fb02b1e7fbf84d7900cff956630a4bab9cc00a3d6d49857eeb21f438339053e1",
+        "metrics.csv": "563b166c4f49d10bb742eb357ab85ef9d44b01fe9e804fbb640940b654a40c77",
+        "summary.json": "6131ffd9b28a35a92dc941db581cf623db3b84e2e903e9858a73e5319e701227",
     },
     "dpsgd": {
-        "metrics.csv": "bbc2b10f2a38acd54ae70dfe32eb8dcd3e820ebea140662a4f2ab9a108c109ea",
-        "summary.json": "52dd7aa99f95345c50686b1b0bb10cd266434acf4eea121ea19a3e8f8840cf0e",
+        "metrics.csv": "bb86458a5a5e1594c1138122274dd3a74fd205921d43961b62bbc1441c1ee8cc",
+        "summary.json": "2cfd46170cbc08830ca1521251a67bc6c7ea32f5361993bcd080b349a9e7040b",
     },
     "diff": {
-        "metrics.csv": "aae20d0d1b5d1febd16c3418aaa7be6735fc701a65799cfa8c842490ef8efc88",
-        "summary.json": "811351cfb49ca8e1b0a207726f3ddd365a8fa1c48492e144d8eae9c96c32282a",
+        "metrics.csv": "76d67ea4e6372407c3cccc6edee99ee82ea86067a87e2a26b203dee86c4a3ad7",
+        "summary.json": "9ee9a07adbca353fd040ad54bc30738ef92605c4860d4e0814620b432c960a34",
     },
     "dpdr": {
-        "metrics.csv": "397ea690c62a960f3241f2c561827511a9f61c420eea507fc5e3371e7ac9188d",
-        "summary.json": "0b9205509bd2ec44fdb49e6a0f90c796de40fc2fac00fde07418ca4c4e063804",
+        "metrics.csv": "185a8587ae471e659353c2aba9d1f2bf53c252e60ff39e8a3a69d18db552556e",
+        "summary.json": "10a6f884297e44bce0af7f390ba622bcabe299ffe58cb3f1ddc2dd060ed584f5",
     },
     "dpdr-wide": {
-        "metrics.csv": "b3e6b506f50d55882323d3b661ccc33bff73dfb60ef98f7463ba65a53afc42b9",
-        "summary.json": "902fccba63b4f17566f0e93ff2371f7775272518a23917c6a59f3fb7f908d90d",
+        "metrics.csv": "3b6d3951d0ffd8e97c3f8db272b69a2041b490eb3da4fb3661df0aa72045237e",
+        "summary.json": "b84d9755ba15d943abf26322211fca6c2ce59918313c20da066d55c71d65e23c",
     },
 }
 

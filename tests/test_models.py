@@ -1,10 +1,11 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from dplab import (
     Architecture,
@@ -31,9 +32,11 @@ from dplab.models import (
 )
 from dplab.vectors import sub
 from tests.conftest import (
+    eval_loss_approx,
     from_blocks,
     join,
     mean_gradient,
+    near_ties,
     random_problem,
     random_vector,
     reference_sq_norms,
@@ -66,16 +69,18 @@ def loss_oracle(model, batch):
 
 
 def finite_difference_gradient(model, batch, h=1e-5):
-    """Central differences of the mean loss, coordinate by coordinate."""
+    """Central differences of the mean loss, coordinate by coordinate, taken
+    from the float64 reference: the float32 evaluation's rounding would
+    swamp a difference over 2h."""
     blocks = [b.copy() for b in model.params.blocks]
     grad_blocks = [np.zeros_like(b) for b in blocks]
     for li, block in enumerate(blocks):
         for j in range(block.size):
             orig = block[j]
             block[j] = orig + h
-            up = evaluate(type(model)(model.arch, from_blocks(blocks)), batch)[0]
+            up = row_major_evaluate(type(model)(model.arch, from_blocks(blocks)), batch)[0]
             block[j] = orig - h
-            down = evaluate(type(model)(model.arch, from_blocks(blocks)), batch)[0]
+            down = row_major_evaluate(type(model)(model.arch, from_blocks(blocks)), batch)[0]
             block[j] = orig
             grad_blocks[li][j] = (up - down) / (2 * h)
     return from_blocks(grad_blocks)
@@ -99,7 +104,7 @@ class TestLoss:
     def test_against_independent_oracle(self):
         for seed in range(5):
             model, batch = random_problem(seed)
-            assert evaluate(model, batch)[0] == pytest.approx(loss_oracle(model, batch), rel=1e-10)
+            assert evaluate(model, batch)[0] == eval_loss_approx(loss_oracle(model, batch))
 
     def test_label_out_of_range(self):
         model, _ = random_problem(0, d_in=3, n_classes=2, batch=1)
@@ -239,7 +244,7 @@ class TestEvaluate:
         """Against the plain-python loss oracle and a count of argmax hits."""
         model, batch = random_problem(8, batch=5)
         ls, acc = evaluate(model, batch)
-        assert ls == pytest.approx(loss_oracle(model, batch), rel=1e-10)
+        assert ls == eval_loss_approx(loss_oracle(model, batch))
         z, _, _ = _forward(model, batch.inputs)
         hits = sum(int(np.argmax(row) == y) for row, y in zip(z, batch.labels))
         assert acc == hits / batch.size
@@ -265,8 +270,8 @@ class TestEvaluate:
         batch = Batch(gen.standard_normal((n, d_in)), gen.integers(0, n_classes, size=n))
         ls, acc = evaluate(model, batch)
         ref_ls, ref_acc = row_major_evaluate(model, batch)
-        assert ls == pytest.approx(ref_ls, rel=1e-12)
-        assert acc == ref_acc
+        assert ls == eval_loss_approx(ref_ls)
+        assert round(abs(acc - ref_acc) * n) <= near_ties(model, batch)
         if zero:  # every logit ties, so both layouts pick class 0
             assert ls == pytest.approx(math.log(n_classes), rel=1e-15)
             assert acc == float(np.mean(batch.labels == 0))
@@ -288,13 +293,15 @@ class TestEvalWindow:
     @given(
         seed=st.integers(0, 2**32 - 1),
         arch=st.sampled_from(ARCHS),
-        scales=st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=1, max_size=5),
+        scales=st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=1, max_size=8),
         n=st.integers(1, 120),
         chunk_rows=st.integers(1, 50),
     )
     def test_matches_per_model_references(self, seed, arch, scales, n, chunk_rows):
-        """A window of k models scores each as evaluate and the row-major
-        reference do, over any chunking, and can be refilled after evaluate."""
+        """A window of 1-8 float32 models scores each as evaluate does, over
+        any chunking, and can be refilled after evaluate; against the float64
+        row-major reference the loss keeps the stated bound and a hit differs
+        only on a float32 near-tie, which is counted."""
         models = [random_model(arch, seed + i, s) for i, s in enumerate(scales)]
         gen = np.random.Generator(np.random.Philox(key=seed))
         batch = Batch(gen.standard_normal((n, arch.d_in)), gen.integers(0, arch.n_classes, n))
@@ -308,17 +315,20 @@ class TestEvalWindow:
                 window.add(model)
             refilled = window.evaluate()[::-1]
             singles = [evaluate(model, batch) for model in models]
-        for model, scale, (ls, acc), (one_ls, one_acc), (re_ls, re_acc) in zip(
-            models, scales, scores, singles, refilled
-        ):
+        moved = 0
+        for model, scale, *three in zip(models, scales, scores, singles, refilled):
             ref_ls, ref_acc = row_major_evaluate(model, batch)
-            assert ls == pytest.approx(re_ls, rel=1e-12) and acc == re_acc
-            assert ls == pytest.approx(one_ls, rel=1e-12)
-            assert ls == pytest.approx(ref_ls, rel=1e-12)
-            assert acc == one_acc == ref_acc
-            if scale == 0.0:  # every logit ties, so class 0 wins
-                assert ls == pytest.approx(math.log(arch.n_classes), rel=1e-15)
-                assert acc == float(np.mean(batch.labels == 0))
+            ties = near_ties(model, batch)
+            # a model's float32 bits depend on its slot in the stacked products
+            for ls, acc in three:
+                assert ls == eval_loss_approx(ref_ls)
+                hits_moved = round(abs(acc - ref_acc) * n)
+                assert hits_moved <= ties
+                moved += hits_moved
+                if scale == 0.0:  # every logit ties, so class 0 wins
+                    assert ls == pytest.approx(math.log(arch.n_classes), rel=1e-15)
+                    assert acc == float(np.mean(batch.labels == 0))
+        event(f"hits moved by float32 near-ties: {moved}")
 
     @pytest.mark.parametrize("arch", [logistic_regression(5, 4), mlp(5, (6,), 4, "relu")])
     @pytest.mark.parametrize("chunk_rows", [1, 4, 7, 200])
@@ -348,7 +358,7 @@ class TestEvalWindow:
             scores = window.evaluate()
         for model, (ls, acc) in zip(models, scores):
             ref_ls, ref_acc = row_major_evaluate(model, batch)
-            assert ls == pytest.approx(ref_ls, rel=1e-12)
+            assert ls == eval_loss_approx(ref_ls)
             assert acc == ref_acc
         assert scores[0][1] == scores[3][1] == float(np.mean(batch.labels == 1)) == 1 / 3
         z, _, _ = _forward(models[2], batch.inputs)
@@ -362,7 +372,7 @@ class TestEvalWindow:
         EVAL_CHUNK_BYTES however large n grows. At scale 0 every top logit
         ties, so every row takes the first-max fallback."""
         count = 3
-        widths = [fan_out for _, fan_out in arch.weight_shapes()]
+        widths = [arch.d_in, *(fan_out for _, fan_out in arch.weight_shapes())]
         for n in (1_000, 20_000, 80_000):
             gen = np.random.Generator(np.random.Philox(key=n))
             batch = Batch(gen.standard_normal((n, arch.d_in)), gen.integers(0, arch.n_classes, n))
@@ -378,6 +388,34 @@ class TestEvalWindow:
                 tracemalloc.stop()
             assert peak - count * n * (8 + 1) <= EVAL_CHUNK_BYTES
         assert _chunk_rows(count, widths, n) < n / 3  # the largest n takes several chunks
+
+    @pytest.mark.parametrize("arch", [logistic_regression(5, 3), mlp(5, (4,), 3, "relu")])
+    def test_beyond_float32_range_scored_in_float64(self, arch):
+        """Inputs beyond float32's range (a 1e300 coordinate, or 1e39 under
+        weights of 1e-12, whose logits stay small) make the window float64
+        when it is built; a model whose logits could leave float32's range
+        (weights of 1e40) widens a float32 window for good when it is added.
+        Casting any of them to float32 would warn; the losses stay finite and
+        close to the float64 reference."""
+        gen = np.random.Generator(np.random.Philox(key=5))
+        inputs, labels = gen.standard_normal((40, 5)), gen.integers(0, 3, 40)
+        wide = {}
+        for coordinate in (1e300, 1e39):
+            wide[coordinate] = inputs.copy()
+            wide[coordinate][7, 1] = coordinate
+        normal, tiny, huge = (random_model(arch, i, s) for i, s in enumerate((1.0, 1e-12, 1e40)))
+        cases = ((wide[1e300], [normal]), (wide[1e39], [tiny]), (inputs, [normal, huge, normal]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, models in cases:
+                batch = Batch(x, labels)
+                window = EvalWindow(arch, batch, len(models))
+                for model in models:
+                    window.add(model)
+                for model, (ls, acc) in zip(models, window.evaluate()):
+                    ref_ls, ref_acc = row_major_evaluate(model, batch)
+                    assert math.isfinite(ls) and ls == eval_loss_approx(ref_ls)
+                    assert acc == ref_acc
 
     def test_rejects_mixed_architectures_and_empty_or_full_windows(self):
         model, batch = random_problem(3, d_in=4, hidden=(), n_classes=3, batch=5)

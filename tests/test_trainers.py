@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from dplab import (
     Batch,
     ClipSpec,
     ContractViolation,
+    Dataset,
     GradientFactors,
     LayeredVector,
     NoisePlan,
@@ -43,6 +45,7 @@ from tests.conftest import (
     allclose,
     degenerate_layers,
     dot_layer,
+    eval_loss_approx,
     from_blocks,
     join,
     random_problem,
@@ -531,6 +534,11 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             make_config("dpdr", noise=None, eps_target=3.0)
 
+    def test_sigma_alpha_rejected_beside_noise(self):
+        # calibration alone reads sigma_alpha; the plan's own sigma_alpha wins
+        with pytest.raises(ContractViolation, match="sigma_alpha"):
+            make_config("dpdr", noise=NoisePlan(1.0, 1.0, 2.0), sigma_alpha=0.3)
+
 
 class TestEmptyBatchSteps:
     """At B = 0 with an explicit denom b, every step releases its noise alone
@@ -644,8 +652,19 @@ class RowMajorWindow:
 
 class TestEvaluationNeverFeedsTrajectory:
     """The full-dataset evaluation is telemetry only: swapping the stacked
-    window for a per-model row-major reference changes nothing but the loss
-    in its last bits."""
+    float32 window for a per-model float64 row-major reference changes
+    nothing but the loss, within the evaluation's stated bound."""
+
+    @staticmethod
+    def assert_same_run(fast, ref, steps):
+        assert fast.model.params.equals(ref.model.params)
+        assert fast.ledger.events == ref.ledger.events
+        assert len(fast.rows) == len(ref.rows) == steps
+        telemetry_only = dict(train_loss=0.0, train_accuracy=0.0, wall_ms=0.0)
+        for a, b in zip(fast.rows, ref.rows):
+            assert replace(a, **telemetry_only) == replace(b, **telemetry_only)
+            assert a.train_loss == eval_loss_approx(b.train_loss)
+            assert a.train_accuracy == b.train_accuracy
 
     @pytest.mark.parametrize("method", ["dpsgd", "diff", "dpdr"])
     @pytest.mark.parametrize("arch", [None, mlp(6, (5,), 3, "relu"), mlp(6, (4,), 3, "tanh")])
@@ -655,12 +674,29 @@ class TestEvaluationNeverFeedsTrajectory:
         fast = train(config, dataset)
         monkeypatch.setattr("dplab.trainers.EvalWindow", RowMajorWindow)
         ref = train(config, dataset)
-        assert fast.model.params.equals(ref.model.params)
-        assert fast.ledger.events == ref.ledger.events
-        assert len(fast.rows) == len(ref.rows) == 6
-        telemetry_only = dict(train_loss=0.0, train_accuracy=0.0, wall_ms=0.0)
+        self.assert_same_run(fast, ref, 6)
+
+    @pytest.mark.parametrize("beyond", ["inputs", "weights"])
+    def test_beyond_float32_range_scored_in_float64(self, beyond, monkeypatch):
+        """A coordinate of 1e39, or noise that takes the weights to about
+        1e43, is beyond float32's range: the window scores in float64, so the
+        run and its losses are the reference's and no warning escapes."""
+        dataset = gen_synthetic(128, 6, 3, margin=6.0, seed=11)
+        if beyond == "inputs":
+            inputs = dataset.inputs.copy()
+            inputs[5, 2] = 1e39
+            dataset = Dataset("beyond-float32", inputs, dataset.labels, 3)
+            config = make_config("dpsgd", seed=17, arch=mlp(6, (5,), 3, "relu"))
+        else:
+            config = make_config("dpsgd", seed=17, noise=NoisePlan(1e45, 0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = train(config, dataset)
+            monkeypatch.setattr("dplab.trainers.EvalWindow", RowMajorWindow)
+            ref = train(config, dataset)
+        self.assert_same_run(fast, ref, 6)
+        assert max(row.train_loss for row in fast.rows) > 1e30
         for a, b in zip(fast.rows, ref.rows):
-            assert replace(a, **telemetry_only) == replace(b, **telemetry_only)
             assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
 
 
