@@ -37,7 +37,9 @@ class Dataset:
     the dataset's one scan of its inputs, computes every row's squared norm
     ||x_i||^2 and checks finiteness; :func:`poisson_sample` gathers batches
     with their norms from it, so no step recomputes them. The dataset adds
-    only its own rules."""
+    its own rules, among them that every ||x_i||^2 is finite: a batch keeps
+    a finite row whose square overflows float64, but no trainer can clip
+    its gradient, so a dataset rejects it."""
 
     name: str
     inputs: np.ndarray  # (n, d_in) float64
@@ -49,6 +51,12 @@ class Dataset:
         examples = Batch(self.inputs, self.labels)  # shape, labels, finiteness, row norms
         if examples.size < 1:
             raise ContractViolation("dataset must contain at least one example")
+        overflowing = np.flatnonzero(np.isinf(examples.input_sq_norms))
+        if overflowing.size:
+            raise ContractViolation(
+                f"row {overflowing[0]}: squared norm overflows float64, so its gradient "
+                "cannot be clipped"
+            )
         if self.n_classes < 2:
             raise ContractViolation(f"need at least 2 classes, got {self.n_classes}")
         if int(examples.labels.max()) >= self.n_classes:

@@ -21,12 +21,13 @@ layer 0's norms from the batch instead of recomputing them every step.
 Inference has one forward implementation, :class:`EvalWindow`, which
 scores several models of one architecture on one batch. It stacks their
 first-layer weights into one (k h_0, d_in) matrix, so a window of k models
-reads and packs the (n, d_in) inputs once. Each chunk of samples is one
-class-major pass over all k models (z_k = W_k^T a_k with the small weight
-matrices on the left, which is faster for many rows and few classes): the
-stacked first-layer product, then stacked biases, activations and later
-products, then max, log-sum-exp and hits over the class axis. A chunk holds
-as many samples as keep its working arrays within
+reads and packs the (n, d_in) inputs once; :func:`dplab.trainers.train`
+sizes its window by the byte budget :data:`EVAL_CHUNK_BYTES`. Each chunk of
+samples is one class-major pass over all k models (z_k = W_k^T a_k with the
+small weight matrices on the left, which is faster for many rows and few
+classes): the stacked first-layer product, then stacked biases, activations
+and later products, then max, log-sum-exp and hits over the class axis. A
+chunk holds as many samples as keep its working arrays within
 :data:`EVAL_CHUNK_BYTES`, so the product runs near its single-call speed
 and the memory does not grow with n.
 
@@ -74,8 +75,9 @@ __all__ = [
 
 _ACTIVATIONS = ("relu", "tanh")
 
-# bound on the bytes of the working arrays EvalWindow.evaluate holds for one
-# chunk of samples: larger chunks run the first-layer product closer to its
+# the evaluation's memory budget: train() fits each EvalWindow's stacks and
+# per-model rows within it, and EvalWindow.evaluate each chunk of samples'
+# working arrays; larger chunks run the first-layer product closer to its
 # single-call speed but raise the evaluation's peak memory
 EVAL_CHUNK_BYTES = 8 << 20
 

@@ -26,9 +26,11 @@ vector or a full (B, D) array.
 
 Full-training-set loss and accuracy are telemetry and never feed the
 trajectory. :func:`train` adds each step's updated model to a
-:class:`dplab.models.EvalWindow` and scores the window every
-:data:`EVAL_WINDOW` steps and at the last step, so the dataset is read once
-per window. The window computes in float32, so ``train_loss`` is
+:class:`dplab.models.EvalWindow` and scores the window when it holds its
+share of the run's steps: :func:`_eval_windows` splits the run into as few
+near-equal windows as keep within :data:`dplab.models.EVAL_CHUNK_BYTES`
+(one or two on the MNIST-shaped runs), so the dataset is read once per
+window. The window computes in float32, so ``train_loss`` is
 approximate (the tests hold it within 1e-5 relative of a float64
 reference) and a float32 near-tie may flip a hit in ``train_accuracy``;
 parameters, releases, the ledger and every other row field keep their
@@ -45,6 +47,7 @@ spent, and per-sample medians read 0.0.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -74,6 +77,7 @@ from .mechanism import (
     privatize,
 )
 from .models import (
+    EVAL_CHUNK_BYTES,
     Architecture,
     Batch,
     EvalWindow,
@@ -107,9 +111,6 @@ NOISE_PERP_TAG = "noise-perp"
 NOISE_ALPHA_TAG = "noise-alpha"
 
 DEFAULT_DELTA = 1e-5
-
-# steps whose models are scored on the training set by one EvalWindow
-EVAL_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -352,6 +353,27 @@ class TrainResult:
     config: TrainConfig = field(repr=False, default=None)  # type: ignore[assignment]
 
 
+def _eval_windows(arch: Architecture, n: int, total: int) -> list[int]:
+    """Sizes of the evaluation windows that score a run's ``total`` steps on
+    ``n`` samples, in order.
+
+    A model's holdings in an :class:`EvalWindow` are its slot in the float32
+    stacks (4 D bytes, D its parameter count) and its (n,) float64 loss
+    terms and (n,) bool hits (9 n bytes), so a window within
+    :data:`EVAL_CHUNK_BYTES` holds at most ``cap`` models, and at least one.
+    The steps are split into ceil(total / cap) windows whose sizes differ by
+    at most one, so the last window is never a sliver. Evaluation then holds
+    the window and, per chunk, at most EVAL_CHUNK_BYTES more. A window that
+    widens to float64 holds twice its stack bytes; the budget does not
+    reserve room for that.
+    """
+    per_model = 4 * sum(arch.parameter_layer_dims()) + 9 * n
+    cap = max(1, EVAL_CHUNK_BYTES // per_model)
+    count = -(-total // cap)
+    size, extra = divmod(total, count)
+    return [size + 1] * extra + [size] * (count - extra)
+
+
 def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     """Run one seeded experiment and return its artifacts in memory."""
     if config.batch > dataset.n:
@@ -379,7 +401,10 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     started = time.perf_counter()
     model = init_model(arch, config.seed)
     ledger = PrivacyLedger(config.delta)
-    window = EvalWindow(arch, dataset.examples, min(EVAL_WINDOW, total))
+    sizes = _eval_windows(arch, dataset.n, total)
+    window = EvalWindow(arch, dataset.examples, sizes[0])
+    # the steps after which a window is full
+    ends = set(itertools.accumulate(sizes))
     rows: list[MetricsRow] = []
     # (row without loss and accuracy, step ms) of each step awaiting its window
     pending: list[tuple[MetricsRow, float]] = []
@@ -434,7 +459,7 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
         mark = now
         prev_release = outcome.released
 
-        if len(pending) == EVAL_WINDOW or t == total:
+        if t in ends:
             scores = window.evaluate()
             now = time.perf_counter()
             share = (now - mark) * 1000.0 / len(pending)

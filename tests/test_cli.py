@@ -512,6 +512,21 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out == ""
 
+    def test_overflowing_margin_exits_2(self, tmp_path, capsys):
+        """At margin 1e200 every row's ||x||^2 overflows float64, so no
+        gradient could be clipped: the dataset is rejected before training,
+        in one ``error:`` line that names a row."""
+        doc = {**method_doc("dpsgd"), "dataset": synthetic_spec(margin=1e200)}
+        out = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: config.dataset.params: row 0: squared norm overflows float64, "
+            "so its gradient cannot be clipped"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_unusable_out_fails_before_training(self, tmp_path, capsys, monkeypatch, command):
         def no_training(*args, **kwargs):

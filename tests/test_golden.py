@@ -21,6 +21,12 @@ most 200 inputs) the same bytes came out at 1 and 2 OpenBLAS threads.
 ``train_loss`` (and ``summary.json``'s ``final``) comes from the float32
 evaluation, so its last digits follow the float32 products; every other
 column is float64 training output.
+
+Each run is scored in one evaluation window of all 60 steps: the byte
+budget (``trainers._eval_windows``) allows 225 models of the 4096 x 50 task
+per window and 76 of the 12000 x 200 one. The pins were recorded under
+windows of 8 steps (seven of 8 and one of 4) and held bit for bit when the
+windows grew.
 """
 
 import contextlib

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from dplab import (
     gen_synthetic,
     init_model,
     l2_norm,
+    logistic_regression,
     mlp,
     normalize_base,
     poisson_sample,
@@ -37,8 +39,8 @@ from dplab import (
 )
 from dplab.decomposition import decompose_batch
 from dplab.mechanism import CANCELLATION_TAU, aggregate_and_perturb, aggregate_and_perturb_scalars
-from dplab.models import per_sample_gradients
-from dplab.trainers import EVAL_WINDOW, METHODS, sgd_step
+from dplab.models import EVAL_CHUNK_BYTES, EvalWindow, _chunk_rows, per_sample_gradients
+from dplab.trainers import METHODS, _eval_windows, sgd_step
 from dplab.vectors import sub
 from tests.conftest import (
     add,
@@ -700,21 +702,53 @@ class TestEvaluationNeverFeedsTrajectory:
             assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
 
 
+def window_holdings(arch, n):
+    """Bytes one model holds in an EvalWindow on n samples: its float32 slot
+    in the stacks and its (n,) float64 loss terms and (n,) bool hits."""
+    return 4 * sum(arch.parameter_layer_dims()) + 9 * n
+
+
+def count_scored(monkeypatch):
+    """Record how many models every EvalWindow.evaluate call scores."""
+    scored = []
+    original = EvalWindow.evaluate
+
+    def counting(self):
+        scores = original(self)
+        scored.append(len(scores))
+        return scores
+
+    monkeypatch.setattr(EvalWindow, "evaluate", counting)
+    return scored
+
+
 class TestEvaluationWindow:
     """Scoring a window of steps at once changes no row field but the timing
-    and the loss in its last bits; the rows' times add up to the loop's."""
+    and the loss in its last bits; the rows' times add up to the loop's.
 
-    WINDOW = EVAL_WINDOW
+    The byte budget ``dplab.trainers.EVAL_CHUNK_BYTES`` is the window rule's
+    one seam: a budget of WINDOW models' holdings caps windows at WINDOW
+    steps, and a budget of one byte gives windows of one."""
+
+    WINDOW = 8
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("total", [1, WINDOW - 1, WINDOW, WINDOW + 1])
+    @pytest.mark.parametrize("total", [1, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 1])
     def test_window_of_one_gives_same_rows(self, method, total, monkeypatch):
         dataset = gen_synthetic(128, 6, 3, margin=6.0, seed=11)
         switch = {"switch_step": max(1, total // 2)} if method == "dpdr" else {}
         config = make_config(method, total_steps=total, seed=23, **switch)
+        scored = count_scored(monkeypatch)
+        budget = self.WINDOW * window_holdings(logistic_regression(6, 3), dataset.n)
+        monkeypatch.setattr("dplab.trainers.EVAL_CHUNK_BYTES", budget)
         windowed = train(config, dataset)
-        monkeypatch.setattr("dplab.trainers.EVAL_WINDOW", 1)
+        assert len(scored) == -(-total // self.WINDOW)
+        assert sum(scored) == total
+        assert max(scored) <= self.WINDOW and max(scored) - min(scored) <= 1
+        scored.clear()
+        monkeypatch.setattr("dplab.trainers.EVAL_CHUNK_BYTES", 1)
         single = train(config, dataset)
+        assert scored == [1] * total
         assert windowed.model.params.equals(single.model.params)
         assert windowed.ledger.events == single.ledger.events
         assert len(windowed.rows) == len(single.rows) == total
@@ -725,6 +759,75 @@ class TestEvaluationWindow:
             walls = [row.wall_ms for row in result.rows]
             assert all(ms > 0 for ms in walls)
             assert sum(walls) <= result.runtime_ms
+
+
+class TestEvalWindowSizing:
+    """The window rule, without timing: the fewest windows of near-equal
+    size whose holdings fit EVAL_CHUNK_BYTES, and bounded evaluation memory
+    for the windows train() builds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d_in=st.integers(1, 4096),
+        hidden=st.lists(st.integers(1, 512), max_size=2),
+        n_classes=st.integers(2, 20),
+        n=st.integers(1, 2_000_000),
+        total=st.integers(1, 5000),
+    )
+    def test_windows_cover_the_run_within_the_budget(self, d_in, hidden, n_classes, n, total):
+        arch = mlp(d_in, hidden, n_classes)
+        per_model = window_holdings(arch, n)
+        cap = max(1, EVAL_CHUNK_BYTES // per_model)
+        sizes = _eval_windows(arch, n, total)
+        assert sum(sizes) == total
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= cap
+        assert len(sizes) == -(-total // cap)
+        for size in sizes:
+            assert size == 1 or size * per_model <= EVAL_CHUNK_BYTES
+
+    def test_benchmark_shapes_take_one_or_two_windows(self):
+        """Logistic regression and the 784-64-10 MLP on 10000 MNIST-shaped
+        samples, at the benchmark's 75 and 20 steps."""
+        assert _eval_windows(logistic_regression(784, 10), 10000, 75) == [38, 37]
+        assert _eval_windows(mlp(784, (64,), 10), 10000, 20) == [20]
+
+    def test_window_memory_within_budget(self, monkeypatch):
+        """A window train() builds holds its stacks and its models' (n,)
+        loss terms and hits within EVAL_CHUNK_BYTES, and its evaluation's
+        chunk arrays take at most EVAL_CHUNK_BYTES more. mlp(50, (2000,), 10)
+        on 500 samples holds 492540 bytes per model, so 40 steps take three
+        windows, each scored in several chunks."""
+        measured = []
+
+        class MeasuredWindow(EvalWindow):
+            def __init__(self, *args):
+                before = tracemalloc.get_traced_memory()[0]
+                super().__init__(*args)
+                self.held = tracemalloc.get_traced_memory()[0] - before
+
+            def evaluate(self):
+                count = self._count
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                scores = super().evaluate()
+                measured.append((count, self.held, tracemalloc.get_traced_memory()[1] - before))
+                return scores
+
+        monkeypatch.setattr("dplab.trainers.EvalWindow", MeasuredWindow)
+        dataset = gen_synthetic(500, 50, 10, margin=6.0, seed=11)
+        config = make_config("sgd", total_steps=40, batch=16, seed=5, arch=mlp(50, (2000,), 10))
+        tracemalloc.start()
+        try:
+            train(config, dataset)
+        finally:
+            tracemalloc.stop()
+        assert [count for count, _, _ in measured] == [14, 13, 13]
+        for count, held, peak in measured:
+            rows = count * dataset.n * (8 + 1)
+            assert held + rows <= EVAL_CHUNK_BYTES
+            assert peak - rows <= EVAL_CHUNK_BYTES
+        assert _chunk_rows(14, [50, 2000, 10], dataset.n) < dataset.n / 3
 
 
 class TestDifferenceChannelSensitivity:
