@@ -99,21 +99,18 @@ def _number(doc: dict, key: str, where: str, default=_REQUIRED) -> float:
 def parse_config(doc: dict, seed_override: int | None = None) -> tuple[TrainConfig, dict]:
     """Check a config document's keys and types; returns (TrainConfig, dataset spec).
 
-    How the values fit together (which blocks a method needs, switch step,
-    value ranges) is checked by :class:`TrainConfig` and the clip and noise
-    specs; their ContractViolation becomes a ConfigError here. A method other
-    than dpdr may leave out the channels it does not use: c_perp defaults to
-    c_g, c_alpha to 1, sigma_perp and sigma_alpha to 0.
+    How the values fit together (which blocks a method needs or takes,
+    switch step, value ranges) is checked by :class:`TrainConfig` and the
+    clip and noise specs; their ContractViolation becomes a ConfigError
+    here. A method other than dpdr may leave out the channels it does not
+    use: c_perp defaults to c_g, c_alpha to 1, sigma_perp and sigma_alpha
+    to 0.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config: document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "config")
 
     method = _key(doc, "method", str)
-    if method == "sgd":
-        for key in ("clip", "noise", "privacy"):
-            if key in doc:
-                raise ConfigError(f"config: key '{key}' is not used by method=sgd")
     fields = {
         "method": method,
         "total_steps": _key(doc, "total_steps", int),
@@ -283,12 +280,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.batch < 1 or args.n < args.batch or args.steps < 1:
-        raise ConfigError("need n >= batch >= 1 and steps >= 1")
-    if not 1 <= args.switch <= args.steps:
-        raise ConfigError(f"switch must lie in [1, {args.steps}]")
+    if args.batch < 1 or args.n < args.batch:
+        raise ConfigError("need n >= batch >= 1")
+    # steps, switch, eps, delta, sigma-alpha or ratio-g out of range raise ContractViolation
     schedule = privacy_schedule("dpdr", args.batch / args.n, args.steps, args.switch)
-    # eps, delta, sigma-alpha or ratio-g out of range raise ContractViolation
     sigma_perp, sigma_g = calibrate_sigma(
         args.eps, args.delta, schedule, args.sigma_alpha, args.ratio_g
     )

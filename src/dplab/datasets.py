@@ -175,8 +175,9 @@ def gen_synthetic(
 def poisson_sample(dataset: Dataset, q: float, stream: RngStream) -> Batch:
     """Include each example independently with probability q, in index order.
 
-    The result may be empty; the trainers release an empty draw as pure
-    noise over the expected batch size (see :mod:`dplab.trainers`).
+    The result may be empty. The trainers divide every release by the
+    expected batch size, never by the realized size, so an empty draw
+    releases the noise alone (see :mod:`dplab.trainers`).
     """
     if not 0.0 <= q <= 1.0:
         raise ContractViolation(f"sampling ratio must be in [0, 1], got {q!r}")

@@ -1,9 +1,10 @@
 """Per-sample clipping and Gaussian perturbation primitives.
 
 Clipping bounds the L2 norm of every per-sample contribution; noise is
-added once to the batch sum, then the sum is averaged. Sensitivity of the
-released average is therefore clip_bound / batch_size, and the noise
-multiplier sigma is the ratio of noise std to the clip bound.
+added once to the batch sum, then the sum is divided by a public count, the
+trainers' expected batch size b. Sensitivity of the release is therefore
+clip_bound / b, and the noise multiplier sigma is the ratio of noise std to
+the clip bound.
 
 :func:`privatize` is the release primitive the trainers use. It takes a
 row source: per-sample gradients from their factors (:class:`GradientRows`),
@@ -136,8 +137,8 @@ def aggregate_and_perturb(
 
     With sigma == 0 this is exactly the mean of the clipped vectors and the
     stream is not consumed. An empty list is a contract violation; the
-    trainers release an empty Poisson batch through :func:`privatize` over
-    zero rows, divided by the expected batch size.
+    trainers divide every release, an empty Poisson batch's included, by the
+    expected batch size (:func:`privatize`'s ``denom``).
     """
     if not per_sample:
         raise ContractViolation("aggregate_and_perturb requires at least one vector")
@@ -176,8 +177,9 @@ def aggregate_and_perturb_scalars(
 
 def clip_factors(norms: np.ndarray, c: float) -> np.ndarray:
     """Per-sample scales min(1, c / norm); rows within the bound (zero rows
-    included) keep scale 1."""
-    _require_positive("clip bound", c)
+    included) keep scale 1, so c = inf clips no row."""
+    if not c > 0:
+        raise ContractViolation(f"clip bound must be positive, got {c!r}")
     return np.divide(c, norms, out=np.ones_like(norms), where=norms > c)
 
 

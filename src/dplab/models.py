@@ -37,8 +37,9 @@ each chunk of the float64 inputs is cast into one reused float32 buffer just
 before its product, so no float32 copy of the dataset is kept. The
 exponentials are summed, and the per-sample loss terms and their mean are
 kept, in float64. The loss is therefore approximate (the tests hold it
-within 1e-5 relative of a float64 reference), and a float32 near-tie in the
-logits may flip a hit.
+within 1e-5 relative of a float64 reference, or within 1e-7 plus
+4 * 2^-24 * max|logit| absolute, the rounding of float32 logits), and a
+float32 near-tie in the logits may flip a hit.
 A window computes in float64 instead when its inputs' largest norm reaches
 :data:`_FLOAT32_BOUND`, which it checks once, when it is built, from the
 batch's scan; and it widens to float64 for good when an added model's
@@ -483,10 +484,6 @@ class GradientFactors:
             total += a_sq * d_sq
             total += d_sq
         return total
-
-    def norms(self) -> np.ndarray:
-        """(B,) global L2 norms, the square roots of :meth:`sq_norms`."""
-        return np.sqrt(self.sq_norms())
 
     def weighted_sum(self, f: np.ndarray) -> np.ndarray:
         """Flat sum_i f_i g_i: per layer a_k^T (f * delta_k), then f @ delta_k."""

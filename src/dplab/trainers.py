@@ -1,10 +1,12 @@
 """Training loops: plain SGD, DP-SGD, difference perturbation (DIFF), and
 decomposition/reconstruction with a mixed schedule (DPDR).
 
-DPDR runs one full DP-SGD step, then decomposes per-sample gradients
-against the previous released gradient for steps 2..s, then falls back to
-DP-SGD for the rest of the run. The steps only release; :func:`train`
-appends one ledger event per private step, at
+SGD is the DP-SGD step with clip bound inf and noise multiplier 0, so every
+method releases through :func:`dplab.mechanism.privatize`. DPDR runs one
+full DP-SGD step, then decomposes per-sample gradients against the previous
+released gradient for steps 2..s, then falls back to DP-SGD for the rest of
+the run. The steps only release; :func:`train` appends one ledger event per
+private step, at
 :func:`dplab.accountant.release_sigma` of its role. Batch sampling and noise
 use disjoint stream tags so methods compared at the same seed see identical
 batch sequences.
@@ -32,17 +34,23 @@ near-equal windows as keep within :data:`dplab.models.EVAL_CHUNK_BYTES`
 (one or two on the MNIST-shaped runs), so the dataset is read once per
 window. The window computes in float32, so ``train_loss`` is
 approximate (the tests hold it within 1e-5 relative of a float64
-reference) and a float32 near-tie may flip a hit in ``train_accuracy``;
+reference, or within 1e-7 plus 4 * 2^-24 * max|logit| absolute) and a
+float32 near-tie may flip a hit in ``train_accuracy``;
 parameters, releases, the ledger and every other row field keep their
 float64 bits. A row's ``wall_ms`` is its own step time plus an equal share
 of its window's evaluation time, so the rows' ``wall_ms`` add up to the
 loop's elapsed time.
 
-A release is divided by the realized Poisson batch size, or by the expected
-size ``config.batch`` when the draw is empty (one line in :func:`train`). An
-empty draw runs the same step on zero rows: the sums are zero, the release is
-the noise alone (plus the previous release for diff), one ledger event is
-spent, and per-sample medians read 0.0.
+Every release, sgd's included, is divided by the expected batch size
+``config.batch``, never by the realized Poisson size: that count is private,
+and dividing by it lets one example rescale every other contribution. So a
+release moves by at most c / b when one example is added or removed, the
+sensitivity the ledger assumes. diff's release p + (sum_i clip(g_i - p) +
+noise) / b has that sensitivity against the public previous release p; its
+noiseless release is sum_i g_i / b + (1 - B / b) p. An empty draw runs the
+same step on zero rows: the sums are zero, the release is the noise alone
+(plus the previous release for diff), one ledger event is spent, and
+per-sample medians read 0.0.
 """
 
 from __future__ import annotations
@@ -121,7 +129,9 @@ class TrainConfig:
     Either ``noise`` is given explicitly, or ``eps_target`` (with ``delta``
     and, for dpdr, ``sigma_alpha``) asks for calibration before training;
     ``sigma_alpha`` is a calibration input, so it is rejected beside
-    ``noise``. ``switch_step`` and ``sigma_alpha`` are dpdr's alone.
+    ``noise``. ``switch_step`` and ``sigma_alpha`` are dpdr's alone, and
+    sgd, which trains without privacy, takes no ``clip``, ``noise`` or
+    ``eps_target``.
     ``lr``, ``ratio_g`` and, when given, ``eps_target`` and ``sigma_alpha``
     must be finite and positive. ``arch`` defaults to logistic regression
     sized from the dataset.
@@ -170,7 +180,11 @@ class TrainConfig:
             for name in ("switch_step", "sigma_alpha"):
                 if getattr(self, name) is not None:
                     raise ContractViolation(f"{name} is only valid for dpdr, not {self.method}")
-        if self.method != "sgd":
+        if self.method == "sgd":
+            for name in ("clip", "noise", "eps_target"):
+                if getattr(self, name) is not None:
+                    raise ContractViolation(f"sgd trains without privacy and takes no {name}")
+        else:
             if self.clip is None:
                 raise ContractViolation(f"{self.method} requires clip bounds")
             if self.noise is None and self.eps_target is None:
@@ -206,14 +220,6 @@ def _median(values: np.ndarray) -> float:
     return float(np.median(values)) if values.size else 0.0
 
 
-def sgd_step(model: Model, batch: Batch, denom: float) -> StepOutcome:
-    """Non-private baseline: release the exact gradient sum over ``denom``."""
-    grads = backprop(model, batch)
-    released = LayeredVector(grads.weighted_sum(np.ones(batch.size)) / denom, grads.layer_dims)
-    row = replace(_blank_row(0), grad_norm_median=_median(grads.norms()))
-    return StepOutcome(released, row)
-
-
 def dpsgd_step(
     model: Model,
     batch: Batch,
@@ -224,6 +230,8 @@ def dpsgd_step(
     prev_release: LayeredVector | None = None,
 ) -> StepOutcome:
     """Clip per-sample gradients to c_g, perturb the sum, divide by ``denom``.
+    With c_g = inf and sigma_g = 0 this is the exact gradient sum over
+    ``denom``, the sgd step.
 
     ``prev_release`` is telemetry-only: when given, the median per-sample
     difference norm against it is recorded, computed from the factors with a
@@ -304,6 +312,8 @@ def privacy_schedule(
     method: str, q: float, total_steps: int, switch_step: int | None = None
 ) -> list[tuple[float, int, str]]:
     """Release schedule of a run as (q, steps, role) entries."""
+    if total_steps < 1:
+        raise ContractViolation(f"total_steps must be >= 1, got {total_steps}")
     if method == "sgd":
         return []
     if method in ("dpsgd", "diff"):
@@ -312,6 +322,10 @@ def privacy_schedule(
         raise ContractViolation(f"unknown method {method!r}")
     if switch_step is None:
         raise ContractViolation("dpdr schedule requires switch_step")
+    if not 1 <= switch_step <= total_steps:
+        raise ContractViolation(
+            f"switch_step must lie in [1, {total_steps}], got {switch_step}"
+        )
     schedule = [(q, 1, ROLE_FIRST)]
     if switch_step >= 2:
         schedule.append((q, switch_step - 1, ROLE_GDR))
@@ -390,6 +404,12 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     arch = config.arch or logistic_regression(dataset.d_in, dataset.n_classes)
     dims = arch.parameter_layer_dims()
 
+    # sgd is DP-SGD with no clip and no noise
+    if method == "sgd":
+        c_g, sigma_g = math.inf, 0.0
+    else:
+        c_g, sigma_g = config.clip.c_g, noise.sigma_g
+    denom = config.batch  # public, unlike the realized Poisson size
     roles = [role for _, steps, role in schedule for _ in range(steps)]
     sigma = {
         role: release_sigma(role, noise.sigma_g, noise.sigma_perp, noise.sigma_alpha)
@@ -415,17 +435,11 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     for t in range(1, total + 1):
         role = roles[t - 1] if roles else None
         batch = poisson_sample(dataset, q, RngStream(config.seed, t, BATCH_TAG))
-        # the realized Poisson size; an empty draw divides by the expected size
-        denom = batch.size if batch.size else config.batch
         noise_g = RngStream(config.seed, t, NOISE_G_TAG)
 
-        if method == "sgd":
-            outcome = sgd_step(model, batch, denom)
-        elif method == "diff":
+        if method == "diff":
             prev = prev_release if prev_release is not None else LayeredVector.zeros(dims)
-            outcome = diff_step(
-                model, batch, prev, config.clip.c_g, noise.sigma_g, noise_g, denom
-            )
+            outcome = diff_step(model, batch, prev, c_g, sigma_g, noise_g, denom)
         elif role == ROLE_GDR:
             outcome = gdr_step(
                 model, batch, normalize_base(prev_release, t - 1), config.clip, noise,
@@ -435,11 +449,9 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
             )
             if outcome.perp_norms.size:
                 snapshot = outcome.perp_norms
-        else:  # dpsgd, or the first and tail steps of dpdr
+        else:  # sgd, dpsgd, or the first and tail steps of dpdr
             track_diff = prev_release if method == "dpsgd" else None
-            outcome = dpsgd_step(
-                model, batch, config.clip.c_g, noise.sigma_g, noise_g, denom, track_diff
-            )
+            outcome = dpsgd_step(model, batch, c_g, sigma_g, noise_g, denom, track_diff)
 
         if sigma.get(role, 0.0) > 0:
             ledger.append(ReleaseEvent(q, sigma[role]))

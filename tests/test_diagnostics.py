@@ -67,12 +67,10 @@ class TestOrthogonalShare:
         clip = ClipSpec(1.0, 0.5, 1.0)
         noise = NoisePlan(1.0, 1.0, 2.0)
         lr = 0.1
-        q = 128 / ds.n
+        q = 128 / ds.n  # releases divide by the expected batch size 128, as in train()
         model = init_model(logistic_regression(ds.d_in, ds.n_classes), 0)
         batch = poisson_sample(ds, q, RngStream(0, 1, "batch"))
-        first = dpsgd_step(
-            model, batch, clip.c_g, noise.sigma_g, RngStream(0, 1, "noise-g"), batch.size
-        )
+        first = dpsgd_step(model, batch, clip.c_g, noise.sigma_g, RngStream(0, 1, "noise-g"), 128)
         model = apply_update(model, first.released, lr)
         base = normalize_base(first.released, 1)
         shares = []
@@ -80,9 +78,10 @@ class TestOrthogonalShare:
             batch = poisson_sample(ds, q, RngStream(0, t, "batch"))
             out = gdr_step(
                 model, batch, base, clip, noise,
-                RngStream(0, t, "noise-perp"), RngStream(0, t, "noise-alpha"), batch.size,
+                RngStream(0, t, "noise-perp"), RngStream(0, t, "noise-alpha"), 128,
             )
-            shares.append(float(np.median(out.perp_norms / backprop(model, batch).norms())))
+            grad_norms = np.sqrt(backprop(model, batch).sq_norms())
+            shares.append(float(np.median(out.perp_norms / grad_norms)))
             model = apply_update(model, out.released, lr)
             base = normalize_base(out.released, t)
         assert float(np.median(shares)) < 0.9

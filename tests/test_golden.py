@@ -26,7 +26,8 @@ Each run is scored in one evaluation window of all 60 steps: the byte
 budget (``trainers._eval_windows``) allows 225 models of the 4096 x 50 task
 per window and 76 of the 12000 x 200 one. The pins were recorded under
 windows of 8 steps (seven of 8 and one of 4) and held bit for bit when the
-windows grew.
+windows grew. They were re-recorded when every release came to be divided
+by the expected batch size ``batch`` instead of the realized Poisson size.
 """
 
 import contextlib
@@ -45,24 +46,24 @@ STEPS, SWITCH = 60, 20
 
 PINS = {
     "sgd": {
-        "metrics.csv": "563b166c4f49d10bb742eb357ab85ef9d44b01fe9e804fbb640940b654a40c77",
-        "summary.json": "6131ffd9b28a35a92dc941db581cf623db3b84e2e903e9858a73e5319e701227",
+        "metrics.csv": "89fbc715853d59db79c7ed5578bddcd178f01a433e40831796f2848b131ba011",
+        "summary.json": "d3042570afd6e686174b97d818417c124a1aee145499049365be3172652447fd",
     },
     "dpsgd": {
-        "metrics.csv": "bb86458a5a5e1594c1138122274dd3a74fd205921d43961b62bbc1441c1ee8cc",
-        "summary.json": "2cfd46170cbc08830ca1521251a67bc6c7ea32f5361993bcd080b349a9e7040b",
+        "metrics.csv": "71eaff8bca3c1a4ea7ff87a727ee7387a398dcbb4ea59757a235fcc5fc63ed1c",
+        "summary.json": "76ea6c599f07d9c2ce324fa508bf9c87cc8cf71f2c8e413053be9c0aef3f74c6",
     },
     "diff": {
-        "metrics.csv": "76d67ea4e6372407c3cccc6edee99ee82ea86067a87e2a26b203dee86c4a3ad7",
-        "summary.json": "9ee9a07adbca353fd040ad54bc30738ef92605c4860d4e0814620b432c960a34",
+        "metrics.csv": "4358c2bea6797788c60a6caa7346ed3b9ee5f19a5151d274905bb56b94f9bf09",
+        "summary.json": "67522d27fd74bb42f1852a95a032a194c0a62a0920ccfe95ff538ea0271afbcc",
     },
     "dpdr": {
-        "metrics.csv": "185a8587ae471e659353c2aba9d1f2bf53c252e60ff39e8a3a69d18db552556e",
-        "summary.json": "10a6f884297e44bce0af7f390ba622bcabe299ffe58cb3f1ddc2dd060ed584f5",
+        "metrics.csv": "ae88081d4e39ceff37199de40e7a501b2f48fbc4a62913ee320b6fc40b9a8b64",
+        "summary.json": "f9c0a3d9dda4d58c7bed59fd2ded77a315988c6f4b0891eaa57fb3d9dc7eaf2b",
     },
     "dpdr-wide": {
-        "metrics.csv": "3b6d3951d0ffd8e97c3f8db272b69a2041b490eb3da4fb3661df0aa72045237e",
-        "summary.json": "b84d9755ba15d943abf26322211fca6c2ce59918313c20da066d55c71d65e23c",
+        "metrics.csv": "d71bc59ebda3f9ded6721af856ea3b65e0ed2c10f9081e1a1206c7b30d659172",
+        "summary.json": "c10c3123a9c73095d3279eefb67dc929309357c3e3616f0c8ddafa7cb9a612e6",
     },
 }
 

@@ -22,6 +22,7 @@ from dplab.mechanism import (
     aggregate_and_perturb,
     aggregate_and_perturb_scalars,
     clip_alpha_vec,
+    clip_factors,
     clip_to_norm,
 )
 from dplab.models import per_sample_gradients
@@ -176,12 +177,27 @@ class TestSpecs:
             ClipSpec(0.0, 1.0, 1.0)
         with pytest.raises(ContractViolation):
             ClipSpec(1.0, -1.0, 1.0)
+        # clip_factors takes c = inf for sgd, but no config may set it
+        with pytest.raises(ContractViolation):
+            ClipSpec(math.inf, 1.0, 1.0)
         ClipSpec(1.0, 0.5, 1.5)
 
     def test_noise_plan_nonnegative(self):
         with pytest.raises(ContractViolation):
             NoisePlan(-0.1, 1.0, 1.0)
         NoisePlan(0.0, 0.0, 0.0)
+
+
+class TestClipFactors:
+    def test_infinite_bound_clips_no_row(self):
+        # the sgd release: clip_factors(norms, inf) is all ones, whatever the norms
+        norms = np.array([0.0, 1e-300, 2.5, 1e300, math.inf])
+        assert np.array_equal(clip_factors(norms, math.inf), np.ones(5))
+
+    @pytest.mark.parametrize("c", [math.nan, 0.0, -1.0])
+    def test_rejects_nan_zero_and_negative_bounds(self, c):
+        with pytest.raises(ContractViolation):
+            clip_factors(np.ones(3), c)
 
 
 class TestFactoredDifferenceNorms:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -40,7 +41,7 @@ from dplab import (
 from dplab.decomposition import decompose_batch
 from dplab.mechanism import CANCELLATION_TAU, aggregate_and_perturb, aggregate_and_perturb_scalars
 from dplab.models import EVAL_CHUNK_BYTES, EvalWindow, _chunk_rows, per_sample_gradients
-from dplab.trainers import METHODS, _eval_windows, sgd_step
+from dplab.trainers import METHODS, _eval_windows
 from dplab.vectors import sub
 from tests.conftest import (
     add,
@@ -300,6 +301,16 @@ class TestPrivacySchedule:
         assert privacy_schedule("dpsgd", 0.2, 7) == [(0.2, 7, "dpsgd")]
         assert privacy_schedule("sgd", 0.2, 7) == []
 
+    @pytest.mark.parametrize(
+        "method, total, switch",
+        [("dpdr", 10, 0), ("dpdr", 10, 11), ("dpdr", 10, 25), ("dpdr", 0, 1),
+         ("dpsgd", 0, None), ("sgd", 0, None)],
+    )
+    def test_rejects_a_switch_outside_the_run_and_an_empty_run(self, method, total, switch):
+        # the schedule would otherwise spend switch + 1 steps, or none
+        with pytest.raises(ContractViolation):
+            privacy_schedule(method, 0.1, total, switch)
+
 
 class TestTrainLoop:
     def setup_method(self):
@@ -467,20 +478,71 @@ class TestTrainLoop:
             assert ra.eps_cum == rb.eps_cum
             assert ra.cos_prev == rb.cos_prev
 
+    def noiseless_reference(self, config, carry):
+        """Final parameters of the noiseless release r_t = sum_i g_i / b +
+        carry (1 - B_t / b) r_{t-1}, from the list-based gradients: b is
+        ``config.batch`` and B_t the realized Poisson size. ``carry`` is
+        diff's p + sum_i (g_i - p) / b; without it the release is sgd's."""
+        b = config.batch
+        model = init_model(logistic_regression(self.dataset.d_in, self.dataset.n_classes),
+                           config.seed)
+        release = LayeredVector.zeros(model.params.layer_dims)
+        for t in range(1, config.total_steps + 1):
+            stream = RngStream(config.seed, t, "batch")
+            batch = poisson_sample(self.dataset, b / self.dataset.n, stream)
+            grads = per_sample_gradients(model, batch)
+            total = scale(len(grads), mean_of(grads)) if grads else scale(0.0, release)
+            share = (1.0 - batch.size / b) if carry else 0.0
+            release = add(scale(1.0 / b, total), scale(share, release))
+            model = apply_update(model, release, config.lr)
+        return model.params
+
     def test_noiseless_loose_trainers_agree_with_sgd(self):
-        silent_clip = LOOSE
         sgd = train(make_config("sgd", total_steps=5, seed=6), self.dataset)
-        variants = [
-            make_config("dpsgd", total_steps=5, seed=6, clip=silent_clip, noise=SILENT),
-            make_config("diff", total_steps=5, seed=6, clip=silent_clip, noise=SILENT),
-            make_config("dpdr", total_steps=5, seed=6, switch_step=4, clip=silent_clip,
-                        noise=SILENT),
-        ]
-        for config in variants:
+        reference = self.noiseless_reference(sgd.config, carry=False)
+        tol = 1e-10 * max(1.0, l2_norm(reference))
+        assert l2_norm(sub(sgd.model.params, reference)) <= tol
+        for config in [
+            make_config("dpsgd", total_steps=5, seed=6, clip=LOOSE, noise=SILENT),
+            make_config("dpdr", total_steps=5, seed=6, switch_step=4, clip=LOOSE, noise=SILENT),
+        ]:
             result = train(config, self.dataset)
-            assert l2_norm(sub(result.model.params, sgd.model.params)) <= 1e-10 * max(
-                1.0, l2_norm(sgd.model.params)
-            )
+            assert l2_norm(sub(result.model.params, sgd.model.params)) <= tol
+        # diff adds the previous release back, so its share of the draws not
+        # made, (1 - B / b) p, stays in the noiseless release
+        diff = train(
+            make_config("diff", total_steps=5, seed=6, clip=LOOSE, noise=SILENT), self.dataset
+        )
+        reference = self.noiseless_reference(diff.config, carry=True)
+        assert l2_norm(sub(diff.model.params, reference)) <= 1e-10 * max(1.0, l2_norm(reference))
+        assert l2_norm(sub(diff.model.params, sgd.model.params)) > 1e-3 * l2_norm(reference)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_step_divides_by_the_expected_batch(self, method, monkeypatch):
+        """The divisor is the public ``config.batch``, on empty and non-empty
+        draws alike, never the realized Poisson size."""
+        tiny = gen_synthetic(64, 4, 2, margin=6.0, seed=3)
+        switch = {"switch_step": 20} if method == "dpdr" else {}
+        config = make_config(method, total_steps=40, batch=3, seed=13, **switch)
+        seen = []  # (realized size, denom) of every step call
+
+        def spy(step_fn):
+            signature = inspect.signature(step_fn)
+
+            def recorded(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs).arguments
+                seen.append((bound["batch"].size, bound["denom"]))
+                return step_fn(*args, **kwargs)
+            return recorded
+
+        for name, fn in (("dpsgd_step", dpsgd_step), ("diff_step", diff_step),
+                         ("gdr_step", gdr_step)):
+            monkeypatch.setattr(f"dplab.trainers.{name}", spy(fn))
+        train(config, tiny)
+        sizes = {size for size, _ in seen}
+        assert len(seen) == 40
+        assert 0 in sizes and sizes - {0, config.batch}
+        assert {denom for _, denom in seen} == {config.batch}
 
     def test_perp_snapshot_recorded_for_dpdr(self):
         result = train(make_config("dpdr", total_steps=6, seed=8), self.dataset)
@@ -536,6 +598,17 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             make_config("dpdr", noise=None, eps_target=3.0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"clip": ClipSpec(1.0, 1.0, 1.0)}, {"noise": NoisePlan(1.0, 0.0, 0.0)},
+         {"eps_target": 3.0}],
+        ids=["clip", "noise", "eps_target"],
+    )
+    def test_sgd_takes_no_privacy_settings(self, setting):
+        # sgd trains without privacy; these settings would be silently ignored
+        with pytest.raises(ContractViolation, match="sgd"):
+            make_config("sgd", **setting)
+
     def test_sigma_alpha_rejected_beside_noise(self):
         # calibration alone reads sigma_alpha; the plan's own sigma_alpha wins
         with pytest.raises(ContractViolation, match="sigma_alpha"):
@@ -563,7 +636,8 @@ class TestEmptyBatchSteps:
         assert row.grad_norm_median == row.perp_norm_median == row.diff_norm_median == 0.0
 
     def test_sgd(self):
-        out = sgd_step(self.model, self.empty, self.B)
+        # sgd is the dpsgd step with no clip and no noise
+        out = dpsgd_step(self.model, self.empty, math.inf, 0.0, RngStream(4, 3, "noise-g"), self.B)
         assert out.released.equals(LayeredVector.zeros(self.dims))
         self.assert_medians_zero(out.metrics)
 
@@ -599,10 +673,18 @@ class TestEmptyBatchSteps:
 
 
 class TestSgdStep:
+    """sgd runs :func:`dpsgd_step` with clip bound inf and noise multiplier 0."""
+
     def test_releases_exact_mean(self):
         model, batch = random_problem(12, batch=5)
-        out = sgd_step(model, batch, batch.size)
-        assert allclose(out.released, mean_of(per_sample_gradients(model, batch)), rtol=1e-12)
+        grads = per_sample_gradients(model, batch)
+        denom = 7  # the expected batch size, not the realized 5
+        out = dpsgd_step(model, batch, math.inf, 0.0, RngStream(0, 1, "noise-g"), denom)
+        expected = scale(len(grads) / denom, mean_of(grads))
+        assert allclose(out.released, expected, rtol=1e-12)
+        assert out.metrics.grad_norm_median == pytest.approx(
+            float(np.median([l2_norm(g) for g in grads])), rel=1e-12
+        )
 
 
 class TestSilentStepsMatchSgd:
@@ -893,6 +975,91 @@ class TestOrthogonalReleaseAcrossTheGuard:
             assert math.sqrt(sq) <= c * (1 + 1e-12)
 
 
+class TestNeighbouringBatchSensitivity:
+    """The deterministic half of a privacy audit: a release on D (63 rows
+    and a canary) and on D' (D without the canary), both divided by
+    b = ``config.batch``, differ by at most c / b, the sensitivity the ledger
+    assumes. sigma = 0 and every row is clipped. The canary has the 63
+    rows' input and the other class, so its logistic-regression gradient is
+    a negative multiple of theirs and its clipped contribution opposes
+    theirs: the gap reaches c / b, the worst case. The statistical half
+    (noisy releases, an empirical epsilon lower bound against the
+    accountant's) is not run here: at about 1e5 releases per world it would
+    cost seconds of the suite."""
+
+    B = 64  # b: the expected batch size, and the realized size of D
+    RTOL = 1e-12
+
+    def setup_method(self):
+        x = np.random.Generator(np.random.Philox(key=41)).standard_normal(3)
+        self.model = init_model(logistic_regression(3, 2), 41)
+        self.d = Batch(np.tile(x, (self.B, 1)), np.array([0] * (self.B - 1) + [1]))
+        self.d_prime = self.d.take(np.arange(self.B - 1))
+        grads = per_sample_gradients(self.model, self.d)
+        self.other, self.canary = grads[0], grads[-1]
+        cos = (self.other.flat @ self.canary.flat) / (l2_norm(self.other) * l2_norm(self.canary))
+        assert cos == pytest.approx(-1.0, abs=1e-12)
+
+    def gap(self, step, denoms=(B, B)):
+        """||r(D) - r(D')|| of ``step(batch, denom)``'s release."""
+        r, r_prime = (step(batch, denom).released
+                      for batch, denom in zip((self.d, self.d_prime), denoms))
+        return l2_norm(sub(r, r_prime))
+
+    def assert_worst_case_within(self, gap, c):
+        assert gap <= c / self.B * (1 + self.RTOL)
+        assert gap == pytest.approx(c / self.B, rel=1e-9)
+
+    def test_dpsgd(self):
+        c = 0.5 * min(l2_norm(self.other), l2_norm(self.canary))
+        stream = RngStream(0, 1, "noise-g")
+        gap = self.gap(lambda batch, denom: dpsgd_step(self.model, batch, c, 0.0, stream, denom))
+        self.assert_worst_case_within(gap, c)
+
+    def test_realized_size_divisor_exceeds_the_bound(self):
+        # dividing D by its 64 rows and D' by its 63 moves every other row's
+        # contribution too: the gap is 2c / B, twice what the ledger assumes
+        c = 0.5 * min(l2_norm(self.other), l2_norm(self.canary))
+        stream = RngStream(0, 1, "noise-g")
+        gap = self.gap(lambda batch, denom: dpsgd_step(self.model, batch, c, 0.0, stream, denom),
+                       denoms=(self.B, self.B - 1))
+        assert gap > 1.5 * c / self.B
+        assert gap == pytest.approx(2 * c / self.B, rel=1e-9)
+
+    def test_diff_against_a_fixed_previous_release(self):
+        # p at the midpoint makes g - p of the canary the negative of the others'
+        p = scale(0.5, add(self.other, self.canary))
+        c = 0.5 * l2_norm(sub(self.canary, p))
+        stream = RngStream(0, 1, "noise-g")
+        gap = self.gap(lambda batch, denom: diff_step(self.model, batch, p, c, 0.0, stream, denom))
+        self.assert_worst_case_within(gap, c)
+
+    @pytest.mark.parametrize("angle, dense", [(0.1, True), (1.2, False)])
+    def test_each_gdr_channel(self, angle, dense, monkeypatch):
+        """A base 0.1 rad from the canary fails the cancellation guard, so
+        the orthogonal channel is clipped on dense rows; at 1.2 rad it is
+        clipped from the factors. With sigma = 0 the orthogonal sum is
+        orthogonal to every base layer, so the release r splits back into
+        alpha_l = <r_l, b_l> and r - alpha b."""
+        base = normalize_base(tilted(self.canary, angle, 5), 0)
+        decs = decompose_batch([self.other, self.canary], base)
+        c_perp = 0.5 * min(l2_norm(d.g_perp) for d in decs)
+        c_alpha = 0.5 * min(float(np.linalg.norm(d.alphas)) for d in decs)
+        clip = ClipSpec(1.0, c_perp, c_alpha)
+        streams = RngStream(0, 2, "noise-perp"), RngStream(0, 2, "noise-alpha")
+        expanded = count_calls(monkeypatch, "block_rows")
+        channels = []
+        for batch in (self.d, self.d_prime):
+            r = gdr_step(self.model, batch, base, clip, SILENT, *streams, self.B).released
+            alphas = np.array([rb @ bb for rb, bb in zip(r.blocks, base.b.blocks)])
+            perp = r.flat - np.repeat(alphas, r.layer_dims) * base.b.flat
+            channels.append((alphas, perp))
+        assert bool(expanded) == dense
+        (alphas, perp), (alphas_prime, perp_prime) = channels
+        self.assert_worst_case_within(float(np.linalg.norm(alphas - alphas_prime)), c_alpha)
+        self.assert_worst_case_within(float(np.linalg.norm(perp - perp_prime)), c_perp)
+
+
 # --- factored steps against the list-based reference ----------------------
 
 TOL = 1e-12
@@ -946,12 +1113,11 @@ class TestFactoredStepsMatchReference:
     @settings(max_examples=60, deadline=None)
     @given(step_problems())
     def test_sgd(self, problem):
-        model, batch, _, _ = problem
+        model, batch, _, seed = problem
         grads = per_sample_gradients(model, batch)
         norms = [l2_norm(g) for g in grads]
-        out = sgd_step(model, batch, batch.size)
-        expected = aggregate_and_perturb(grads, clip_bound(norms, "none"), 0.0)
-        assert_close_vector(out.released, expected)
+        out = dpsgd_step(model, batch, math.inf, 0.0, RngStream(seed, 3, "noise-g"), batch.size)
+        assert_close_vector(out.released, mean_of(grads))
         assert_close_scalar(out.metrics.grad_norm_median, float(np.median(norms)))
 
     @settings(max_examples=150, deadline=None)
