@@ -20,7 +20,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .mechanism import ClipSpec, NoisePlan
 from .runio import _atomic_write, build_summary, read_metrics_csv, write_run
-from .trainers import TrainConfig, TrainResult, privacy_schedule, train
+from .trainers import SETTINGS, TrainConfig, TrainResult, privacy_schedule, train
 
 __all__ = ["main"]
 
@@ -57,18 +57,13 @@ _FAILURES = {
     OSError: (EXIT_CONFIG, ""),  # dataset reads arrive as IdxFormatError
 }
 
-_TOP_KEYS = {
-    "method",
-    "total_steps",
-    "switch_step",
-    "batch",
-    "lr",
-    "clip",
-    "noise",
-    "privacy",
-    "dataset",
-    "seed",
-}
+# a config document's top-level keys, in the order the echo writes them
+_DOCUMENT_KEYS = (
+    "method", "total_steps", "switch_step", "batch", "lr", "clip", "noise", "privacy",
+    "dataset", "seed",
+)
+# the keys of the privacy block, from the settings table
+_PRIVACY_KEYS = {path.split(".")[1] for path, _ in SETTINGS.values() if path.startswith("privacy.")}
 
 
 _REQUIRED = object()  # default of a key that must be present
@@ -96,63 +91,57 @@ def _number(doc: dict, key: str, where: str, default=_REQUIRED) -> float:
     return float(_key(doc, key, (int, float), where, default))
 
 
+def _setting(doc: dict, key: str, where: str, method: str):
+    """The setting at ``doc[key]``: a switch step, a number, or a clip or noise
+    spec. A method other than dpdr may leave out the channels it does not use:
+    c_perp defaults to c_g, c_alpha to 1, sigma_perp and sigma_alpha to 0."""
+    if key == "switch_step":
+        return _key(doc, key, int, where)
+    if key not in ("clip", "noise"):
+        return _number(doc, key, where)
+    block, where = _key(doc, key, dict, where), f"{where}.{key}"
+    spec = ClipSpec if key == "clip" else NoisePlan
+    first, *rest = (f.name for f in fields(spec))
+    _check_keys(block, {first, *rest}, where)
+    value = _number(block, first, where)
+    fills = {"clip": (value, 1.0), "noise": (0.0, 0.0)}[key]
+    if method == "dpdr":  # dpdr uses every channel, so it must give each one
+        fills = (_REQUIRED, _REQUIRED)
+    return spec(value, *(_number(block, k, where, fill) for k, fill in zip(rest, fills)))
+
+
 def parse_config(doc: dict, seed_override: int | None = None) -> tuple[TrainConfig, dict]:
     """Check a config document's keys and types; returns (TrainConfig, dataset spec).
 
-    How the values fit together (which blocks a method needs or takes,
+    Each optional setting is read at its key in :data:`dplab.trainers.SETTINGS`.
+    How the values fit together (which settings a method takes or needs,
     switch step, value ranges) is checked by :class:`TrainConfig` and the
-    clip and noise specs; their ContractViolation becomes a ConfigError
-    here. A method other than dpdr may leave out the channels it does not
-    use: c_perp defaults to c_g, c_alpha to 1, sigma_perp and sigma_alpha
-    to 0.
+    clip and noise specs; their ContractViolation becomes a ConfigError here.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config: document must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "config")
-
+    _check_keys(doc, set(_DOCUMENT_KEYS), "config")
     method = _key(doc, "method", str)
-    fields = {
+    values = {
         "method": method,
         "total_steps": _key(doc, "total_steps", int),
-        "switch_step": _key(doc, "switch_step", int, default=None),
         "batch": _key(doc, "batch", int),
         "lr": _number(doc, "lr", "config"),
         "seed": _key(doc, "seed", int) if seed_override is None else seed_override,
     }
     dataset_spec = _key(doc, "dataset", dict)
     _validate_dataset_spec(dataset_spec)
-    clip_doc = _key(doc, "clip", dict, default=None)
-    noise_doc = _key(doc, "noise", dict, default=None)
-    privacy_doc = _key(doc, "privacy", dict, default=None)
-
-    def channel(block: dict, key: str, where: str, fill: float) -> float:
-        # dpdr uses every channel, so it must give each one
-        return _number(block, key, where, _REQUIRED if method == "dpdr" else fill)
-
+    blocks = {"": doc, "privacy": _key(doc, "privacy", dict, default={})}
+    _check_keys(blocks["privacy"], _PRIVACY_KEYS, "config.privacy")
+    if "privacy" in doc:  # an eps target states the delta it is for
+        _key(blocks["privacy"], "delta", (int, float), "config.privacy")
     try:
-        if clip_doc is not None:
-            _check_keys(clip_doc, {"c_g", "c_perp", "c_alpha"}, "config.clip")
-            c_g = _number(clip_doc, "c_g", "config.clip")
-            fields["clip"] = ClipSpec(
-                c_g=c_g,
-                c_perp=channel(clip_doc, "c_perp", "config.clip", c_g),
-                c_alpha=channel(clip_doc, "c_alpha", "config.clip", 1.0),
-            )
-        if noise_doc is not None:
-            _check_keys(noise_doc, {"sigma_g", "sigma_perp", "sigma_alpha"}, "config.noise")
-            fields["noise"] = NoisePlan(
-                sigma_g=_number(noise_doc, "sigma_g", "config.noise"),
-                sigma_perp=channel(noise_doc, "sigma_perp", "config.noise", 0.0),
-                sigma_alpha=channel(noise_doc, "sigma_alpha", "config.noise", 0.0),
-            )
-        if privacy_doc is not None:
-            _check_keys(privacy_doc, {"eps", "delta", "sigma_alpha", "ratio_g"}, "config.privacy")
-            fields["eps_target"] = _number(privacy_doc, "eps", "config.privacy")
-            fields["delta"] = _number(privacy_doc, "delta", "config.privacy")
-            for key in ("sigma_alpha", "ratio_g"):
-                if key in privacy_doc:
-                    fields[key] = _number(privacy_doc, key, "config.privacy")
-        config = TrainConfig(**fields)
+        for name, (path, _) in SETTINGS.items():
+            block, _, key = path.rpartition(".")
+            if key in blocks[block]:
+                where = f"config.{block}" if block else "config"
+                values[name] = _setting(blocks[block], key, where, method)
+        config = TrainConfig(**values)
     except ContractViolation as exc:
         raise ConfigError(f"config: {exc}") from exc
     return config, dataset_spec
@@ -202,26 +191,21 @@ def build_dataset(spec: dict) -> Dataset:
 
 
 def config_echo(config: TrainConfig, dataset_spec: dict) -> dict:
-    """The run's config as a document: feeding it back reproduces the run. A
-    calibrated run echoes its privacy block (calibration is deterministic),
-    any other private run its noise block."""
-    echo: dict = {"method": config.method, "total_steps": config.total_steps}
-    if config.switch_step is not None:
-        echo["switch_step"] = config.switch_step
-    echo["batch"] = config.batch
-    echo["lr"] = config.lr
-    if config.clip is not None:
-        echo["clip"] = asdict(config.clip)
-    if config.noise is not None:
-        echo["noise"] = asdict(config.noise)
-    if config.eps_target is not None:
-        echo["privacy"] = {"eps": config.eps_target, "delta": config.delta}
-        if config.sigma_alpha is not None:
-            echo["privacy"]["sigma_alpha"] = config.sigma_alpha
-        echo["privacy"]["ratio_g"] = config.ratio_g
-    echo["dataset"] = dataset_spec
-    echo["seed"] = config.seed
-    return echo
+    """The run's config as a document: feeding it back reproduces the run.
+    Each setting the run takes is written at its key in
+    :data:`dplab.trainers.SETTINGS`, so a calibrated run echoes its privacy
+    block (calibration is deterministic) and any other private run its
+    noise block."""
+    doc = {name: getattr(config, name) for name in ("method", "total_steps", "batch", "lr")}
+    doc.update(dataset=dataset_spec, seed=config.seed)
+    for name, (path, _) in SETTINGS.items():
+        value = getattr(config, name)
+        if value is not None:
+            block, _, key = path.rpartition(".")
+            (doc.setdefault(block, {}) if block else doc)[key] = (
+                asdict(value) if is_dataclass(value) else value
+            )
+    return {key: doc[key] for key in _DOCUMENT_KEYS if key in doc}
 
 
 def _load_config_file(path: str) -> dict:

@@ -110,8 +110,6 @@ __all__ = [
     "train",
 ]
 
-METHODS = ("sgd", "dpsgd", "diff", "dpdr")
-
 # stream tags; batch sampling is deliberately separate from every noise tag
 BATCH_TAG = "batch"
 NOISE_G_TAG = "noise-g"
@@ -120,21 +118,50 @@ NOISE_ALPHA_TAG = "noise-alpha"
 
 DEFAULT_DELTA = 1e-5
 
+# The optional TrainConfig settings in config-document order: each one's key
+# in a config document ("block.key" for a key inside a block), and the value
+# it takes where its run takes it but it is not given (None: required there).
+SETTINGS = {
+    "switch_step": ("switch_step", None),
+    "clip": ("clip", None),
+    "noise": ("noise", None),
+    "eps_target": ("privacy.eps", None),
+    "delta": ("privacy.delta", DEFAULT_DELTA),
+    "sigma_alpha": ("privacy.sigma_alpha", None),
+    "ratio_g": ("privacy.ratio_g", 1.0),
+}
+
+_CALIBRATED = ("clip", "eps_target", "delta", "ratio_g")
+# method -> noise form -> the settings a run of that form takes. A private
+# run's form is the setting that fixes its noise: explicit "noise", or an
+# "eps_target" to calibrate to. sgd trains without privacy and has no form.
+TAKES = {
+    "sgd": {None: ()},
+    "dpsgd": {"noise": ("clip", "noise"), "eps_target": _CALIBRATED},
+    "diff": {"noise": ("clip", "noise"), "eps_target": _CALIBRATED},
+    "dpdr": {
+        "noise": ("switch_step", "clip", "noise"),
+        "eps_target": ("switch_step", "sigma_alpha", *_CALIBRATED),
+    },
+}
+
+METHODS = tuple(TAKES)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Full experiment description, and the one place that checks how its
     values fit together.
 
-    Either ``noise`` is given explicitly, or ``eps_target`` (with ``delta``
-    and, for dpdr, ``sigma_alpha``) asks for calibration before training;
-    ``sigma_alpha`` is a calibration input, so it is rejected beside
-    ``noise``. ``switch_step`` and ``sigma_alpha`` are dpdr's alone, and
-    sgd, which trains without privacy, takes no ``clip``, ``noise`` or
-    ``eps_target``.
-    ``lr``, ``ratio_g`` and, when given, ``eps_target`` and ``sigma_alpha``
-    must be finite and positive. ``arch`` defaults to logistic regression
-    sized from the dataset.
+    A run takes the optional settings of its :data:`TAKES` row. A given
+    setting outside the row, which the run would ignore, is rejected, and so
+    is a missing one that the row requires. ``delta`` and ``ratio_g`` go
+    only with an eps target, which fills them in as 1e-5 and 1.0 (so
+    :func:`dataclasses.replace` passes the check again); explicit noise is
+    accounted at δ = 1e-5. ``lr``, ``ratio_g``, ``eps_target`` and
+    ``sigma_alpha`` must be finite and positive, ``delta`` in (0, 1) and
+    ``switch_step`` in [1, total_steps]. ``arch`` defaults to logistic
+    regression sized from the dataset.
     """
 
     method: str
@@ -146,13 +173,13 @@ class TrainConfig:
     noise: NoisePlan | None = None
     switch_step: int | None = None
     eps_target: float | None = None
-    delta: float = DEFAULT_DELTA
+    delta: float | None = None
     sigma_alpha: float | None = None
-    ratio_g: float = 1.0
+    ratio_g: float | None = None
     arch: Architecture | None = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in TAKES:
             raise ContractViolation(f"unknown method {self.method!r}")
         if self.total_steps < 1:
             raise ContractViolation(f"total_steps must be >= 1, got {self.total_steps}")
@@ -167,38 +194,27 @@ class TrainConfig:
         for name, value in positive.items():
             if value is not None and (not math.isfinite(value) or value <= 0):
                 raise ContractViolation(f"{name} must be positive and finite, got {value!r}")
-        if not 0.0 < self.delta < 1.0:
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ContractViolation(f"delta must be in (0, 1), got {self.delta!r}")
-        if self.method == "dpdr":
-            if self.switch_step is None:
-                raise ContractViolation("dpdr requires switch_step")
-            if not 1 <= self.switch_step <= self.total_steps:
-                raise ContractViolation(
-                    f"switch_step must lie in [1, {self.total_steps}], got {self.switch_step}"
-                )
-        else:
-            for name in ("switch_step", "sigma_alpha"):
-                if getattr(self, name) is not None:
-                    raise ContractViolation(f"{name} is only valid for dpdr, not {self.method}")
-        if self.method == "sgd":
-            for name in ("clip", "noise", "eps_target"):
-                if getattr(self, name) is not None:
-                    raise ContractViolation(f"sgd trains without privacy and takes no {name}")
-        else:
-            if self.clip is None:
-                raise ContractViolation(f"{self.method} requires clip bounds")
-            if self.noise is None and self.eps_target is None:
-                raise ContractViolation(
-                    f"{self.method} requires noise multipliers or an eps target"
-                )
-            if self.noise is not None and self.eps_target is not None:
-                raise ContractViolation("give either noise multipliers or an eps target, not both")
-            if self.noise is not None and self.sigma_alpha is not None:
-                raise ContractViolation(
-                    "sigma_alpha is a calibration input; the noise multipliers already fix it"
-                )
-            if self.eps_target is not None and self.method == "dpdr" and self.sigma_alpha is None:
-                raise ContractViolation("dpdr calibration requires sigma_alpha")
+        if self.switch_step is not None and not 1 <= self.switch_step <= self.total_steps:
+            raise ContractViolation(
+                f"switch_step must lie in [1, {self.total_steps}], got {self.switch_step}"
+            )
+        forms = TAKES[self.method]
+        # with both noise and an eps target, the noise row rejects the target
+        form = next((f for f in forms if f is None or getattr(self, f) is not None), None)
+        if form not in forms:
+            raise ContractViolation(f"{self.method} requires noise multipliers or an eps target")
+        run = self.method if form is None else f"{self.method} with {form}"
+        for name, (_, default) in SETTINGS.items():
+            value = getattr(self, name)
+            if name not in forms[form]:
+                if value is not None:
+                    raise ContractViolation(f"{run} takes no {name}")
+            elif value is None:
+                if default is None:
+                    raise ContractViolation(f"{run} requires {name}")
+                object.__setattr__(self, name, default)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,9 +357,7 @@ def resolve_noise(
 
     Calibration failures surface here, before any training data is touched.
     """
-    if config.method == "sgd":
-        return None
-    if config.noise is not None:
+    if config.eps_target is None:  # explicit noise, or none for sgd
         return config.noise
     sigma_alpha = config.sigma_alpha if config.method == "dpdr" else 1.0
     sigma_perp, sigma_g = calibrate_sigma(
@@ -420,7 +434,7 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
 
     started = time.perf_counter()
     model = init_model(arch, config.seed)
-    ledger = PrivacyLedger(config.delta)
+    ledger = PrivacyLedger(DEFAULT_DELTA if config.delta is None else config.delta)
     sizes = _eval_windows(arch, dataset.n, total)
     window = EvalWindow(arch, dataset.examples, sizes[0])
     # the steps after which a window is full

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dplab
-from dplab.cli import main
+from dplab.cli import config_echo, main, parse_config
 from dplab.diagnostics import CSV_COLUMNS
 from dplab.runio import read_metrics_csv
+from dplab.trainers import SETTINGS, TAKES
 from tests.test_data import write_idx_pair
 
 
@@ -273,6 +275,39 @@ class TestConfigRules:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def accepted_configs(draw):
+    """A TrainConfig the rules accept: every setting of a drawn TAKES row,
+    those with a default left out at times, and no other setting."""
+    method = draw(st.sampled_from(sorted(TAKES)))
+    takes = TAKES[method][draw(st.sampled_from(list(TAKES[method])))]
+    total_steps = draw(st.integers(1, 50))
+    draws = {
+        "switch_step": st.integers(1, total_steps),
+        "clip": st.builds(dplab.ClipSpec, POSITIVE, POSITIVE, POSITIVE),
+        "noise": st.builds(dplab.NoisePlan, *[st.floats(0.0, 1e300)] * 3),
+        "delta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    }
+    chosen = {}
+    for name, (_, default) in SETTINGS.items():
+        if name in takes and (default is None or draw(st.booleans())):
+            chosen[name] = draw(draws.get(name, POSITIVE))
+    return dplab.TrainConfig(
+        method=method, total_steps=total_steps, batch=draw(st.integers(1, 10**6)),
+        lr=draw(POSITIVE), seed=draw(st.integers(0, 2**63)), **chosen,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(accepted_configs())
+def test_config_echo_parses_back_to_the_config(config):
+    echo = json.loads(json.dumps(config_echo(config, synthetic_spec())))
+    assert parse_config(echo) == (config, synthetic_spec())
 
 
 class TestCalibrate:

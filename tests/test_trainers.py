@@ -601,8 +601,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "setting",
         [{"clip": ClipSpec(1.0, 1.0, 1.0)}, {"noise": NoisePlan(1.0, 0.0, 0.0)},
-         {"eps_target": 3.0}],
-        ids=["clip", "noise", "eps_target"],
+         {"eps_target": 3.0}, {"delta": 0.3}, {"ratio_g": 0.5}],
+        ids=["clip", "noise", "eps_target", "delta", "ratio_g"],
     )
     def test_sgd_takes_no_privacy_settings(self, setting):
         # sgd trains without privacy; these settings would be silently ignored
@@ -613,6 +613,19 @@ class TestConfigValidation:
         # calibration alone reads sigma_alpha; the plan's own sigma_alpha wins
         with pytest.raises(ContractViolation, match="sigma_alpha"):
             make_config("dpdr", noise=NoisePlan(1.0, 1.0, 2.0), sigma_alpha=0.3)
+
+    @pytest.mark.parametrize("method", ["dpsgd", "diff", "dpdr"])
+    @pytest.mark.parametrize("name,value", [("ratio_g", 0.5), ("delta", 0.3)])
+    def test_calibration_settings_rejected_beside_noise(self, method, name, value):
+        # the noise plan fixes every multiplier, and the CLI cannot state delta beside it
+        with pytest.raises(ContractViolation, match=name):
+            make_config(method, **{name: value})
+
+    def test_eps_target_fills_delta_and_ratio_g(self):
+        config = make_config("dpsgd", noise=None, eps_target=3.0)
+        assert (config.delta, config.ratio_g) == (1e-5, 1.0)
+        # compare re-checks each seed's config, defaults filled in
+        assert replace(config, seed=9).delta == 1e-5
 
 
 class TestEmptyBatchSteps:
