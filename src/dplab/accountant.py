@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, CalibrationInfeasible, ContractViolation
+from .errors import CalibrationError, CalibrationInfeasible, ContractViolation, check_int
 
 __all__ = [
     "CALIBRATION_MAX_ITER",
@@ -115,11 +115,7 @@ def rdp_subsampled_gaussian(q: float, sigma: float, order: int) -> float:
     """RDP of one Poisson-subsampled Gaussian release at an integer order >= 2."""
     _validate_q(q)
     _validate_sigma(sigma)
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-        raise ContractViolation(f"order must be an integer, got {order!r}")
-    if order < 2:
-        raise ContractViolation(f"order must be >= 2, got {order}")
-    if order > 256:
+    if check_int("order", order, 2) > 256:
         raise ContractViolation(f"order {order} beyond the supported grid (max 256)")
     return float(_rdp_vector(q, sigma, order - 1)[order - 2])
 
@@ -194,10 +190,7 @@ class ReleaseEvent:
     def __post_init__(self):
         _validate_q(self.q)
         _validate_sigma(self.sigma_eff)
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
-            raise ContractViolation(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ContractViolation(f"steps must be >= 1, got {self.steps}")
+        check_int("steps", self.steps, 1)
 
 
 # the delta-free parts of the conversion, at every order of DEFAULT_ORDERS
@@ -319,16 +312,14 @@ class PrivacyLedger:
 def schedule_ledger(
     schedule: list[tuple[float, int, str]],
     delta: float,
-    sigma_perp: float,
+    sigma: float,
     sigma_alpha: float,
-    ratio_g: float,
 ) -> PrivacyLedger:
     """Ledger of a release schedule of (q, steps, role) entries, each
-    accounted at :func:`release_sigma` with sigma_g = ratio_g * sigma_perp."""
+    accounted at :func:`release_sigma` with sigma_g = sigma_perp = sigma."""
     ledger = PrivacyLedger(delta)
     for q, steps, role in schedule:
-        sigma = release_sigma(role, ratio_g * sigma_perp, sigma_perp, sigma_alpha)
-        ledger.append(ReleaseEvent(q, sigma, steps))
+        ledger.append(ReleaseEvent(q, release_sigma(role, sigma, sigma, sigma_alpha), steps))
     return ledger
 
 
@@ -337,13 +328,12 @@ def calibrate_sigma(
     delta: float,
     schedule: list[tuple[float, int, str]],
     sigma_alpha: float,
-    ratio_g: float = 1.0,
-) -> tuple[float, float]:
-    """Find (sigma_perp, sigma_g) whose eps at delta lies in
+) -> float:
+    """Find the noise multiplier sigma whose eps at delta lies in
     [eps_target - tol, eps_target], tol = CALIBRATION_REL_TOL * eps_target.
 
-    One scale s is bisected with sigma_perp = s and sigma_g = ratio_g * s,
-    accounted by :func:`schedule_ledger`. sigma_alpha is fixed by the caller.
+    sigma is bisected as both sigma_g and sigma_perp, accounted by
+    :func:`schedule_ledger`. sigma_alpha is fixed by the caller.
 
     Raises CalibrationInfeasible when the target lies below what the fixed
     sigma_alpha (or the order grid) can ever reach, CalibrationError when
@@ -357,12 +347,9 @@ def calibrate_sigma(
     if not schedule:
         raise ContractViolation("schedule must be non-empty")
     _validate_sigma(sigma_alpha)
-    if not math.isfinite(ratio_g) or ratio_g <= 0:
-        raise ContractViolation(f"ratio_g must be positive, got {ratio_g!r}")
     for q, steps, role in schedule:
         _validate_q(q)
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-            raise ContractViolation(f"schedule steps must be integers >= 1, got {steps!r}")
+        check_int("schedule steps", steps, 1)
         _validate_role(role)
 
     # the conversion of a vanishing RDP curve: what an unbounded scale approaches
@@ -395,14 +382,14 @@ def calibrate_sigma(
     lo = hi = None
     scale = 1.0
     for i in range(CALIBRATION_MAX_ITER):
-        e = schedule_ledger(schedule, delta, scale, sigma_alpha, ratio_g).epsilon()[0]
+        e = schedule_ledger(schedule, delta, scale, sigma_alpha).epsilon()[0]
         if e > eps_target:
             lo = scale
         elif e < eps_target:
             hi = scale
         may_stop = i == 0 or e == eps_target or (lo is not None and hi is not None)
         if may_stop and eps_target - tol <= e <= eps_target:
-            return scale, ratio_g * scale
+            return scale
         if hi is None:
             scale = 2.0 * lo
         elif lo is None:

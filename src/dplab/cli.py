@@ -266,20 +266,17 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     if args.batch < 1 or args.n < args.batch:
         raise ConfigError("need n >= batch >= 1")
-    # steps, switch, eps, delta, sigma-alpha or ratio-g out of range raise ContractViolation
+    # steps, switch, eps, delta or sigma-alpha out of range raise ContractViolation
     schedule = privacy_schedule("dpdr", args.batch / args.n, args.steps, args.switch)
-    sigma_perp, sigma_g = calibrate_sigma(
-        args.eps, args.delta, schedule, args.sigma_alpha, args.ratio_g
-    )
+    sigma = calibrate_sigma(args.eps, args.delta, schedule, args.sigma_alpha)
 
     uses_gdr = args.switch >= 2
-    ledger = schedule_ledger(schedule, args.delta, sigma_perp, args.sigma_alpha, args.ratio_g)
-    eps, order = ledger.epsilon()
+    eps, order = schedule_ledger(schedule, args.delta, sigma, args.sigma_alpha).epsilon()
     out = {
-        "sigma_perp": sigma_perp if uses_gdr else None,
+        "sigma_perp": sigma if uses_gdr else None,
         "sigma_alpha": args.sigma_alpha if uses_gdr else None,
-        "sigma_g": sigma_g,
-        "sigma_eff": effective_sigma(sigma_perp, args.sigma_alpha) if uses_gdr else None,
+        "sigma_g": sigma,
+        "sigma_eff": effective_sigma(sigma, args.sigma_alpha) if uses_gdr else None,
         "eps": eps,
         "order": order,
     }
@@ -399,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--steps", type=int, required=True)
     p_cal.add_argument("--switch", type=int, required=True)
     p_cal.add_argument("--sigma-alpha", type=float, required=True, dest="sigma_alpha")
-    p_cal.add_argument("--ratio-g", type=float, default=1.0, dest="ratio_g")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_cmp = sub.add_parser("compare", help="run configs over shared seeds and tabulate")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation, IdxFormatError
+from .errors import ContractViolation, IdxFormatError, check_int
 from .models import Batch
 from .vectors import RngStream, standard_normal
 
@@ -129,8 +129,7 @@ def load_idx_pair(images_path, labels_path, limit: int | None = None) -> Dataset
     n_classes = int(labels.max()) + 1 if labels.size else 0
 
     if limit is not None:
-        if limit < 1:
-            raise ContractViolation(f"limit must be >= 1, got {limit}")
+        limit = check_int("limit", limit, 1)
         inputs = inputs[:limit]
         labels = labels[:limit]
     return Dataset(Path(images_path).stem, inputs, labels, n_classes)
@@ -152,8 +151,8 @@ def gen_synthetic(
     ``(seed, 0, "synthetic-data")``: the stream itself up to 2^20 normals,
     fixed jumped blocks of it beyond, the same bytes on any number of cores.
     """
-    if n_classes < 2:
-        raise ContractViolation(f"need at least 2 classes, got {n_classes}")
+    n, d_in = check_int("n", n), check_int("d_in", d_in)
+    n_classes, seed = check_int("n_classes", n_classes, 2), check_int("seed", seed)
     if n < n_classes:
         raise ContractViolation(f"need n >= n_classes, got n={n}, n_classes={n_classes}")
     if d_in < n_classes:

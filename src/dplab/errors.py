@@ -1,8 +1,21 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check of the library's arguments."""
+
+import numpy as np
 
 
 class ContractViolation(ValueError):
     """An argument or a state violates a documented precondition."""
+
+
+def check_int(name: str, value, low: int | None = None) -> int:
+    """``value`` as a Python int, at least ``low`` when given. A Python or
+    numpy integer passes; a bool, a float (even an integral one) or anything
+    else raises ContractViolation, and so does a value below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolation(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ContractViolation(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 class ConfigError(ValueError):

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, check_int
 from .vectors import LayeredVector, RngStream, _layer_views, axpy
 
 __all__ = [
@@ -98,13 +98,10 @@ class Architecture:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.d_in <= 0:
-            raise ContractViolation(f"d_in must be positive, got {self.d_in}")
-        if self.n_classes < 2:
-            raise ContractViolation(f"need at least 2 classes, got {self.n_classes}")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if any(h <= 0 for h in self.hidden):
-            raise ContractViolation(f"hidden widths must be positive: {self.hidden}")
+        object.__setattr__(self, "d_in", check_int("d_in", self.d_in, 1))
+        object.__setattr__(self, "n_classes", check_int("n_classes", self.n_classes, 2))
+        widths = tuple(check_int("hidden width", h, 1) for h in self.hidden)
+        object.__setattr__(self, "hidden", widths)
         if self.activation not in _ACTIVATIONS:
             raise ContractViolation(f"unknown activation {self.activation!r}")
 

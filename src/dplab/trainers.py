@@ -74,7 +74,7 @@ from .accountant import (
 from .datasets import Dataset, poisson_sample
 from .decomposition import GdrBase, normalize_base, reconstruct
 from .diagnostics import MetricsRow, coherence_stats
-from .errors import ContractViolation
+from .errors import ContractViolation, check_int
 from .mechanism import (
     ClipSpec,
     DenseRows,
@@ -128,10 +128,9 @@ SETTINGS = {
     "eps_target": ("privacy.eps", None),
     "delta": ("privacy.delta", DEFAULT_DELTA),
     "sigma_alpha": ("privacy.sigma_alpha", None),
-    "ratio_g": ("privacy.ratio_g", 1.0),
 }
 
-_CALIBRATED = ("clip", "eps_target", "delta", "ratio_g")
+_CALIBRATED = ("clip", "eps_target", "delta")
 # method -> noise form -> the settings a run of that form takes. A private
 # run's form is the setting that fixes its noise: explicit "noise", or an
 # "eps_target" to calibrate to. sgd trains without privacy and has no form.
@@ -155,13 +154,15 @@ class TrainConfig:
 
     A run takes the optional settings of its :data:`TAKES` row. A given
     setting outside the row, which the run would ignore, is rejected, and so
-    is a missing one that the row requires. ``delta`` and ``ratio_g`` go
-    only with an eps target, which fills them in as 1e-5 and 1.0 (so
-    :func:`dataclasses.replace` passes the check again); explicit noise is
-    accounted at δ = 1e-5. ``lr``, ``ratio_g``, ``eps_target`` and
-    ``sigma_alpha`` must be finite and positive, ``delta`` in (0, 1) and
-    ``switch_step`` in [1, total_steps]. ``arch`` defaults to logistic
-    regression sized from the dataset.
+    is a missing one that the row requires. ``delta`` goes only with an eps
+    target, which fills it in as 1e-5 (so :func:`dataclasses.replace`
+    passes the check again); explicit noise is accounted at δ = 1e-5 and may
+    set sigma_g apart from sigma_perp, which calibration sets equal.
+    ``total_steps``, ``batch``, ``seed`` and ``switch_step`` must be integers
+    (numpy's too, not bool) and are stored as Python ints. ``lr``,
+    ``eps_target`` and ``sigma_alpha`` must be finite and positive, ``delta``
+    in (0, 1) and ``switch_step`` in [1, total_steps]. ``arch`` defaults to
+    logistic regression sized from the dataset.
     """
 
     method: str
@@ -175,19 +176,17 @@ class TrainConfig:
     eps_target: float | None = None
     delta: float | None = None
     sigma_alpha: float | None = None
-    ratio_g: float | None = None
     arch: Architecture | None = None
 
     def __post_init__(self):
         if self.method not in TAKES:
             raise ContractViolation(f"unknown method {self.method!r}")
-        if self.total_steps < 1:
-            raise ContractViolation(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.batch < 1:
-            raise ContractViolation(f"batch must be >= 1, got {self.batch}")
+        for name, low in (("total_steps", 1), ("batch", 1), ("seed", None)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+        if self.switch_step is not None:
+            object.__setattr__(self, "switch_step", check_int("switch_step", self.switch_step))
         positive = {
             "lr": self.lr,
-            "ratio_g": self.ratio_g,
             "eps target": self.eps_target,
             "sigma_alpha": self.sigma_alpha,
         }
@@ -360,12 +359,10 @@ def resolve_noise(
     if config.eps_target is None:  # explicit noise, or none for sgd
         return config.noise
     sigma_alpha = config.sigma_alpha if config.method == "dpdr" else 1.0
-    sigma_perp, sigma_g = calibrate_sigma(
-        config.eps_target, config.delta, schedule, sigma_alpha, config.ratio_g
-    )
+    sigma = calibrate_sigma(config.eps_target, config.delta, schedule, sigma_alpha)
     if config.method == "dpdr":
-        return NoisePlan(sigma_g=sigma_g, sigma_perp=sigma_perp, sigma_alpha=config.sigma_alpha)
-    return NoisePlan(sigma_g=sigma_g, sigma_perp=0.0, sigma_alpha=0.0)
+        return NoisePlan(sigma_g=sigma, sigma_perp=sigma, sigma_alpha=config.sigma_alpha)
+    return NoisePlan(sigma_g=sigma, sigma_perp=0.0, sigma_alpha=0.0)
 
 
 @dataclass

@@ -137,11 +137,11 @@ class TestCriterion3AccountantCorrectness:
         for eps_target in (1.0, 3.0, 8.0):
             for q in (0.001, 0.005, 0.02):
                 schedule = [(q, 1, "first"), (q, 49, "gdr"), (q, 450, "dpsgd")]
-                sigma_perp, sigma_g = calibrate_sigma(eps_target, 1e-5, schedule, 2.0)
+                sigma = calibrate_sigma(eps_target, 1e-5, schedule, 2.0)
                 ledger = PrivacyLedger(1e-5)
-                ledger.append(ReleaseEvent(q, sigma_g, 1))
-                ledger.append(ReleaseEvent(q, effective_sigma(sigma_perp, 2.0), 49))
-                ledger.append(ReleaseEvent(q, sigma_g, 450))
+                ledger.append(ReleaseEvent(q, sigma, 1))
+                ledger.append(ReleaseEvent(q, effective_sigma(sigma, 2.0), 49))
+                ledger.append(ReleaseEvent(q, sigma, 450))
                 err = abs(ledger.epsilon()[0] - eps_target) / eps_target
                 worst = max(worst, err)
         report("3c", worst <= 1e-3, f"(worst round-trip error {worst:.2e})")

@@ -248,10 +248,10 @@ class TestReleaseSigma:
         with pytest.raises(ContractViolation, match="unknown schedule role"):
             release_sigma(role, 1.0, 1.0, 2.0)
         with pytest.raises(ContractViolation, match="unknown schedule role"):
-            schedule_ledger([(0.05, 100, role)], 1e-5, 1.0, 2.0, 1.0)
+            schedule_ledger([(0.05, 100, role)], 1e-5, 1.0, 2.0)
 
     def test_gdr_reference_value(self):
-        eps, order = schedule_ledger([(0.05, 100, "gdr")], 1e-5, 1.0, 2.0, 1.0).epsilon()
+        eps, order = schedule_ledger([(0.05, 100, "gdr")], 1e-5, 1.0, 2.0).epsilon()
         assert eps == pytest.approx(5.1786, abs=5e-5)
         assert order == 4
 
@@ -419,9 +419,9 @@ class TestOrderPrefix:
 
     def test_calibrated_schedule_grows_an_intermediate_prefix(self, monkeypatch):
         schedule = [(0.05, 1000, "dpsgd")]
-        assert calibrate_sigma(0.5, 1e-5, schedule, 1.0) == (12.203125, 12.203125)
+        assert calibrate_sigma(0.5, 1e-5, schedule, 1.0) == 12.203125
         counts = spy_curve_counts(monkeypatch)
-        led = schedule_ledger(schedule, 1e-5, 12.203125, 1.0, 1.0)
+        led = schedule_ledger(schedule, 1e-5, 12.203125, 1.0)
         got = led.epsilon()
         assert counts == [16, 32, 64]
         assert got == eager_ledger(led.events, 1e-5)[1:]
@@ -429,7 +429,7 @@ class TestOrderPrefix:
 
     def test_shipped_schedule_stays_on_first_prefix(self, monkeypatch):
         counts = spy_curve_counts(monkeypatch)
-        led = schedule_ledger(_SHORT_DPDR, 1e-5, 1.0, 2.0, 1.0)
+        led = schedule_ledger(_SHORT_DPDR, 1e-5, 1.0, 2.0)
         got = led.epsilon()
         # one curve per distinct (q, sigma): first and dpsgd share sigma_g
         assert counts == [16, 16]
@@ -459,17 +459,17 @@ class TestOrderPrefix:
 class TestCalibrateSigma:
     def test_round_trip_of_known_epsilon(self):
         target = improved_eps(5 / 2, 5, 1e-5)  # single full-batch Gaussian at sigma=1
-        sigma_perp, sigma_g = calibrate_sigma(target, 1e-5, [(1.0, 1, "dpsgd")], 1.0)
-        assert sigma_g == pytest.approx(1.0, abs=5e-3)
+        sigma = calibrate_sigma(target, 1e-5, [(1.0, 1, "dpsgd")], 1.0)
+        assert sigma == pytest.approx(1.0, abs=5e-3)
 
     def test_round_trip_epsilon(self):
         schedule = [(0.01, 1, "first"), (0.01, 49, "gdr"), (0.01, 450, "dpsgd")]
         for target in (1.0, 3.0, 8.0):
-            sigma_perp, sigma_g = calibrate_sigma(target, 1e-5, schedule, 2.0)
+            sigma = calibrate_sigma(target, 1e-5, schedule, 2.0)
             led = PrivacyLedger(1e-5)
-            led.append(ReleaseEvent(0.01, sigma_g, 1))
-            led.append(ReleaseEvent(0.01, effective_sigma(sigma_perp, 2.0), 49))
-            led.append(ReleaseEvent(0.01, sigma_g, 450))
+            led.append(ReleaseEvent(0.01, sigma, 1))
+            led.append(ReleaseEvent(0.01, effective_sigma(sigma, 2.0), 49))
+            led.append(ReleaseEvent(0.01, sigma, 450))
             assert abs(led.epsilon()[0] - target) <= 1e-3 * target
 
     @settings(max_examples=60, deadline=None)
@@ -485,23 +485,18 @@ class TestCalibrateSigma:
         method = "dpsgd" if switch is None else "dpdr"
         schedule = privacy_schedule(method, q, total, switch)
         try:
-            scale, _ = calibrate_sigma(eps_target, 1e-5, schedule, sigma_alpha)
+            sigma = calibrate_sigma(eps_target, 1e-5, schedule, sigma_alpha)
         except CalibrationInfeasible:
             return  # the alpha channel alone overspends this target
-        eps = schedule_ledger(schedule, 1e-5, scale, sigma_alpha, 1.0).epsilon()[0]
+        eps = schedule_ledger(schedule, 1e-5, sigma, sigma_alpha).epsilon()[0]
         tol = accountant.CALIBRATION_REL_TOL * eps_target
         assert eps_target - tol <= eps <= eps_target
 
     def test_doubling_target_never_increases_sigma(self):
         schedule = [(0.02, 1, "first"), (0.02, 30, "gdr"), (0.02, 169, "dpsgd")]
-        lo, _ = calibrate_sigma(2.0, 1e-5, schedule, 2.0)
-        hi, _ = calibrate_sigma(4.0, 1e-5, schedule, 2.0)
+        lo = calibrate_sigma(2.0, 1e-5, schedule, 2.0)
+        hi = calibrate_sigma(4.0, 1e-5, schedule, 2.0)
         assert hi <= lo
-
-    def test_ratio_binds_sigma_g(self):
-        schedule = [(0.01, 100, "dpsgd")]
-        sigma_perp, sigma_g = calibrate_sigma(2.0, 1e-5, schedule, 1.0, ratio_g=0.5)
-        assert sigma_g == pytest.approx(0.5 * sigma_perp, rel=1e-12)
 
     def test_infeasible_when_alpha_noise_alone_overspends(self):
         # 2000 gdr steps at sigma_alpha=0.4 spend much more than eps=1 on their own
@@ -534,8 +529,8 @@ _REF_SCHEDULE = privacy_schedule("dpdr", 256 / 60000, 20 * math.ceil(60000 / 256
 _SHORT_DPDR = [(0.01, 1, "first"), (0.01, 49, "gdr"), (0.01, 450, "dpsgd")]
 
 
-def _eps_at(scale, schedule, sigma_alpha, ratio_g=1.0):
-    return schedule_ledger(schedule, 1e-5, scale, sigma_alpha, ratio_g).epsilon()[0]
+def _eps_at(scale, schedule, sigma_alpha):
+    return schedule_ledger(schedule, 1e-5, scale, sigma_alpha).epsilon()[0]
 
 
 class TestCalibrationPinned:
@@ -545,50 +540,45 @@ class TestCalibrationPinned:
     rational, so these values are exact."""
 
     @pytest.mark.parametrize(
-        "target, schedule, sigma_alpha, ratio_g, expected, evals",
+        "target, schedule, sigma_alpha, expected, evals",
         [
             # scale 1 already meets the target: no further evaluation
-            (lambda: _eps_at(1.0, [(1.0, 1, "dpsgd")], 1.0), [(1.0, 1, "dpsgd")],
-             1.0, 1.0, (1.0, 1.0), 1),
+            (lambda: _eps_at(1.0, [(1.0, 1, "dpsgd")], 1.0), [(1.0, 1, "dpsgd")], 1.0, 1.0, 1),
             # grow path, ending exactly on a doubled scale
-            (lambda: _eps_at(2.0, _SHORT_DPDR, 2.0), _SHORT_DPDR, 2.0, 1.0, (2.0, 2.0), 2),
+            (lambda: _eps_at(2.0, _SHORT_DPDR, 2.0), _SHORT_DPDR, 2.0, 2.0, 2),
             # shrink path, ending exactly on a halved scale
-            (lambda: _eps_at(0.5, _SHORT_DPDR, 2.0), _SHORT_DPDR, 2.0, 1.0, (0.5, 0.5), 2),
+            (lambda: _eps_at(0.5, _SHORT_DPDR, 2.0), _SHORT_DPDR, 2.0, 0.5, 2),
             # grow path passing a scale within the tolerance above the target:
             # it is not returned, the doubling goes on and bisection follows
-            (lambda: _eps_at(2.0, _SHORT_DPDR, 2.0) / (1 + 5e-4), _SHORT_DPDR, 2.0, 1.0,
-             (2.001953125, 2.001953125), 13),
+            (lambda: _eps_at(2.0, _SHORT_DPDR, 2.0) / (1 + 5e-4), _SHORT_DPDR, 2.0,
+             2.001953125, 13),
             # shrink path passing a scale within the tolerance below the target
-            (lambda: _eps_at(0.5, _SHORT_DPDR, 2.0) / (1 - 5e-4), _SHORT_DPDR, 2.0, 1.0,
-             (0.4998779296875, 0.4998779296875), 14),
+            (lambda: _eps_at(0.5, _SHORT_DPDR, 2.0) / (1 - 5e-4), _SHORT_DPDR, 2.0,
+             0.4998779296875, 14),
             # grow over four doublings, then bisect
-            (lambda: 0.5, [(0.05, 1000, "dpsgd")], 1.0, 1.0, (12.203125, 12.203125), 14),
+            (lambda: 0.5, [(0.05, 1000, "dpsgd")], 1.0, 12.203125, 14),
             # shrink (the MNIST reference row at eps 3, s=50), then bisect
-            (lambda: 3.0, _REF_SCHEDULE, 2.0, 1.0, (0.80712890625, 0.80712890625), 12),
+            (lambda: 3.0, _REF_SCHEDULE, 2.0, 0.80712890625, 12),
             # shrink twice, then bisect
-            (lambda: 30.0, [(0.01, 100, "dpsgd")], 1.0, 1.0,
-             (0.3604736328125, 0.3604736328125), 14),
-            (lambda: 8.0, _SHORT_DPDR, 2.0, 1.0, (0.5836181640625, 0.5836181640625), 14),
-            # ratio_g != 1: grow, then bisect
-            (lambda: 2.0, [(0.01, 100, "dpsgd")], 1.0, 0.5, (1.654296875, 0.8271484375), 11),
-            (lambda: 3.0, _REF_SCHEDULE, 2.0, 0.7, (1.14794921875, 0.7 * 1.14794921875), 13),
+            (lambda: 30.0, [(0.01, 100, "dpsgd")], 1.0, 0.3604736328125, 14),
+            (lambda: 8.0, _SHORT_DPDR, 2.0, 0.5836181640625, 14),
         ],
     )
     def test_exact_sigma_and_evaluations(
-        self, monkeypatch, target, schedule, sigma_alpha, ratio_g, expected, evals
+        self, monkeypatch, target, schedule, sigma_alpha, expected, evals
     ):
         eps_target = target()
         scales = []
 
-        def spy(schedule, delta, sigma_perp, sigma_alpha, ratio_g):
-            scales.append(sigma_perp)
-            return schedule_ledger(schedule, delta, sigma_perp, sigma_alpha, ratio_g)
+        def spy(schedule, delta, sigma, sigma_alpha):
+            scales.append(sigma)
+            return schedule_ledger(schedule, delta, sigma, sigma_alpha)
 
         monkeypatch.setattr(accountant, "schedule_ledger", spy)
-        out = calibrate_sigma(eps_target, 1e-5, schedule, sigma_alpha, ratio_g)
+        out = calibrate_sigma(eps_target, 1e-5, schedule, sigma_alpha)
         assert out == expected
         assert len(scales) == evals
-        assert scales[0] == 1.0 and scales[-1] == out[0]
+        assert scales[0] == 1.0 and scales[-1] == out
 
     def test_error_after_max_iter_evaluations(self, monkeypatch):
         # every q is 0, so eps stays at the conversion floor below the target

@@ -99,6 +99,9 @@ def _rejections():
             pytest.param(m, "privacy", lambda d: d["privacy"].update(eps=0.0), id=f"{m}-eps-0"),
             pytest.param(m, "privacy", lambda d: d["privacy"].update(eps="3"),
                          id=f"{m}-eps-string"),
+            # calibration sets sigma_g equal to sigma_perp; no key sets their ratio
+            pytest.param(m, "privacy", lambda d: d["privacy"].update(ratio_g=1.0),
+                         id=f"{m}-privacy-ratio_g"),
         ]
     for m in ("dpsgd", "diff"):
         cases.append(pytest.param(m, "noise", lambda d: d.update(switch_step=2),
@@ -125,8 +128,8 @@ def _bad_privacy_values():
     """Privacy values that calibration cannot use; each must exit 2 up front."""
     cases = []
     for m in PRIVATE_METHODS:
-        for key, value in (("eps", math.nan), ("eps", math.inf), ("ratio_g", 0.0),
-                           ("ratio_g", -1.0), ("sigma_alpha", 0.0), ("sigma_alpha", -2.0)):
+        for key, value in (("eps", math.nan), ("eps", math.inf), ("sigma_alpha", 0.0),
+                           ("sigma_alpha", -2.0)):
             cases.append(pytest.param(m, key, value, id=f"{m}-{key}={value}"))
     return cases
 
@@ -359,7 +362,7 @@ class TestCalibrate:
         "flag,value",
         [("--switch", "300"), ("--eps", "-1"), ("--eps", "nan"), ("--eps", "inf"),
          ("--delta", "1"), ("--sigma-alpha", "0"), ("--sigma-alpha", "nan"),
-         ("--ratio-g", "-1"), ("--ratio-g", "inf"), ("--batch", "5000")],
+         ("--batch", "5000"), ("--ratio-g", "1")],
     )
     def test_bad_arguments_exit_2(self, capsys, flag, value):
         args = dict(zip(self.BASE[1::2], self.BASE[2::2]), **{"--switch": "50"})

@@ -88,6 +88,13 @@ class TestIdxLoader:
         with pytest.raises(ContractViolation):
             load_idx_pair(img, lab, limit=0)
 
+    @pytest.mark.parametrize("limit", [1.5, True])
+    def test_non_integer_limit_rejected(self, tmp_path, limit):
+        # 1.5 failed in the slice with a TypeError, and True loaded one row
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        with pytest.raises(ContractViolation, match="integer"):
+            load_idx_pair(img, lab, limit=limit)
+
 
 class TestSynthetic:
     def test_deterministic(self):
@@ -180,6 +187,19 @@ class TestSynthetic:
             gen_synthetic(10, 2, 3, margin=1.0, seed=0)
         with pytest.raises(ContractViolation):
             gen_synthetic(10, 4, 2, margin=0.0, seed=0)
+
+    @pytest.mark.parametrize("name", ["n", "d_in", "n_classes", "seed"])
+    @pytest.mark.parametrize("value", [100.0, True], ids=["float", "bool"])
+    def test_non_integer_sizes_rejected(self, name, value):
+        args = {"n": 10, "d_in": 4, "n_classes": 2, "seed": 0, name: value}
+        with pytest.raises(ContractViolation, match="integer"):
+            gen_synthetic(margin=4.0, **args)
+
+    def test_numpy_integer_sizes(self):
+        n, d_in, n_classes, seed = np.array([10, 4, 2, 7])
+        got = gen_synthetic(n, d_in, n_classes, margin=4.0, seed=seed)
+        want = gen_synthetic(10, 4, 2, margin=4.0, seed=7)
+        assert got.inputs.tobytes() == want.inputs.tobytes() and got.name == want.name
 
 
 class TestPoissonSample:

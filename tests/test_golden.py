@@ -28,6 +28,10 @@ per window and 76 of the 12000 x 200 one. The pins were recorded under
 windows of 8 steps (seven of 8 and one of 4) and held bit for bit when the
 windows grew. They were re-recorded when every release came to be divided
 by the expected batch size ``batch`` instead of the realized Poisson size.
+The four private runs' ``summary.json`` pins were re-recorded once more when
+the ``privacy.ratio_g`` setting was removed: calibration sets sigma_g equal
+to sigma_perp, so the echoed ``privacy`` block lost its ``"ratio_g": 1.0``
+line and nothing else changed; no ``metrics.csv`` pin moved.
 """
 
 import contextlib
@@ -51,19 +55,19 @@ PINS = {
     },
     "dpsgd": {
         "metrics.csv": "71eaff8bca3c1a4ea7ff87a727ee7387a398dcbb4ea59757a235fcc5fc63ed1c",
-        "summary.json": "76ea6c599f07d9c2ce324fa508bf9c87cc8cf71f2c8e413053be9c0aef3f74c6",
+        "summary.json": "fedbdcebeba16a0515482275c809dede6e5cec96a89609332f0d40ceeca0caa7",
     },
     "diff": {
         "metrics.csv": "4358c2bea6797788c60a6caa7346ed3b9ee5f19a5151d274905bb56b94f9bf09",
-        "summary.json": "67522d27fd74bb42f1852a95a032a194c0a62a0920ccfe95ff538ea0271afbcc",
+        "summary.json": "3a8099aa61071fdf63b9f19a5d09c257cc6923e58f7a3238326dc4f786566f01",
     },
     "dpdr": {
         "metrics.csv": "ae88081d4e39ceff37199de40e7a501b2f48fbc4a62913ee320b6fc40b9a8b64",
-        "summary.json": "f9c0a3d9dda4d58c7bed59fd2ded77a315988c6f4b0891eaa57fb3d9dc7eaf2b",
+        "summary.json": "238fdb408b9d2c145a769d3adef50cab9e9e81e0b8c1fe9ec90b9642e8d606a1",
     },
     "dpdr-wide": {
         "metrics.csv": "d71bc59ebda3f9ded6721af856ea3b65e0ed2c10f9081e1a1206c7b30d659172",
-        "summary.json": "c10c3123a9c73095d3279eefb67dc929309357c3e3616f0c8ddafa7cb9a612e6",
+        "summary.json": "da1915ac44180f64e191b220882b93541ae6de753a794566930d38293f27b25b",
     },
 }
 

@@ -235,6 +235,23 @@ class TestInit:
         with pytest.raises(ContractViolation):
             Architecture(3, (0,), 2)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(784.0, (64,), 10), (784, (64.5,), 10), (784, (64,), 10.0), (True, (), 2),
+         (784, (True,), 10)],
+        ids=["d_in-float", "width-float", "n_classes-float", "d_in-bool", "width-bool"],
+    )
+    def test_non_integer_sizes_rejected(self, args):
+        # a float width was truncated (64.5 built a 64-wide layer), and a
+        # float d_in gave float layer dims
+        with pytest.raises(ContractViolation, match="integer"):
+            mlp(*args)
+
+    def test_numpy_integer_sizes_stored_as_ints(self):
+        arch = mlp(np.int64(5), (np.int32(4),), np.uint8(3))
+        assert arch == mlp(5, (4,), 3)
+        assert {type(v) for v in (arch.d_in, *arch.hidden, arch.n_classes)} == {int}
+
     def test_empty_hidden_equals_logistic_regression(self):
         assert mlp(5, (), 3).parameter_layer_dims() == logistic_regression(5, 3).parameter_layer_dims()
 

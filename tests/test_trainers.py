@@ -17,12 +17,14 @@ from dplab import (
     GradientFactors,
     LayeredVector,
     NoisePlan,
+    PrivacyLedger,
     ReleaseEvent,
     RngStream,
     TrainConfig,
     apply_update,
     diff_step,
     dpsgd_step,
+    effective_sigma,
     gaussian_sample,
     gdr_step,
     gen_synthetic,
@@ -35,13 +37,14 @@ from dplab import (
     privacy_schedule,
     reconstruct,
     release_sigma,
+    resolve_noise,
     schedule_ledger,
     train,
 )
 from dplab.decomposition import decompose_batch
 from dplab.mechanism import CANCELLATION_TAU, aggregate_and_perturb, aggregate_and_perturb_scalars
 from dplab.models import EVAL_CHUNK_BYTES, EvalWindow, _chunk_rows, per_sample_gradients
-from dplab.trainers import METHODS, _eval_windows
+from dplab.trainers import METHODS, TAKES, _eval_windows
 from dplab.vectors import sub
 from tests.conftest import (
     add,
@@ -100,6 +103,23 @@ def make_config(method="dpsgd", **kw):
         defaults["noise"] = None
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def calibrated_config(method, **kw):
+    """``make_config(method)`` with an eps target of 3 in place of its noise."""
+    if method == "dpdr":
+        kw = {"sigma_alpha": 2.0, **kw}
+    return make_config(method, noise=None, eps_target=3.0, **kw)
+
+
+def calibrated_float_settings():
+    """(method, setting) for every float setting in an eps_target row of TAKES."""
+    for method, forms in TAKES.items():
+        if "eps_target" in forms:
+            config = calibrated_config(method)
+            for name in forms["eps_target"]:
+                if isinstance(getattr(config, name), float):
+                    yield pytest.param(method, name, id=f"{method}-{name}")
 
 
 def count_calls(monkeypatch, name):
@@ -431,20 +451,29 @@ class TestTrainLoop:
         assert result.phase_steps == {"first": 1, "gdr": 3, "dpsgd": 2}
 
     def test_calibrated_dpdr_spends_the_solved_schedule(self):
-        config = make_config(
-            "dpdr", total_steps=6, switch_step=4, seed=4, noise=None, eps_target=3.0,
-            sigma_alpha=2.0, ratio_g=0.8,
-        )
+        config = calibrated_config("dpdr", total_steps=6, switch_step=4, seed=4)
         result = train(config, self.dataset)
         schedule = privacy_schedule("dpdr", config.batch / self.dataset.n, 6, 4)
-        solved = schedule_ledger(
-            schedule, config.delta, result.noise.sigma_perp, 2.0, config.ratio_g
-        )
+        solved = schedule_ledger(schedule, config.delta, result.noise.sigma_perp, 2.0)
         solved_sigma = {role: e.sigma_eff for (_, _, role), e in zip(schedule, solved.events)}
         roles = formula_roles("dpdr", 6, 4)
         assert [e.sigma_eff for e in result.ledger.events] == [solved_sigma[r] for r in roles]
         assert [e.q for e in result.ledger.events] == [schedule[0][0]] * 6
         assert result.rows[-1].eps_cum == pytest.approx(solved.epsilon()[0], rel=1e-12)
+
+    def test_explicit_dpdr_noise_spends_each_role_at_its_multiplier(self):
+        # the criterion-4 reference multipliers: sigma_g and sigma_perp apart
+        noise = NoisePlan(sigma_g=0.803, sigma_perp=0.81, sigma_alpha=2.0)
+        config = make_config("dpdr", total_steps=6, switch_step=4, seed=4, noise=noise)
+        result = train(config, self.dataset)
+        gdr = effective_sigma(0.81, 2.0)
+        q = config.batch / self.dataset.n
+        expected = [ReleaseEvent(q, s) for s in (0.803, gdr, gdr, gdr, 0.803, 0.803)]
+        assert result.ledger.events == expected
+        ledger = PrivacyLedger(1e-5)
+        for event in expected:
+            ledger.append(event)
+        assert result.rows[-1].eps_cum == ledger.epsilon()[0]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 10), st.data())
@@ -601,8 +630,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "setting",
         [{"clip": ClipSpec(1.0, 1.0, 1.0)}, {"noise": NoisePlan(1.0, 0.0, 0.0)},
-         {"eps_target": 3.0}, {"delta": 0.3}, {"ratio_g": 0.5}],
-        ids=["clip", "noise", "eps_target", "delta", "ratio_g"],
+         {"eps_target": 3.0}, {"delta": 0.3}],
+        ids=["clip", "noise", "eps_target", "delta"],
     )
     def test_sgd_takes_no_privacy_settings(self, setting):
         # sgd trains without privacy; these settings would be silently ignored
@@ -615,17 +644,44 @@ class TestConfigValidation:
             make_config("dpdr", noise=NoisePlan(1.0, 1.0, 2.0), sigma_alpha=0.3)
 
     @pytest.mark.parametrize("method", ["dpsgd", "diff", "dpdr"])
-    @pytest.mark.parametrize("name,value", [("ratio_g", 0.5), ("delta", 0.3)])
+    @pytest.mark.parametrize("name,value", [("delta", 0.3)])
     def test_calibration_settings_rejected_beside_noise(self, method, name, value):
         # the noise plan fixes every multiplier, and the CLI cannot state delta beside it
         with pytest.raises(ContractViolation, match=name):
             make_config(method, **{name: value})
 
-    def test_eps_target_fills_delta_and_ratio_g(self):
+    def test_eps_target_fills_delta(self):
         config = make_config("dpsgd", noise=None, eps_target=3.0)
-        assert (config.delta, config.ratio_g) == (1e-5, 1.0)
+        assert config.delta == 1e-5
         # compare re-checks each seed's config, defaults filled in
         assert replace(config, seed=9).delta == 1e-5
+
+    @pytest.mark.parametrize("method, name", calibrated_float_settings())
+    def test_every_calibration_setting_moves_the_noise(self, method, name):
+        """A setting that a calibrated run takes is read: doubling it changes
+        the resolved noise plan."""
+        config = calibrated_config(method)
+        schedule = privacy_schedule(method, config.batch / 128, 6, config.switch_step)
+        doubled = replace(config, **{name: 2 * getattr(config, name)})
+        assert resolve_noise(doubled, schedule) != resolve_noise(config, schedule)
+
+    @pytest.mark.parametrize(
+        "method, setting",
+        [("dpsgd", {"total_steps": 2.5}), ("dpsgd", {"batch": 8.5}), ("dpsgd", {"batch": True}),
+         ("dpsgd", {"seed": 3.0}), ("dpdr", {"switch_step": 4.0})],
+        ids=["total_steps-float", "batch-float", "batch-bool", "seed-float", "switch_step-float"],
+    )
+    def test_non_integer_settings_rejected(self, method, setting):
+        # a float total_steps failed later in train() with a TypeError, and a
+        # float or bool batch trained at q = batch / n
+        with pytest.raises(ContractViolation, match="integer"):
+            make_config(method, **setting)
+
+    def test_numpy_integer_settings_stored_as_ints(self):
+        names = ("total_steps", "batch", "seed", "switch_step")
+        config = make_config("dpdr", **dict(zip(names, np.array([6, 8, 3, 4]))))
+        assert config == make_config("dpdr")
+        assert [type(getattr(config, name)) for name in names] == [int] * 4
 
 
 class TestEmptyBatchSteps:
