@@ -13,9 +13,13 @@ layer, the input a_i the layer saw and the signal delta_i at its output.
 The weight gradient is their outer product, with norm ||a_i|| ||delta_i||
 (Goodfellow 2015, "Efficient per-example gradient computations").
 Layer 0's ||a_i||^2 is the squared norm of a dataset row, which never
-changes: a :class:`Batch` computes every row's ||x_i||^2 in its one scan of
-the inputs, which is also its finiteness check, and :func:`backprop` takes
-layer 0's norms from the batch instead of recomputing them every step.
+changes: a :class:`Batch` computes every row's ||x_i||^2 in float64 in its
+one scan of the inputs, which is also its finiteness check, and
+:func:`backprop` takes layer 0's norms from the batch instead of
+recomputing them every step. A batch holds float32 or float64 inputs: a
+dataset's rows are float32, and the batches
+:func:`dplab.datasets.poisson_sample` gathers from them (:meth:`Batch.take`)
+are float64, so training computes in float64.
 :func:`per_sample_gradients` expands the factors into one vector per sample.
 
 Inference has one forward implementation, :class:`EvalWindow`, which
@@ -33,8 +37,9 @@ and the memory does not grow with n.
 
 Evaluation is telemetry that never feeds training, so it computes in
 float32: the stacked weights, biases and layer outputs are float32, and
-each chunk of the float64 inputs is cast into one reused float32 buffer just
-before its product, so no float32 copy of the dataset is kept. The
+the product reads a dataset's float32 rows in place; only float64 inputs
+(a batch built from float64 arrays) are cast, chunk by chunk, into one
+reused float32 buffer just before its product. The
 exponentials are summed, and the per-sample loss terms and their mean are
 kept, in float64. The loss is therefore approximate (the tests hold it
 within 1e-5 relative of a float64 reference, or within 1e-7 plus
@@ -139,24 +144,30 @@ class Model:
 
 
 def _row_sq_norms(inputs: np.ndarray) -> np.ndarray:
-    """(n,) squared row norms ||x_i||^2 of a C-contiguous (n, d) array, and
-    its finiteness check in the same pass.
+    """(n,) float64 squared row norms ||x_i||^2 of a C-contiguous (n, d)
+    float32 or float64 array, and its finiteness check in the same pass.
 
-    ``np.sum(x * x, axis=1)`` over chunks of rows: each row is summed alone,
-    so any rows gathered from the array give the same bits. A NaN or inf
+    ``np.sum(x * x, axis=1)`` of the rows upcast to float64, over chunks of
+    rows squared into one float64 buffer: each row is summed alone, so any
+    rows gathered from the array, upcast, give the same bits. A NaN or inf
     coordinate makes its row's norm non-finite, so only such rows are
-    rescanned; a finite row whose square overflows is kept with norm inf.
+    rescanned; a finite float64 row whose square overflows is kept with
+    norm inf (a float32 row cannot overflow).
     """
     n, d = inputs.shape
     out = np.empty(n)
-    # not smaller: under glibc's default malloc, freeing a temporary this
-    # large lifts the mmap threshold above the later step and evaluation
-    # buffers, which smaller chunks leave to fresh, page-faulting mappings
-    rows = max(1, EVAL_CHUNK_BYTES // (8 * max(d, 1)))
+    # not smaller: under glibc's default malloc, freeing a buffer this large
+    # lifts the mmap threshold above the later step and evaluation buffers,
+    # which smaller chunks leave to fresh, page-faulting mappings
+    rows = max(1, min(n, EVAL_CHUNK_BYTES // (8 * max(d, 1))))
+    squares = np.empty((rows, d))
     with np.errstate(over="ignore"):
         for lo in range(0, n, rows):
             part = inputs[lo : lo + rows]
-            out[lo : lo + rows] = np.sum(part * part, axis=1)
+            sq = squares[: len(part)]
+            np.copyto(sq, part)
+            np.multiply(sq, sq, out=sq)
+            np.sum(sq, axis=1, out=out[lo : lo + rows])
     unbounded = ~np.isfinite(out)
     if unbounded.any() and not np.all(np.isfinite(inputs[unbounded])):
         raise ContractViolation("non-finite input coordinate")
@@ -165,14 +176,16 @@ def _row_sq_norms(inputs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """A batch of examples; empty when a Poisson draw comes up empty. It
-    holds read-only views of the given arrays, sharing their memory when
-    they are already C-contiguous float64 inputs and int64 labels; the
-    caller's arrays stay writable.
+    """A batch of examples; empty when a Poisson draw comes up empty. Its
+    inputs are float32 when given float32 (a dataset's rows) and float64
+    otherwise. It holds read-only views of the given arrays, sharing their
+    memory when they are already C-contiguous inputs of that dtype and
+    int64 labels; the caller's arrays stay writable.
 
     Building a batch scans its inputs once: the scan yields each row's
-    ||x_i||^2 (``input_sq_norms``) and is the finiteness check. Float
-    labels that are not finite or not integral are rejected, not truncated.
+    float64 ||x_i||^2 (``input_sq_norms``) and is the finiteness check.
+    Float labels that are not finite or not integral are rejected, not
+    truncated.
     """
 
     inputs: np.ndarray
@@ -182,7 +195,9 @@ class Batch:
     def __post_init__(self):
         # row-major: a row's np.sum follows the layout, and the scan's norms
         # must have the bits of every batch gathered from these rows
-        inputs = np.ascontiguousarray(self.inputs, dtype=np.float64).view()
+        inputs = np.asarray(self.inputs)
+        dtype = np.float32 if inputs.dtype == np.float32 else np.float64
+        inputs = np.ascontiguousarray(inputs, dtype=dtype).view()
         raw = np.asarray(self.labels)
         if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
             raise ContractViolation("labels must be finite integers")
@@ -203,12 +218,13 @@ class Batch:
         return self.inputs.shape[0]
 
     def take(self, idx: np.ndarray) -> Batch:
-        """The rows ``idx``, in that order, with their squared norms. They
-        were checked when this batch was built, so they are not scanned
-        again."""
+        """The rows ``idx``, in that order and upcast to float64, with their
+        squared norms. They were checked when this batch was built, so they
+        are not scanned again."""
         rows = object.__new__(Batch)
-        for name in ("inputs", "labels", "input_sq_norms"):
-            held = getattr(self, name)[idx]
+        inputs = self.inputs[idx].astype(np.float64, copy=False)
+        for name, held in zip(("inputs", "labels", "input_sq_norms"),
+                              (inputs, self.labels[idx], self.input_sq_norms[idx])):
             held.setflags(write=False)
             object.__setattr__(rows, name, held)
         return rows
@@ -276,10 +292,11 @@ def _check_batch(arch: Architecture, batch: Batch) -> None:
 def _chunk_rows(count: int, widths: list[int], n: int) -> int:
     """Samples per chunk of a float32 window of ``count`` models, ``widths``
     being the input width and then every layer's output width: as many as
-    keep within EVAL_CHUNK_BYTES what is held per sample, which is its cast
-    input row and, per model, the float32 layer outputs, exponentials and
-    logits the first-max fallback gathers, and ten 8-byte scalars. A float64
-    window holds twice the bytes, so it takes half as many samples."""
+    keep within EVAL_CHUNK_BYTES what is held per sample, which is its input
+    row (read in place or cast) and, per model, the float32 layer outputs,
+    exponentials and logits the first-max fallback gathers, and ten 8-byte
+    scalars. A float64 window holds twice the bytes, so it takes half as
+    many samples."""
     d_in, *outs = widths
     per_sample = 4 * d_in + count * (4 * (sum(outs) + 2 * outs[-1]) + 80)
     return min(n, max(1, EVAL_CHUNK_BYTES // per_sample))
@@ -312,6 +329,9 @@ class EvalWindow:
     The stacks are float32 unless the batch's largest row norm reaches
     :data:`_FLOAT32_BOUND`. A float32 window widens every stack to float64,
     for good, before it adds a model whose :func:`_logit_bound` reaches it.
+    The products read the batch's rows in place when they have the stacks'
+    dtype (a dataset's float32 rows in a float32 window); otherwise each
+    chunk of rows is cast into one reused buffer.
     """
 
     def __init__(self, arch: Architecture, batch: Batch, size: int):
@@ -353,16 +373,17 @@ class EvalWindow:
         added; empties the window. Ties in the logits go to the lowest class.
 
         Each chunk of samples is one pass over the stacked models: the
-        chunk's inputs cast into the window's dtype, the stacked first-layer
-        product, then per layer the stacked biases and activation in place
-        and the stacked weights' product, then max, log-sum-exp and the
-        label logit over the class axis. The exponentials are summed in
-        float64, so the loss terms keep float64's resolution near 0. A sample
-        is a hit when its label logit equals the max; a tied max sums to at
-        least 2 in the log-sum-exp (two exact ones), so only hits with such a
-        sum are rechecked by argmax, which takes the first max. Each model's
-        per-sample loss terms and hits fill one row of length n, reduced
-        once, so chunking does not change the summation order.
+        chunk's inputs, cast into the window's dtype unless they have it,
+        the stacked first-layer product, then per layer the stacked biases
+        and activation in place and the stacked weights' product, then max,
+        log-sum-exp and the label logit over the class axis. The
+        exponentials are summed in float64, so the loss terms keep float64's
+        resolution near 0. A sample is a hit when its label logit equals the
+        max; a tied max sums to at least 2 in the log-sum-exp (two exact
+        ones), so only hits with such a sum are rechecked by argmax, which
+        takes the first max. Each model's per-sample loss terms and hits fill
+        one row of length n, reduced once, so chunking does not change the
+        summation order.
         """
         count = self._count
         if count == 0:
@@ -375,15 +396,17 @@ class EvalWindow:
         rows = _chunk_rows(count, [self.arch.d_in, *widths], n)
         if dtype == np.float64:
             rows = max(1, rows // 2)
-        # one buffer per layer output, one for the exponentials and one for
-        # the cast inputs, reused by every chunk
+        # one buffer per layer output, one for the exponentials and, when the
+        # inputs need casting, one for the cast inputs, reused by every chunk
         outs = [np.empty(count * w * rows, dtype) for w in widths]
         exps = np.empty(count * widths[-1] * rows, dtype)
-        cast = np.empty((rows, self.arch.d_in), dtype)
+        cast = None if inputs.dtype == dtype else np.empty((rows, self.arch.d_in), dtype)
         for lo in range(0, n, rows):
             c = min(rows, n - lo)
-            x = cast[:c]
-            np.copyto(x, inputs[lo : lo + c])
+            x = inputs[lo : lo + c]
+            if cast is not None:
+                np.copyto(cast[:c], x)
+                x = cast[:c]
             first = outs[0][: count * widths[0] * c].reshape(count * widths[0], c)
             np.matmul(self._stack[: len(first)], x.T, out=first)
             z = first.reshape(count, widths[0], c)

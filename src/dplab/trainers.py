@@ -26,13 +26,18 @@ g_i - p stays on dense rows: its gradient norms come from the same rows, so a
 constructed staleness ratio reads exactly 2. No step builds a per-sample
 vector or a full (B, D) array.
 
+A dataset holds float32 inputs (:mod:`dplab.datasets`); every step works
+on a float64 batch, because :func:`dplab.datasets.poisson_sample` upcasts
+the rows it draws, so the gradients, releases and ledger are float64.
+
 Full-training-set loss and accuracy are telemetry and never feed the
 trajectory. :func:`train` adds each step's updated model to a
 :class:`dplab.models.EvalWindow` and scores the window when it holds its
 share of the run's steps: :func:`_eval_windows` splits the run into as few
 near-equal windows as keep within :data:`dplab.models.EVAL_CHUNK_BYTES`
 (one or two on the MNIST-shaped runs), so the dataset is read once per
-window. The window computes in float32, so ``train_loss`` is
+window, and reads the dataset's float32 rows in place. The window
+computes in float32, so ``train_loss`` is
 approximate (the tests hold it within 1e-5 relative of a float64
 reference, or within 1e-7 plus 4 * 2^-24 * max|logit| absolute) and a
 float32 near-tie may flip a hit in ``train_accuracy``;

@@ -16,7 +16,9 @@ is cut into fixed blocks, each from its own jumped Philox substream, and
 up to four threads per core draw them (one on a single core): OpenBLAS
 keeps a worker busy-waiting after ``import numpy`` and after each threaded
 product, and more draw threads than cores keep most of the CPU for the
-draw while it spins. BLAS products do depend on the thread count:
+draw while it spins. A float32 draw (a dataset's inputs) rounds each
+thread's float64 chunks into its output, so it holds the float64 draw
+rounded once. BLAS products do depend on the thread count:
 OpenBLAS's dgemm with inner dimension 784 and its gemv give other bits at
 one thread than at two, so runs on MNIST-shaped data do too.
 """
@@ -191,6 +193,9 @@ class RngStream:
 # Normals per block of a large draw: block b is drawn from the Philox stream
 # jumped b times, so a draw of at most _BLOCK normals is the stream itself.
 _BLOCK = 1 << 20
+# Normals per chunk of a block: each draw worker holds one float64 chunk
+# (256 KiB) as its scratch for a float32 draw, so no (n, d) float64 array is built
+_CHUNK = 1 << 15
 
 
 def _usable_cores() -> int:
@@ -200,12 +205,22 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def standard_normal(stream: RngStream, shape) -> np.ndarray:
-    """Standard normals of the given shape, drawn in blocks of ``_BLOCK``.
+def standard_normal(stream: RngStream, shape, out=None, finish=None) -> np.ndarray:
+    """Standard normals of the given shape, drawn in blocks of ``_BLOCK``
+    into ``out`` (a C-contiguous float32 or float64 array of that shape) or
+    a new float64 array, which is returned.
 
     Block b of the flat output is the draw of ``Philox(key).jumped(b)``, so
-    the bytes do not depend on the core count, and a draw of at most
+    the bytes do not depend on the core count, and a float64 draw of at most
     ``_BLOCK`` normals is ``stream.generator().standard_normal(shape)``.
+    Each block is drawn in float64 chunks of ``_CHUNK`` normals; a float32
+    draw draws each chunk into its worker's one scratch chunk and rounds it
+    into the output, so it holds the float64 draw's values rounded once.
+    ``finish(chunk, offset)``, when given, edits each float64 chunk in place
+    before it is stored, ``offset`` being the chunk's first flat index; a
+    finished value beyond float32's range raises ``ContractViolation``
+    naming its row (its index on the first axis).
+
     ``min(4 * cores, blocks)`` workers share the blocks round-robin, or one
     worker on a single usable core: the calling thread and one pool task
     each, and the pool starts threads only for its tasks, so with one worker
@@ -214,7 +229,12 @@ def standard_normal(stream: RngStream, shape) -> np.ndarray:
     numpy`` and after each threaded product. Every thread is joined before
     this returns, and an exception raised in one is raised here.
     """
-    out = np.empty(shape)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != tuple(np.atleast_1d(shape)) or out.dtype not in (np.float32, np.float64) or not (
+        out.flags.c_contiguous and out.flags.writeable
+    ):
+        raise ContractViolation(f"out must be a writable C-contiguous float array of {shape}")
     flat = out.reshape(-1)
     cores = _usable_cores()
     # The spinning worker competes for its core with each draw thread there,
@@ -226,19 +246,51 @@ def standard_normal(stream: RngStream, shape) -> np.ndarray:
     per_core = 4 if cores > 1 else 1
     workers = max(1, min(per_core * cores, -(-flat.size // _BLOCK)))
     draw = partial(_draw_blocks, stream._philox_key(), flat, workers)
+    if finish is not None:
+        draw = partial(draw, finish=finish)
     with ThreadPoolExecutor(workers) as pool:
         rest = [pool.submit(draw, k) for k in range(1, workers)]
-        draw(0)
-        for future in rest:
-            future.result()
+        overflowed = [draw(0)] + [future.result() for future in rest]
+    if any(overflowed):
+        raise _beyond_float32(np.isinf(out))
     return out
 
 
-def _draw_blocks(key: int, flat: np.ndarray, step: int, first: int) -> None:
-    """Draws blocks ``first``, ``first + step``, ... of ``flat``."""
+def _draw_blocks(key: int, flat: np.ndarray, step: int, first: int, finish=None) -> bool:
+    """Draws blocks ``first``, ``first + step``, ... of ``flat``; returns
+    whether a float32 ``flat`` received a value beyond its range."""
+    scratch = np.empty(min(_CHUNK, flat.size)) if flat.dtype == np.float32 else None
+    overflowed = False
     for lo in range(first * _BLOCK, flat.size, step * _BLOCK):
         gen = np.random.Generator(np.random.Philox(key=key).jumped(lo // _BLOCK))
-        gen.standard_normal(out=flat[lo : lo + _BLOCK])
+        for start in range(lo, min(lo + _BLOCK, flat.size), _CHUNK):
+            dst = flat[start : start + _CHUNK]
+            chunk = dst if scratch is None else scratch[: dst.size]
+            gen.standard_normal(out=chunk)
+            if finish is not None:
+                finish(chunk, start)
+            if scratch is not None:
+                overflowed |= _round_into(dst, chunk)
+    return overflowed
+
+
+def _round_into(out: np.ndarray, values: np.ndarray) -> bool:
+    """Rounds ``values`` into the float32 array ``out``; returns whether a
+    finite value lay beyond float32's range (stored as inf)."""
+    try:
+        with np.errstate(over="raise"):
+            np.copyto(out, values)
+    except FloatingPointError:  # raised once the whole cast is stored
+        return True
+    return False
+
+
+def _beyond_float32(beyond: np.ndarray) -> ContractViolation:
+    """The error for an array rounded to float32 whose entries ``beyond``
+    lay beyond float32's range: it names the first such row."""
+    rows = np.atleast_1d(beyond)
+    row = int(np.argmax(rows.reshape(len(rows), -1).any(axis=1)))
+    return ContractViolation(f"row {row}: coordinate beyond float32's range")
 
 
 def gaussian_sample(stream: RngStream, layer_dims, std: float) -> LayeredVector:

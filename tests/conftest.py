@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dplab import Architecture, Batch, LayeredVector, accountant, backprop, init_model
+from dplab import Architecture, Batch, LayeredVector, RngStream, accountant, backprop, init_model
 from dplab.models import _forward
 
 
@@ -77,6 +77,19 @@ def jumped_block_normals(stream, size: int, block: int = 1 << 20) -> np.ndarray:
         np.random.Generator(bits.jumped(b)).standard_normal(min(block, size - lo))
         for b, lo in enumerate(range(0, size, block))
     ])
+
+
+def reference_synthetic(n, d_in, n_classes, margin, seed, std=1.0) -> np.ndarray:
+    """Reference for ``gen_synthetic``'s inputs: the float64 construction it
+    used before datasets became float32, std * z plus margin/sqrt(2) on each
+    example's center axis, z the jumped-block draw of its stream. The
+    dataset holds this array rounded once to float32."""
+    inputs = jumped_block_normals(RngStream(seed, 0, "synthetic-data"), n * d_in)
+    inputs = inputs.reshape(n, d_in)
+    if std != 1.0:
+        inputs *= std
+    inputs[np.arange(n), np.arange(n) % n_classes] += margin / math.sqrt(2.0)
+    return inputs
 
 
 def random_vector(layer_dims, seed, scale=1.0) -> LayeredVector:

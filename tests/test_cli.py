@@ -551,16 +551,15 @@ class TestExitCodes:
         assert out == ""
 
     def test_overflowing_margin_exits_2(self, tmp_path, capsys):
-        """At margin 1e200 every row's ||x||^2 overflows float64, so no
-        gradient could be clipped: the dataset is rejected before training,
-        in one ``error:`` line that names a row."""
+        """At margin 1e200 every row's center coordinate lies beyond
+        float32's range, in which a dataset holds its inputs: the dataset is
+        rejected before training, in one ``error:`` line that names a row."""
         doc = {**method_doc("dpsgd"), "dataset": synthetic_spec(margin=1e200)}
         out = tmp_path / "run"
         assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "error: config.dataset.params: row 0: squared norm overflows float64, "
-            "so its gradient cannot be clipped"
+            "error: config.dataset.params: row 0: coordinate beyond float32's range"
         ]
         assert captured.out == ""
         assert not out.exists()

@@ -1,11 +1,17 @@
 import math
+import mmap
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dplab
 from dplab import (
@@ -22,7 +28,7 @@ from dplab import (
     poisson_sample,
 )
 from dplab.models import EVAL_CHUNK_BYTES, evaluate
-from tests.conftest import jumped_block_normals, mean_gradient
+from tests.conftest import jumped_block_normals, mean_gradient, reference_synthetic
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
@@ -60,8 +66,25 @@ class TestIdxLoader:
         assert ds.n == 10
         assert ds.d_in == 12
         assert ds.n_classes == 10  # from the full label file, before truncation
-        assert np.array_equal(ds.inputs[0], images[0].ravel() / 255.0)
+        assert ds.inputs.dtype == np.float32
+        assert np.array_equal(ds.inputs[0], (images[0].ravel() / 255.0).astype(np.float32))
         assert ds.inputs.max() <= 1.0
+
+    def test_pixel_k_maps_to_k_over_255_rounded_once(self, tmp_path):
+        """Every byte k = 0..255 becomes the float32 nearest the rational
+        k/255, which is also the float64 quotient k / 255.0 rounded to
+        float32 (no double-rounding case among the 256)."""
+        k = np.arange(256)
+        images = np.stack([k, k[::-1]]).astype(np.uint8).reshape(2, 16, 16)
+        ds = load_idx_pair(*write_idx_pair(tmp_path, images, [0, 1]))
+        mapped = ds.inputs[0]
+        assert mapped.dtype == np.float32
+        assert mapped.tobytes() == (k / 255.0).astype(np.float32).tobytes()
+        for byte, got in zip(k, mapped):
+            exact = Fraction(int(byte), 255)
+            neighbours = (np.nextafter(got, np.float32(-1)), np.nextafter(got, np.float32(2)))
+            assert all(abs(Fraction(float(got)) - exact) < abs(Fraction(float(n)) - exact)
+                       for n in neighbours), byte
 
     def test_wrong_images_magic_names_expected(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1], image_magic=0x801)
@@ -148,9 +171,51 @@ class TestSynthetic:
         else:
             z = jumped_block_normals(stream, n * d_in).reshape(n, d_in)
         noise = std * z
-        assert np.array_equal(ds.inputs, centers[labels] + noise)
+        assert np.array_equal(ds.inputs, (centers[labels] + noise).astype(np.float32))
         assert np.array_equal(ds.labels, labels)
         assert ds.name == f"synthetic-n{n}-d{d_in}-c{n_classes}"
+
+    @pytest.mark.parametrize(
+        "n, d_in, n_classes, margin, seed, std",
+        [
+            (10, 10, 10, 4.0, 0, 1.0),
+            (50, 8, 3, 5.0, 4, 1.0),
+            (400, 6, 3, 9.0, 1, 1e-9),
+            (333, 50, 2, 12.0, 7, 0.3),
+            (10000, 784, 10, 12.0, 3, 1.0),
+            (1000, 784, 10, 12.0, 5, 1e-40),  # float32 subnormals and zeros
+        ],
+    )
+    def test_rounds_the_float64_construction_once(self, n, d_in, n_classes, margin, seed, std):
+        """The float32 inputs are the float64 construction (conftest's
+        reference) rounded once, bit for bit, signed zeros included: each
+        coordinate lies within half a float32 ulp of its float64 value. A
+        float32 noise draw with the margin added in float32 would round
+        twice."""
+        ds = gen_synthetic(n, d_in, n_classes, margin, seed, std)
+        reference = reference_synthetic(n, d_in, n_classes, margin, seed, std)
+        assert ds.inputs.dtype == np.float32 and ds.inputs.flags.c_contiguous
+        assert ds.inputs.tobytes() == reference.astype(np.float32).tobytes()
+        error = np.abs(ds.inputs.astype(np.float64) - reference)
+        assert np.all(error <= 0.5 * np.spacing(np.abs(ds.inputs)).astype(np.float64))
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_coordinate_beyond_float32_names_its_first_row(self, monkeypatch, seed):
+        """Noise at std = FLT_MAX / 5 leaves float32's range only where
+        |z| > 5: at these seeds, one to five coordinates in the third block
+        only, the second and third, or all three, each block on its own
+        worker. The error names the first such row, from the reference."""
+        monkeypatch.setattr(dplab.vectors, "_usable_cores", lambda: 3)
+        std = float(np.finfo(np.float32).max) / 5.0
+        reference = reference_synthetic(4000, 784, 10, 1.0, seed, std)
+        with np.errstate(over="ignore"):
+            beyond = np.isinf(reference.astype(np.float32)).any(axis=1)
+        assert beyond.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation,
+                               match=rf"^row {np.argmax(beyond)}: coordinate beyond float32's range$"):
+                gen_synthetic(4000, 784, 10, 1.0, seed, std)
 
     @pytest.mark.skipif(
         not (hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2),
@@ -200,6 +265,45 @@ class TestSynthetic:
         got = gen_synthetic(n, d_in, n_classes, margin=4.0, seed=seed)
         want = gen_synthetic(10, 4, 2, margin=4.0, seed=7)
         assert got.inputs.tobytes() == want.inputs.tobytes() and got.name == want.name
+
+
+class TestFootprint:
+    """A dataset's inputs take n d_in float32 bytes, in their own memory
+    mapping, which tracemalloc does not see, and building one allocates
+    little beyond them: one chunk of the scan's float64 rows
+    (EVAL_CHUNK_BYTES), and a sixteenth of a chunk for the (n,) labels and
+    norms and numpy's cast buffers. The synthetic draw rounds per-worker
+    float64 chunks into the mapping and the IDX loader maps the pixels into
+    it, so neither builds an (n, d_in) float64 array (the float64 builds
+    traced 34 MB and 53 MB here)."""
+
+    N, D = 4000, 784
+
+    def traced_peak(self, build) -> int:
+        build()  # imports and first-call allocations are not the build's
+        tracemalloc.start()
+        try:
+            dataset = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dataset.inputs.shape == (self.N, self.D) and dataset.inputs.dtype == np.float32
+        owner = dataset.inputs
+        while isinstance(owner, np.ndarray) and owner.base is not None:
+            owner = owner.base
+        assert isinstance(owner, memoryview) and isinstance(owner.obj, mmap.mmap)
+        return peak
+
+    def test_synthetic(self):
+        peak = self.traced_peak(lambda: gen_synthetic(self.N, self.D, 10, 12.0, seed=9))
+        assert peak < EVAL_CHUNK_BYTES + EVAL_CHUNK_BYTES // 16
+
+    def test_idx_pair(self, tmp_path):
+        gen = np.random.Generator(np.random.Philox(key=9))
+        images = gen.integers(0, 256, size=(self.N, 28, 28), dtype=np.uint8)
+        paths = write_idx_pair(tmp_path, images, np.arange(self.N) % 10)
+        del images
+        assert self.traced_peak(lambda: load_idx_pair(*paths)) < EVAL_CHUNK_BYTES + EVAL_CHUNK_BYTES // 16
 
 
 class TestPoissonSample:
@@ -252,6 +356,29 @@ class TestPoissonSample:
             assert np.array_equal(batch.labels, self.ds.labels[mask])
             assert not batch.inputs.flags.writeable and not batch.labels.flags.writeable
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["small", "wide"]),
+        st.integers(0, 2**31),
+        st.floats(0.0, 1.0),
+        st.sampled_from([1.0, 0.3, 1e-30]),
+    )
+    def test_batches_are_float32_rows_upcast(self, shape, seed, q, std):
+        """A Poisson batch holds the dataset's float32 rows upcast to
+        float64, and its norms equal a fresh float64 scan of those rows,
+        bit for bit; the wide dataset's rows span three scan chunks."""
+        n, d_in = (200, 7) if shape == "small" else (12000, 200)
+        ds = gen_synthetic(n, d_in, 3, 6.0, seed % 7, std)
+        stream = RngStream(seed, 1, "batch")
+        mask = stream.generator().random(n) < q
+        batch = poisson_sample(ds, q, stream)
+        assert ds.inputs.dtype == np.float32 and batch.inputs.dtype == np.float64
+        assert batch.inputs.tobytes() == ds.inputs[mask].astype(np.float64).tobytes()
+        fresh = Batch(batch.inputs.copy(), batch.labels)
+        assert batch.input_sq_norms.tobytes() == fresh.input_sq_norms.tobytes()
+        x = batch.inputs
+        assert batch.input_sq_norms.tobytes() == np.sum(x * x, axis=1).tobytes()
+
     def test_non_finite_dataset_input_rejected(self):
         inputs = self.ds.inputs.copy()
         inputs[7, 1] = np.nan
@@ -266,12 +393,19 @@ class TestPoissonSample:
 
 class TestDatasetInvariants:
     def test_caller_arrays_stay_writable(self):
-        inputs, labels = np.zeros((2, 3)), np.array([0, 1], dtype=np.int64)
-        batch, ds = Batch(inputs, labels), Dataset("x", inputs, labels, 2)
-        assert inputs.flags.writeable and labels.flags.writeable
-        for held in (batch.inputs, batch.labels, ds.inputs, ds.labels):
-            assert not held.flags.writeable
-            assert np.shares_memory(held, inputs) or np.shares_memory(held, labels)
+        """Float32 inputs are shared; float64 inputs are rounded into a
+        float32 copy for a dataset and shared by a batch."""
+        inputs, labels = np.zeros((2, 3), np.float32), np.array([0, 1], dtype=np.int64)
+        wide = np.zeros((2, 3))
+        held = (Batch(inputs, labels), Dataset("x", inputs, labels, 2), Batch(wide, labels))
+        assert inputs.flags.writeable and labels.flags.writeable and wide.flags.writeable
+        for examples, source in zip(held, (inputs, inputs, wide)):
+            assert examples.inputs.dtype == source.dtype
+            for array in (examples.inputs, examples.labels):
+                assert not array.flags.writeable
+                assert np.shares_memory(array, source) or np.shares_memory(array, labels)
+        narrowed = Dataset("x", wide, labels, 2).inputs
+        assert narrowed.dtype == np.float32 and not np.shares_memory(narrowed, wide)
 
     def test_requires_examples(self):
         with pytest.raises(ContractViolation):
@@ -296,8 +430,10 @@ def build(kind, inputs, labels):
 class TestInputScan:
     """The one scan of a batch's inputs computes every row's ||x_i||^2 and
     is the finiteness check: a NaN or inf coordinate anywhere is rejected.
-    A batch keeps a finite row whose square overflows, with norm inf; a
-    dataset rejects it, since no trainer can clip that row's gradient."""
+    A float64 batch keeps a finite row whose square overflows, with norm
+    inf. A dataset rounds float64 inputs to float32 and rejects a
+    coordinate beyond float32's range; a float32 row's square cannot
+    overflow float64."""
 
     def setup_method(self):
         assert WIDE[0] > 2 * SCAN_ROWS
@@ -327,15 +463,27 @@ class TestInputScan:
         assert np.all(np.isinf(examples.input_sq_norms[rows]))
         assert examples.input_sq_norms.tobytes() == expected.tobytes()
 
-    def test_dataset_rejects_overflowing_row(self):
-        """Its gradient norm would be inf or NaN (inf * 0 in
-        GradientFactors.sq_norms), so clipping could not bound it: the
-        dataset names the first such row, here in the first of three
-        chunks of the scan, instead of training on it."""
+    @pytest.mark.parametrize("beyond", [1e200, -1e39, 3.5e38])
+    def test_dataset_rejects_coordinate_beyond_float32(self, beyond):
+        """Rounding would store inf: the dataset names the first such row,
+        here in the first of three chunks of the scan, with no warning."""
         inputs = np.ones(WIDE)
-        inputs[[WIDE[0] - 1, 2 * SCAN_ROWS + 5, SCAN_ROWS - 1], 7] = 1e200
-        with pytest.raises(ContractViolation, match=rf"^row {SCAN_ROWS - 1}: squared norm overflows"):
-            Dataset("x", inputs, self.labels, 2)
+        inputs[[WIDE[0] - 1, 2 * SCAN_ROWS + 5, SCAN_ROWS - 1], 7] = beyond
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation,
+                               match=rf"^row {SCAN_ROWS - 1}: coordinate beyond float32's range$"):
+                Dataset("x", inputs, self.labels, 2)
+
+    def test_dataset_keeps_coordinates_that_round_to_float32_max(self):
+        top = float(np.finfo(np.float32).max)
+        inputs = np.ones((4, 3))
+        inputs[1, 2], inputs[3, 0] = top, -top * (1 + 2.0**-25)  # the latter rounds down
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = Dataset("x", inputs, np.array([0, 1, 0, 1]), 2)
+        assert ds.inputs[1, 2] == top and ds.inputs[3, 0] == -top
+        assert np.all(np.isfinite(ds.examples.input_sq_norms))
 
     def test_non_finite_beside_overflowing_row_rejected(self):
         inputs = np.ones(WIDE)

@@ -10,7 +10,7 @@ trajectory keeps these bytes. A change that moves trajectories on purpose
 CHANGES.md.
 
 A fifth run, ``dpdr-wide``, is the dpdr run on a 12000 x 200 dataset: its
-19.2 MB of inputs span three chunks of the dataset's scan
+inputs, upcast to float64 (19.2 MB), span three chunks of the dataset's scan
 (``models.EVAL_CHUNK_BYTES``), so a slip at a chunk boundary in the cached
 row norms moves its bytes. Its pins were recorded before layer 0's norms
 were cached.
@@ -31,7 +31,13 @@ by the expected batch size ``batch`` instead of the realized Poisson size.
 The four private runs' ``summary.json`` pins were re-recorded once more when
 the ``privacy.ratio_g`` setting was removed: calibration sets sigma_g equal
 to sigma_perp, so the echoed ``privacy`` block lost its ``"ratio_g": 1.0``
-line and nothing else changed; no ``metrics.csv`` pin moved.
+line and nothing else changed; no ``metrics.csv`` pin moved. All ten pins
+were re-recorded when datasets came to hold float32 inputs: training steps
+on the rows rounded once to float32 and upcast, so the gradient
+telemetry, ``train_loss`` and the final parameters moved in their last
+digits (about 1e-8 relative), while every batch, noise draw, ``eps_cum`` and
+``train_accuracy`` kept its value. The new pins held at 1 and 2 OpenBLAS
+threads.
 """
 
 import contextlib
@@ -50,24 +56,24 @@ STEPS, SWITCH = 60, 20
 
 PINS = {
     "sgd": {
-        "metrics.csv": "89fbc715853d59db79c7ed5578bddcd178f01a433e40831796f2848b131ba011",
-        "summary.json": "d3042570afd6e686174b97d818417c124a1aee145499049365be3172652447fd",
+        "metrics.csv": "f98efd4e631d4e2be91bb0d265380d9f7a314f1551617e1a93b10b45c7b01852",
+        "summary.json": "c16d297d18fe537e82a6df9fbb1d81e73957e7df21cd7b03282a962f1e7f16d2",
     },
     "dpsgd": {
-        "metrics.csv": "71eaff8bca3c1a4ea7ff87a727ee7387a398dcbb4ea59757a235fcc5fc63ed1c",
-        "summary.json": "fedbdcebeba16a0515482275c809dede6e5cec96a89609332f0d40ceeca0caa7",
+        "metrics.csv": "d4a30285ab52693673430f6e3508680ecba9c818d152ea3bc857cc0785a8e37f",
+        "summary.json": "a8417abc664e7cf43cec5835a87ba8a4435febee2a265d89b32874780ce5882e",
     },
     "diff": {
-        "metrics.csv": "4358c2bea6797788c60a6caa7346ed3b9ee5f19a5151d274905bb56b94f9bf09",
-        "summary.json": "3a8099aa61071fdf63b9f19a5d09c257cc6923e58f7a3238326dc4f786566f01",
+        "metrics.csv": "436b036a0604b0113a23ed169db1393931e006c3d88f156d88a93dfc20bbac85",
+        "summary.json": "3fd018f6cfb00d8862c8305d24149a3e74fca4e34de4035d8dcd65c751f7a10d",
     },
     "dpdr": {
-        "metrics.csv": "ae88081d4e39ceff37199de40e7a501b2f48fbc4a62913ee320b6fc40b9a8b64",
-        "summary.json": "238fdb408b9d2c145a769d3adef50cab9e9e81e0b8c1fe9ec90b9642e8d606a1",
+        "metrics.csv": "3dc1efbcea8f941f19f98ab539ffff518593d3f8f42a5753539c88b4636117ba",
+        "summary.json": "59cff5c486d3ee47235d9bd5ccc18f88cf023dca930a395204dda850bc91891d",
     },
     "dpdr-wide": {
-        "metrics.csv": "d71bc59ebda3f9ded6721af856ea3b65e0ed2c10f9081e1a1206c7b30d659172",
-        "summary.json": "da1915ac44180f64e191b220882b93541ae6de753a794566930d38293f27b25b",
+        "metrics.csv": "e69e70a08b35094cc448f2a874279084f5af3770958ecc7bc0647c1670bec044",
+        "summary.json": "4ff5d97b1960333f863dd67c90e1cc7871392239630a503fdba8de971bea5d52",
     },
 }
 

@@ -493,7 +493,8 @@ class TestAccuracy:
 
 @functools.cache
 def wide_dataset():
-    """12000 x 200 inputs (19.2 MB): three chunks of the input scan."""
+    """12000 x 200 inputs, whose float64 rows (19.2 MB) span three chunks
+    of the input scan."""
     ds = gen_synthetic(12000, 200, 3, margin=6.0, seed=8)
     assert ds.n * ds.d_in * 8 > 2 * EVAL_CHUNK_BYTES
     return ds
@@ -507,7 +508,8 @@ class TestCachedInputNorms:
     """Layer 0's ||x_i||^2 comes from the batch's scan, not from the layer
     inputs; ``sq_norms`` keeps the bytes of recomputing it (the uncached
     reference in conftest) on batches, their ``take`` subsets, the factors'
-    own ``take`` and a ``DifferenceRows`` subset."""
+    own ``take`` and a ``DifferenceRows`` subset. A dataset's float32 rows
+    are scanned in float64, so the norms are those of the rows upcast."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -542,7 +544,8 @@ class TestCachedInputNorms:
 
     def test_scan_spans_chunks_bit_for_bit(self):
         ds = wide_dataset()
-        expected = np.sum(ds.inputs * ds.inputs, axis=1)
+        x = ds.inputs.astype(np.float64)
+        expected = np.sum(x * x, axis=1)
         assert ds.examples.input_sq_norms.tobytes() == expected.tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -555,6 +558,5 @@ class TestCachedInputNorms:
         model = init_model(mlp(ds.d_in, hidden, ds.n_classes), 3)
         grads = backprop(model, ds.examples.take(idx))
         assert_sq_norms_uncached(grads)
-        assert grads.input_sq_norms.tobytes() == np.sum(
-            ds.inputs[idx] * ds.inputs[idx], axis=1
-        ).tobytes()
+        x = ds.inputs[idx].astype(np.float64)
+        assert grads.input_sq_norms.tobytes() == np.sum(x * x, axis=1).tobytes()

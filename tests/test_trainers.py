@@ -831,13 +831,14 @@ class TestEvaluationNeverFeedsTrajectory:
 
     @pytest.mark.parametrize("beyond", ["inputs", "weights"])
     def test_beyond_float32_range_scored_in_float64(self, beyond, monkeypatch):
-        """A coordinate of 1e39, or noise that takes the weights to about
-        1e43, is beyond float32's range: the window scores in float64, so the
-        run and its losses are the reference's and no warning escapes."""
+        """A coordinate of 2^110, within float32's range but beyond the
+        float32 window's bound 2^100, or noise that takes the weights to
+        about 1e43, beyond float32's range: the window scores in float64, so
+        the run and its losses are the reference's and no warning escapes."""
         dataset = gen_synthetic(128, 6, 3, margin=6.0, seed=11)
         if beyond == "inputs":
             inputs = dataset.inputs.copy()
-            inputs[5, 2] = 1e39
+            inputs[5, 2] = 2.0**110
             dataset = Dataset("beyond-float32", inputs, dataset.labels, 3)
             config = make_config("dpsgd", seed=17, arch=mlp(6, (5,), 3, "relu"))
         else:
