@@ -4,20 +4,21 @@ Supports big-endian IDX image/label pairs (pixel values scaled by 1/255)
 and Gaussian-blob classification tasks that are linearly separable when the
 margin dominates the blob spread.
 
-A dataset holds its inputs as one read-only float32 (n, d_in) array: both
-sources carry no more than float32 information (8-bit pixels, and blobs
-that stand in for them), and it halves the largest object a run keeps (the
-60000 x 784 MNIST train set takes 188 MB instead of 376 MB). Training stays
-in float64: :func:`poisson_sample` upcasts the rows it draws, so every
-batch a trainer steps on, its ||x_i||^2, gradients, releases and ledger are
-float64. Evaluation multiplies the float32 rows directly.
+A :class:`Dataset` is the :class:`dplab.models.Batch` of all its rows,
+held as one read-only float32 (n, d_in) array: both sources carry no more
+than float32 information (8-bit pixels, and blobs that stand in for them),
+and it halves the largest object a run keeps (the 60000 x 784 MNIST train
+set takes 188 MB instead of 376 MB). Training stays in float64:
+:func:`poisson_sample` takes the rows it draws from the dataset upcast, so
+every batch a trainer steps on, its ||x_i||^2, gradients, releases and
+ledger are float64. Evaluation multiplies the float32 rows directly.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,25 +39,20 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 @dataclass(frozen=True, eq=False)
-class Dataset:
-    """A labelled dataset. Its inputs are float32: other inputs are rounded
-    to float32 once (a finite coordinate beyond float32's range raises
-    ``ContractViolation`` naming its row). It holds read-only views of the
-    given arrays, sharing their memory when no conversion is needed; the
-    caller's arrays stay writable. ``examples`` is every row as one float32
-    :class:`Batch`, which checks the shapes and the labels (integral and
-    non-negative) and, in the dataset's one scan of its inputs, computes
-    every row's squared norm ||x_i||^2 in float64 from the upcast row and
-    checks finiteness; :func:`poisson_sample` gathers float64 batches with
-    their norms from it, so no step recomputes them. A float32 row's
-    ||x_i||^2 cannot overflow float64, so every row's gradient can be
-    clipped."""
+class Dataset(Batch):
+    """A labelled dataset: the float32 :class:`Batch` of all its rows, with
+    its class count. Inputs of another dtype are rounded to float32 once (a
+    finite coordinate beyond float32's range raises ``ContractViolation``
+    naming its row); float32 inputs are shared, and the caller's arrays stay
+    writable. As a batch it checks the shapes and the labels (integral,
+    non-negative and below ``n_classes``) and, in the dataset's one scan of
+    its inputs, computes every row's squared norm ||x_i||^2 in float64 from
+    the upcast row and checks finiteness; :func:`poisson_sample` gathers
+    float64 batches with their norms from it (:meth:`Batch.take`), so no
+    step recomputes them. A float32 row's ||x_i||^2 cannot overflow
+    float64, so every row's gradient can be clipped."""
 
-    name: str
-    inputs: np.ndarray  # (n, d_in) float32
-    labels: np.ndarray  # (n,) int64
     n_classes: int
-    examples: Batch = field(init=False, repr=False)
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs)
@@ -65,20 +61,16 @@ class Dataset:
             inputs = _mapped_float32(wide.shape)
             if _round_into(inputs, wide):
                 raise _beyond_float32(np.isinf(inputs) & np.isfinite(wide))
-        examples = Batch(inputs, self.labels)  # shape, labels, finiteness, row norms
-        if examples.size < 1:
+            object.__setattr__(self, "inputs", inputs)
+        super().__post_init__()  # shape, labels, finiteness, row norms
+        if self.size < 1:
             raise ContractViolation("dataset must contain at least one example")
         if self.n_classes < 2:
             raise ContractViolation(f"need at least 2 classes, got {self.n_classes}")
-        if int(examples.labels.max()) >= self.n_classes:
+        if int(self.labels.max()) >= self.n_classes:
             raise ContractViolation(f"labels must lie in [0, {self.n_classes})")
-        object.__setattr__(self, "examples", examples)
-        object.__setattr__(self, "inputs", examples.inputs)
-        object.__setattr__(self, "labels", examples.labels)
 
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
+    n = Batch.size  # the row count
 
     @property
     def d_in(self) -> int:
@@ -122,7 +114,7 @@ def load_idx_pair(images_path, labels_path, limit: int | None = None) -> Dataset
     inputs, count = _read_images(images_path, limit)
     labels = _read_labels(labels_path, count, images_path)
     n_classes = int(labels.max()) + 1 if labels.size else 0
-    return Dataset(Path(images_path).stem, inputs, labels[:limit], n_classes)
+    return Dataset(inputs, labels[:limit], n_classes)
 
 
 def _read_images(images_path: str, limit: int | None) -> tuple[np.ndarray, int]:
@@ -219,19 +211,19 @@ def gen_synthetic(
 
     inputs = _mapped_float32((n, d_in))
     standard_normal(RngStream(seed, 0, "synthetic-data"), (n, d_in), inputs, finish)
-    return Dataset(f"synthetic-n{n}-d{d_in}-c{n_classes}", inputs, labels, n_classes)
+    return Dataset(inputs, labels, n_classes)
 
 
 def poisson_sample(dataset: Dataset, q: float, stream: RngStream) -> Batch:
     """Include each example independently with probability q, in index order.
 
-    The batch holds the dataset's float32 rows upcast to float64, with their
-    squared norms from the dataset's scan. The result may be empty. The
-    trainers divide every release by the expected batch size, never by the
-    realized size, so an empty draw releases the noise alone (see
-    :mod:`dplab.trainers`).
+    The batch is ``dataset.take`` of the drawn indices: the float32 rows
+    upcast to float64, with their squared norms from the dataset's scan.
+    The result may be empty. The trainers divide every release by the
+    expected batch size, never by the realized size, so an empty draw
+    releases the noise alone (see :mod:`dplab.trainers`).
     """
     if not 0.0 <= q <= 1.0:
         raise ContractViolation(f"sampling ratio must be in [0, 1], got {q!r}")
     draws = stream.generator().random(dataset.n)
-    return dataset.examples.take(np.flatnonzero(draws < q))
+    return dataset.take(np.flatnonzero(draws < q))

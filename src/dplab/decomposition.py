@@ -1,12 +1,13 @@
 """Per-layer directional decomposition of gradients against a noisy base.
 
 The base is the previous released (noisy) gradient, normalized layer by
-layer. A gradient splits per layer into a scalar parallel coefficient
-alpha_l = <g_l, b_l> and an orthogonal remainder g_l - alpha_l * b_l; the
-two privatized channels are recombined by reconstruct(). A layer whose
-released block is (near-)zero is degenerate: its base block is exactly zero,
-so without any special case it gets alpha 0 and passes the gradient through
-the orthogonal channel untouched.
+layer; it holds that direction and nothing else. A gradient splits per
+layer into a scalar parallel coefficient alpha_l = <g_l, b_l> and an
+orthogonal remainder g_l - alpha_l * b_l; the two privatized channels are
+recombined by reconstruct(). A layer whose released block is (near-)zero
+is degenerate: its base block is exactly zero, so without any special
+case it gets alpha 0 and passes the gradient through the orthogonal
+channel untouched.
 
 The trainers take every sample's alphas from gradient factors (their
 :meth:`~dplab.models.GradientFactors.block_dots` with the base). :func:`decompose`,
@@ -36,11 +37,10 @@ DEGENERATE_REL_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GdrBase:
-    """Per-layer-normalized direction with staleness metadata. Every layer
-    block is unit-norm or, for a degenerate layer, exactly zero."""
+    """Per-layer-normalized direction. Every layer block is unit-norm or,
+    for a degenerate layer, exactly zero."""
 
     b: LayeredVector
-    source_step: int
 
     def __post_init__(self):
         for layer, block in enumerate(self.b.blocks):
@@ -68,14 +68,14 @@ class Decomposition:
         object.__setattr__(self, "alphas", alphas)
 
 
-def normalize_base(noisy_grad: LayeredVector, step: int) -> GdrBase:
+def normalize_base(noisy_grad: LayeredVector) -> GdrBase:
     """Normalize each layer block to unit norm; zero out near-zero layers."""
     threshold = DEGENERATE_REL_TOL * max(1.0, l2_norm(noisy_grad))
     norms = [l2_norm_layer(noisy_grad, layer) for layer in range(noisy_grad.layer_count)]
     scale = np.repeat(norms, noisy_grad.layer_dims)
     flat = np.zeros(noisy_grad.total_dim)
     np.divide(noisy_grad.flat, scale, out=flat, where=scale >= threshold)
-    return GdrBase(LayeredVector(flat, noisy_grad.layer_dims), step)
+    return GdrBase(LayeredVector(flat, noisy_grad.layer_dims))
 
 
 def decompose(g: LayeredVector, base: GdrBase) -> Decomposition:

@@ -283,7 +283,9 @@ class DifferenceRows:
     def _expanded(self, g_sq: np.ndarray, dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Norms by the factored form, and the indices of the samples the
         guard sends to their dense rows (their norms read 0 here); ``dots``
-        are the (B, blocks) products <g_ij, v_j>. See the class docstring."""
+        are the (B, blocks) products <g_ij, v_j>. See the class docstring.
+        ``v_sq`` stays an einsum, apart from the vector's cached ``np.sum``
+        block norms: its bits fix the orthogonal channel's norms and clips."""
         s = np.ones((self.grads.size, self.v.layer_count)) if self.coeffs is None else self.coeffs
         v_sq = np.array([np.einsum("i,i->", b, b) for b in self.v.blocks])
         offset = np.sum(s * s * v_sq, axis=1)

@@ -17,9 +17,9 @@ changes: a :class:`Batch` computes every row's ||x_i||^2 in float64 in its
 one scan of the inputs, which is also its finiteness check, and
 :func:`backprop` takes layer 0's norms from the batch instead of
 recomputing them every step. A batch holds float32 or float64 inputs: a
-dataset's rows are float32, and the batches
-:func:`dplab.datasets.poisson_sample` gathers from them (:meth:`Batch.take`)
-are float64, so training computes in float64.
+dataset (:class:`dplab.datasets.Dataset`) is the float32 batch of all its
+rows, and the batches :func:`dplab.datasets.poisson_sample` takes from it
+(:meth:`Batch.take`) are float64, so training computes in float64.
 :func:`per_sample_gradients` expands the factors into one vector per sample.
 
 Inference has one forward implementation, :class:`EvalWindow`, which
@@ -177,10 +177,10 @@ def _row_sq_norms(inputs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Batch:
     """A batch of examples; empty when a Poisson draw comes up empty. Its
-    inputs are float32 when given float32 (a dataset's rows) and float64
-    otherwise. It holds read-only views of the given arrays, sharing their
-    memory when they are already C-contiguous inputs of that dtype and
-    int64 labels; the caller's arrays stay writable.
+    inputs are float32 when given float32 (a dataset is the batch of its
+    rows) and float64 otherwise. It holds read-only views of the given
+    arrays, sharing their memory when they are already C-contiguous inputs
+    of that dtype and int64 labels; the caller's arrays stay writable.
 
     Building a batch scans its inputs once: the scan yields each row's
     float64 ||x_i||^2 (``input_sq_norms``) and is the finiteness check.

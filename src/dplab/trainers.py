@@ -26,9 +26,10 @@ g_i - p stays on dense rows: its gradient norms come from the same rows, so a
 constructed staleness ratio reads exactly 2. No step builds a per-sample
 vector or a full (B, D) array.
 
-A dataset holds float32 inputs (:mod:`dplab.datasets`); every step works
-on a float64 batch, because :func:`dplab.datasets.poisson_sample` upcasts
-the rows it draws, so the gradients, releases and ledger are float64.
+A dataset is the float32 :class:`dplab.models.Batch` of its rows
+(:mod:`dplab.datasets`); every step works on a float64 batch, because
+:func:`dplab.datasets.poisson_sample` takes the rows it draws upcast, so
+the gradients, releases and ledger are float64.
 
 Full-training-set loss and accuracy are telemetry and never feed the
 trajectory. :func:`train` adds each step's updated model to a
@@ -36,15 +37,14 @@ trajectory. :func:`train` adds each step's updated model to a
 share of the run's steps: :func:`_eval_windows` splits the run into as few
 near-equal windows as keep within :data:`dplab.models.EVAL_CHUNK_BYTES`
 (one or two on the MNIST-shaped runs), so the dataset is read once per
-window, and reads the dataset's float32 rows in place. The window
-computes in float32, so ``train_loss`` is
-approximate (the tests hold it within 1e-5 relative of a float64
-reference, or within 1e-7 plus 4 * 2^-24 * max|logit| absolute) and a
-float32 near-tie may flip a hit in ``train_accuracy``;
-parameters, releases, the ledger and every other row field keep their
-float64 bits. A row's ``wall_ms`` is its own step time plus an equal share
-of its window's evaluation time, so the rows' ``wall_ms`` add up to the
-loop's elapsed time.
+window. The window is built on the dataset itself, reads its float32 rows
+in place and computes in float32, so ``train_loss`` is approximate (the
+tests hold it within 1e-5 relative of a float64 reference, or within 1e-7
+plus 4 * 2^-24 * max|logit| absolute) and a float32 near-tie may flip a
+hit in ``train_accuracy``; parameters, releases, the ledger and every
+other row field keep their float64 bits. A row's ``wall_ms`` is its own
+step time plus an equal share of its window's evaluation time, so the
+rows' ``wall_ms`` add up to the loop's elapsed time.
 
 Every release, sgd's included, is divided by the expected batch size
 ``config.batch``, never by the realized Poisson size: that count is private,
@@ -438,7 +438,7 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
     model = init_model(arch, config.seed)
     ledger = PrivacyLedger(DEFAULT_DELTA if config.delta is None else config.delta)
     sizes = _eval_windows(arch, dataset.n, total)
-    window = EvalWindow(arch, dataset.examples, sizes[0])
+    window = EvalWindow(arch, dataset, sizes[0])
     # the steps after which a window is full
     ends = set(itertools.accumulate(sizes))
     rows: list[MetricsRow] = []
@@ -458,7 +458,7 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
             outcome = diff_step(model, batch, prev, c_g, sigma_g, noise_g, denom)
         elif role == ROLE_GDR:
             outcome = gdr_step(
-                model, batch, normalize_base(prev_release, t - 1), config.clip, noise,
+                model, batch, normalize_base(prev_release), config.clip, noise,
                 RngStream(config.seed, t, NOISE_PERP_TAG),
                 RngStream(config.seed, t, NOISE_ALPHA_TAG),
                 denom,

@@ -11,16 +11,17 @@ benchmark tracer (``perfbench/spans.py``) resolves ``dplab.vectors.sub``.
 
 Reductions run per layer, with numpy's fixed pairwise summation, and then
 left-to-right across layers, so they do not depend on the BLAS thread
-count. Random draws do not either: a large draw (:func:`standard_normal`)
-is cut into fixed blocks, each from its own jumped Philox substream, and
-up to four threads per core draw them (one on a single core): OpenBLAS
-keeps a worker busy-waiting after ``import numpy`` and after each threaded
-product, and more draw threads than cores keep most of the CPU for the
-draw while it spins. A float32 draw (a dataset's inputs) rounds each
-thread's float64 chunks into its output, so it holds the float64 draw
-rounded once. BLAS products do depend on the thread count:
-OpenBLAS's dgemm with inner dimension 784 and its gemv give other bits at
-one thread than at two, so runs on MNIST-shaped data do too.
+count, and a vector sums each block's square once, for all its norms.
+Random draws do not depend on it either: a large draw
+(:func:`standard_normal`) is cut into fixed blocks, each from its own
+jumped Philox substream, and up to four threads per core draw them (one on
+a single core): OpenBLAS keeps a worker busy-waiting after ``import
+numpy`` and after each threaded product, and more draw threads than cores
+keep most of the CPU for the draw while it spins. A float32 draw (a
+dataset's inputs) rounds each thread's float64 chunks into its output, so
+it holds the float64 draw rounded once. BLAS products do depend on the
+thread count: OpenBLAS's dgemm with inner dimension 784 and its gemv give
+other bits at one thread than at two, so runs on MNIST-shaped data do too.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ class LayeredVector:
     def blocks(self) -> tuple[np.ndarray, ...]:
         return _layer_views(self.flat, self.layer_dims)
 
+    @cached_property
+    def _layer_sq_norms(self) -> tuple[float, ...]:
+        return tuple(float(np.sum(b * b)) for b in self.blocks)
+
     @property
     def layer_count(self) -> int:
         return len(self.layer_dims)
@@ -128,14 +133,13 @@ def dot(a: LayeredVector, b: LayeredVector) -> float:
 
 def l2_norm_layer(a: LayeredVector, layer: int) -> float:
     _require_layer(a, layer)
-    block = a.blocks[layer]
-    return math.sqrt(float(np.sum(block * block)))
+    return math.sqrt(a._layer_sq_norms[layer])
 
 
 def l2_norm(a: LayeredVector) -> float:
     total = 0.0
-    for block in a.blocks:
-        total += float(np.sum(block * block))
+    for sq in a._layer_sq_norms:
+        total += sq
     return math.sqrt(total)
 
 

@@ -75,7 +75,7 @@ class TestCriterion1ReconstructionExactness:
         worst = 0.0
         for seed in range(100):
             model, batch = random_problem(seed, batch=4)
-            base = normalize_base(random_vector(model.params.layer_dims, seed + 5000), 0)
+            base = normalize_base(random_vector(model.params.layer_dims, seed + 5000))
             out = gdr_step(
                 model, batch, base, LOOSE, SILENT,
                 RngStream(seed, 2, "noise-perp"), RngStream(seed, 2, "noise-alpha"), batch.size,
@@ -100,7 +100,7 @@ class TestCriterion2DecompositionInvariants:
             model, batch = random_problem(int(gen.integers(0, 2**31)))
             grads = backprop(model, batch)
             dims = grads.layer_dims
-            base = normalize_base(random_vector(dims, int(gen.integers(0, 2**32))), 0)
+            base = normalize_base(random_vector(dims, int(gen.integers(0, 2**32))))
             alphas = grads.block_dots(base.b)
             rows = sample_rows(grads)
             perps = [
@@ -210,7 +210,7 @@ class TestCriterion5NoiseStatistics:
         a = 0.3 * gen.standard_normal((self.B, 4))
         grads = GradientFactors((a,), (0.3 * gen.standard_normal((self.B, 1)),),
                                 np.sum(a * a, axis=1))
-        base = normalize_base(random_vector(grads.layer_dims, seed=1), 0)
+        base = normalize_base(random_vector(grads.layer_dims, seed=1))
         rows = DifferenceRows(grads, base.b, grads.block_dots(base.b))
         err = self.noise_std_error(rows, 1, "noise-perp")
         report(5, err < 0.03, f"(orthogonal channel std error {err:.2%})")

@@ -173,7 +173,6 @@ class TestSynthetic:
         noise = std * z
         assert np.array_equal(ds.inputs, (centers[labels] + noise).astype(np.float32))
         assert np.array_equal(ds.labels, labels)
-        assert ds.name == f"synthetic-n{n}-d{d_in}-c{n_classes}"
 
     @pytest.mark.parametrize(
         "n, d_in, n_classes, margin, seed, std",
@@ -264,7 +263,7 @@ class TestSynthetic:
         n, d_in, n_classes, seed = np.array([10, 4, 2, 7])
         got = gen_synthetic(n, d_in, n_classes, margin=4.0, seed=seed)
         want = gen_synthetic(10, 4, 2, margin=4.0, seed=7)
-        assert got.inputs.tobytes() == want.inputs.tobytes() and got.name == want.name
+        assert got.inputs.tobytes() == want.inputs.tobytes()
 
 
 class TestFootprint:
@@ -383,12 +382,34 @@ class TestPoissonSample:
         inputs = self.ds.inputs.copy()
         inputs[7, 1] = np.nan
         with pytest.raises(ContractViolation):
-            Dataset("x", inputs, self.ds.labels, 2)
+            Dataset(inputs, self.ds.labels, 2)
 
     def test_deterministic_per_stream(self):
         a = poisson_sample(self.ds, 0.25, RngStream(5, 9, "batch"))
         b = poisson_sample(self.ds, 0.25, RngStream(5, 9, "batch"))
         assert np.array_equal(a.inputs, b.inputs)
+
+
+class TestDatasetIsItsBatch:
+    """A dataset is the float32 batch of all its rows, and a Poisson batch
+    is its take of the drawn indices."""
+
+    @pytest.mark.parametrize("source", ["synthetic", "float64"])
+    @pytest.mark.parametrize("q", [0.0, 0.2, 1.0])
+    def test_poisson_sample_is_take(self, source, q):
+        if source == "synthetic":
+            ds = gen_synthetic(300, 7, 3, 6.0, seed=4)
+        else:
+            wide = 3.0 * RngStream(4, 0, "wide").generator().standard_normal((300, 7))
+            ds = Dataset(wide, np.arange(300) % 3, 3)
+        assert isinstance(ds, Batch) and ds.inputs.dtype == np.float32
+        stream = RngStream(9, 2, "batch")
+        got = poisson_sample(ds, q, stream)
+        want = ds.take(np.flatnonzero(stream.generator().random(ds.n) < q))
+        assert type(got) is Batch
+        for name in ("inputs", "labels", "input_sq_norms"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDatasetInvariants:
@@ -397,23 +418,23 @@ class TestDatasetInvariants:
         float32 copy for a dataset and shared by a batch."""
         inputs, labels = np.zeros((2, 3), np.float32), np.array([0, 1], dtype=np.int64)
         wide = np.zeros((2, 3))
-        held = (Batch(inputs, labels), Dataset("x", inputs, labels, 2), Batch(wide, labels))
+        held = (Batch(inputs, labels), Dataset(inputs, labels, 2), Batch(wide, labels))
         assert inputs.flags.writeable and labels.flags.writeable and wide.flags.writeable
         for examples, source in zip(held, (inputs, inputs, wide)):
             assert examples.inputs.dtype == source.dtype
             for array in (examples.inputs, examples.labels):
                 assert not array.flags.writeable
                 assert np.shares_memory(array, source) or np.shares_memory(array, labels)
-        narrowed = Dataset("x", wide, labels, 2).inputs
+        narrowed = Dataset(wide, labels, 2).inputs
         assert narrowed.dtype == np.float32 and not np.shares_memory(narrowed, wide)
 
     def test_requires_examples(self):
         with pytest.raises(ContractViolation):
-            Dataset("x", np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
+            Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
 
     def test_label_range_checked(self):
         with pytest.raises(ContractViolation):
-            Dataset("x", np.zeros((2, 3)), np.array([0, 5]), 2)
+            Dataset(np.zeros((2, 3)), np.array([0, 5]), 2)
 
 
 # 12000 rows of 200 inputs (19.2 MB) span three chunks of the input scan
@@ -423,7 +444,7 @@ SCAN_ROWS = EVAL_CHUNK_BYTES // (8 * WIDE[1])
 
 def build(kind, inputs, labels):
     if kind == "dataset":
-        return Dataset("x", inputs, labels, 2).examples
+        return Dataset(inputs, labels, 2)
     return Batch(inputs, labels)
 
 
@@ -473,7 +494,7 @@ class TestInputScan:
             warnings.simplefilter("error")
             with pytest.raises(ContractViolation,
                                match=rf"^row {SCAN_ROWS - 1}: coordinate beyond float32's range$"):
-                Dataset("x", inputs, self.labels, 2)
+                Dataset(inputs, self.labels, 2)
 
     def test_dataset_keeps_coordinates_that_round_to_float32_max(self):
         top = float(np.finfo(np.float32).max)
@@ -481,9 +502,9 @@ class TestInputScan:
         inputs[1, 2], inputs[3, 0] = top, -top * (1 + 2.0**-25)  # the latter rounds down
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ds = Dataset("x", inputs, np.array([0, 1, 0, 1]), 2)
+            ds = Dataset(inputs, np.array([0, 1, 0, 1]), 2)
         assert ds.inputs[1, 2] == top and ds.inputs[3, 0] == -top
-        assert np.all(np.isfinite(ds.examples.input_sq_norms))
+        assert np.all(np.isfinite(ds.input_sq_norms))
 
     def test_non_finite_beside_overflowing_row_rejected(self):
         inputs = np.ones(WIDE)
@@ -495,9 +516,9 @@ class TestInputScan:
     def test_norms_are_read_only_and_gathered_with_rows(self):
         ds = gen_synthetic(40, 5, 2, margin=4.0, seed=3)
         idx = np.array([39, 0, 7, 7])
-        batch = ds.examples.take(idx)
-        assert batch.input_sq_norms.tobytes() == ds.examples.input_sq_norms[idx].tobytes()
-        for held in (ds.examples.input_sq_norms, batch.input_sq_norms):
+        batch = ds.take(idx)
+        assert batch.input_sq_norms.tobytes() == ds.input_sq_norms[idx].tobytes()
+        for held in (ds.input_sq_norms, batch.input_sq_norms):
             assert not held.flags.writeable
 
 

@@ -17,23 +17,22 @@ from tests.conftest import allclose, degenerate_layers, dot_layer, from_blocks, 
 
 
 def make_base(layer_dims, seed):
-    return normalize_base(random_vector(layer_dims, seed), step=0)
+    return normalize_base(random_vector(layer_dims, seed))
 
 
 class TestNormalizeBase:
     def test_single_layer(self):
-        base = normalize_base(from_blocks([[3.0, 4.0]]), step=1)
+        base = normalize_base(from_blocks([[3.0, 4.0]]))
         assert base.b.blocks[0] == pytest.approx([0.6, 0.8], rel=1e-15)
         assert not degenerate_layers(base)
-        assert base.source_step == 1
 
     def test_zero_gradient_all_degenerate(self):
-        base = normalize_base(LayeredVector.zeros((3, 2)), step=4)
+        base = normalize_base(LayeredVector.zeros((3, 2)))
         assert degenerate_layers(base) == {0, 1}
         assert l2_norm(base.b) == 0.0
 
     def test_mixed_case(self):
-        base = normalize_base(from_blocks([[3.0, 4.0], [0.0, 0.0]]), step=2)
+        base = normalize_base(from_blocks([[3.0, 4.0], [0.0, 0.0]]))
         assert base.b.blocks[0] == pytest.approx([0.6, 0.8], rel=1e-15)
         assert degenerate_layers(base) == {1}
         assert np.all(base.b.blocks[1] == 0.0)
@@ -46,19 +45,19 @@ class TestNormalizeBase:
 
 class TestDecompose:
     def test_axis_aligned(self):
-        base = normalize_base(from_blocks([[1.0, 0.0]]), step=0)
+        base = normalize_base(from_blocks([[1.0, 0.0]]))
         dec = decompose(from_blocks([[3.0, 4.0]]), base)
         assert dec.alphas == pytest.approx([3.0])
         assert dec.g_perp.blocks[0] == pytest.approx([0.0, 4.0])
 
     def test_parallel_gradient(self):
-        base = normalize_base(from_blocks([[0.6, 0.8]]), step=0)
+        base = normalize_base(from_blocks([[0.6, 0.8]]))
         dec = decompose(from_blocks([[3.0, 4.0]]), base)
         assert dec.alphas == pytest.approx([5.0], rel=1e-12)
         assert l2_norm(dec.g_perp) <= 1e-12
 
     def test_degenerate_layer_passthrough(self):
-        base = normalize_base(from_blocks([[1.0, 0.0], [0.0, 0.0]]), step=0)
+        base = normalize_base(from_blocks([[1.0, 0.0], [0.0, 0.0]]))
         g = from_blocks([[1.0, 2.0], [3.0, 4.0]])
         dec = decompose(g, base)
         assert dec.alphas[1] == 0.0

@@ -72,7 +72,7 @@ class TestOrthogonalShare:
         batch = poisson_sample(ds, q, RngStream(0, 1, "batch"))
         first = dpsgd_step(model, batch, clip.c_g, noise.sigma_g, RngStream(0, 1, "noise-g"), 128)
         model = apply_update(model, first.released, lr)
-        base = normalize_base(first.released, 1)
+        base = normalize_base(first.released)
         shares = []
         for t in range(2, 51):
             batch = poisson_sample(ds, q, RngStream(0, t, "batch"))
@@ -83,7 +83,7 @@ class TestOrthogonalShare:
             grad_norms = np.sqrt(backprop(model, batch).sq_norms())
             shares.append(float(np.median(out.perp_norms / grad_norms)))
             model = apply_update(model, out.released, lr)
-            base = normalize_base(out.released, t)
+            base = normalize_base(out.released)
         assert float(np.median(shares)) < 0.9
 
 

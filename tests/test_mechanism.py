@@ -289,7 +289,6 @@ class TestOrthogonalRowsMatchDenseRows:
                 np.zeros_like(b) if layer in zeroed else b.copy()
                 for layer, b in enumerate(raw.blocks)
             ),
-            0,
         )
         batch = Batch(pool.inputs[picks], pool.labels[picks])
         grads = backprop(model, batch)

@@ -546,7 +546,7 @@ class TestCachedInputNorms:
         ds = wide_dataset()
         x = ds.inputs.astype(np.float64)
         expected = np.sum(x * x, axis=1)
-        assert ds.examples.input_sq_norms.tobytes() == expected.tobytes()
+        assert ds.input_sq_norms.tobytes() == expected.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([(), (5,)]), st.lists(st.integers(0, 11_999), max_size=40))
@@ -556,7 +556,7 @@ class TestCachedInputNorms:
         edges = [0, rows - 1, rows, 2 * rows - 1, 2 * rows, ds.n - 1]
         idx = np.array(edges + picks, dtype=np.intp)
         model = init_model(mlp(ds.d_in, hidden, ds.n_classes), 3)
-        grads = backprop(model, ds.examples.take(idx))
+        grads = backprop(model, ds.take(idx))
         assert_sq_norms_uncached(grads)
         x = ds.inputs[idx].astype(np.float64)
         assert grads.input_sq_norms.tobytes() == np.sum(x * x, axis=1).tobytes()

@@ -216,7 +216,7 @@ class TestGdrStep:
     def test_noiseless_loose_bounds_equal_sgd(self):
         for seed in range(10):
             model, batch = random_problem(seed, batch=4)
-            base = normalize_base(random_vector(model.params.layer_dims, seed + 99), 0)
+            base = normalize_base(random_vector(model.params.layer_dims, seed + 99))
             out = gdr_step(
                 model, batch, base, LOOSE, SILENT,
                 RngStream(0, 2, "noise-perp"), RngStream(0, 2, "noise-alpha"), batch.size,
@@ -228,7 +228,7 @@ class TestGdrStep:
     def test_parallel_batch_updates_along_base_only(self, seed):
         model, batch = random_problem(seed, batch=3)
         grad = mean_of(per_sample_gradients(model, Batch(batch.inputs[:1], batch.labels[:1])))
-        base = normalize_base(grad, 0)
+        base = normalize_base(grad)
         single = Batch(
             np.repeat(batch.inputs[:1], 3, axis=0), np.repeat(batch.labels[:1], 3)
         )
@@ -255,7 +255,7 @@ class TestGdrStep:
         # gradient-norm telemetry, the coefficients are the block dots those
         # norms need, and a well-conditioned batch builds no dense row
         model, batch = random_problem(4, hidden=(3,), batch=6)
-        base = normalize_base(random_vector(model.params.layer_dims, 4), 0)
+        base = normalize_base(random_vector(model.params.layer_dims, 4))
         calls = count_calls(monkeypatch, name)
         gdr_step(
             model, batch, base, ClipSpec(1.0, 0.5, 1.0), NoisePlan(1.0, 1.0, 2.0),
@@ -282,15 +282,14 @@ class TestGdrStep:
             train(make_config("dpdr", total_steps=6, switch_step=4, seed=8), dataset)
         assert len(bases) == 3
         for t, base in enumerate(bases, start=2):
-            expected = normalize_base(releases[t - 2], t - 1)
+            expected = normalize_base(releases[t - 2])
             assert base.b.equals(expected.b)
-            assert base.source_step == t - 1
 
     def test_never_reads_raw_history(self):
         # only the released base carries information between steps: feed the
         # same base while fabricating different raw histories
         model, batch = random_problem(9, batch=4)
-        base = normalize_base(random_vector(model.params.layer_dims, 5), 0)
+        base = normalize_base(random_vector(model.params.layer_dims, 5))
         history_a = [random_vector(model.params.layer_dims, i) for i in range(3)]
 
         out_a = gdr_step(
@@ -725,7 +724,7 @@ class TestEmptyBatchSteps:
         self.assert_medians_zero(out.metrics)
 
     def test_gdr(self):
-        base = normalize_base(random_vector(self.dims, 32), 0)
+        base = normalize_base(random_vector(self.dims, 32))
         clip, noise = ClipSpec(1.0, 0.5, 1.5), NoisePlan(1.0, 1.2, 2.0)
         streams = RngStream(4, 3, "noise-perp"), RngStream(4, 3, "noise-alpha")
         out = gdr_step(self.model, self.empty, base, clip, noise, *streams, self.B)
@@ -768,7 +767,7 @@ class TestSilentStepsMatchSgd:
             a = dpsgd_step(model, batch, 1e9, 0.0, stream, batch.size)
             prev = random_vector(model.params.layer_dims, seed + 12, scale=0.2)
             b = diff_step(model, batch, prev, 1e9, 0.0, stream, batch.size)
-            base = normalize_base(random_vector(model.params.layer_dims, seed + 13), 0)
+            base = normalize_base(random_vector(model.params.layer_dims, seed + 13))
             c = gdr_step(
                 model, batch, base, LOOSE, SILENT,
                 RngStream(seed, 1, "noise-perp"), RngStream(seed, 1, "noise-alpha"), batch.size,
@@ -839,7 +838,7 @@ class TestEvaluationNeverFeedsTrajectory:
         if beyond == "inputs":
             inputs = dataset.inputs.copy()
             inputs[5, 2] = 2.0**110
-            dataset = Dataset("beyond-float32", inputs, dataset.labels, 3)
+            dataset = Dataset(inputs, dataset.labels, 3)
             config = make_config("dpsgd", seed=17, arch=mlp(6, (5,), 3, "relu"))
         else:
             config = make_config("dpsgd", seed=17, noise=NoisePlan(1e45, 0.0, 0.0))
@@ -990,7 +989,7 @@ class TestDifferenceChannelSensitivity:
     ANGLE = 1e-9  # radians between each gradient layer and its base layer
 
     def tilted_base(self, g, seed):
-        return normalize_base(tilted(g, self.ANGLE, seed), 0)
+        return normalize_base(tilted(g, self.ANGLE, seed))
 
     def test_near_parallel_sample_keeps_orthogonal_release_within_c_perp(self):
         for seed in range(20):
@@ -1028,7 +1027,7 @@ class TestOrthogonalReleaseAcrossTheGuard:
         for seed in range(40):
             model, batch = random_problem(seed + 900, batch=1)
             g = per_sample_gradients(model, batch)[0]
-            base = normalize_base(tilted(g, angle, seed), 0)
+            base = normalize_base(tilted(g, angle, seed))
             assert not degenerate_layers(base)
             c = 0.5 * math.sin(angle) * l2_norm(g)  # below the orthogonal norm
             expanded.clear()
@@ -1111,7 +1110,7 @@ class TestNeighbouringBatchSensitivity:
         clipped from the factors. With sigma = 0 the orthogonal sum is
         orthogonal to every base layer, so the release r splits back into
         alpha_l = <r_l, b_l> and r - alpha b."""
-        base = normalize_base(tilted(self.canary, angle, 5), 0)
+        base = normalize_base(tilted(self.canary, angle, 5))
         decs = decompose_batch([self.other, self.canary], base)
         c_perp = 0.5 * min(l2_norm(d.g_perp) for d in decs)
         c_alpha = 0.5 * min(float(np.linalg.norm(d.alphas)) for d in decs)
@@ -1236,7 +1235,6 @@ class TestFactoredStepsMatchReference:
                 np.zeros_like(b) if layer in zeroed else b.copy()
                 for layer, b in enumerate(raw_base.blocks)
             ),
-            0,
         )
         assert degenerate_layers(base) == frozenset(zeroed)
         grads = per_sample_gradients(model, batch)

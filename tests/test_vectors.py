@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dplab import (
     ContractViolation,
@@ -34,6 +34,23 @@ def layered_pairs(draw):
     a = [draw(st.lists(values, min_size=d, max_size=d)) for d in dims]
     b = [draw(st.lists(values, min_size=d, max_size=d)) for d in dims]
     return from_blocks(a), from_blocks(b)
+
+
+# block values: zero, subnormal, ordinary, and about 1e150 (squares near 1e300)
+BLOCK_VALUES = (
+    st.just(0.0),
+    st.floats(-2e-308, 2e-308, allow_subnormal=True),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.floats(1e149, 1e151).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@st.composite
+def mixed_scale_vectors(draw):
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    return from_blocks(
+        [draw(st.lists(draw(st.sampled_from(BLOCK_VALUES)), min_size=d, max_size=d)) for d in dims]
+    )
 
 
 class TestDot:
@@ -91,6 +108,34 @@ class TestNorm:
         x, _ = pair
         scaled = axpy(c, x, LayeredVector.zeros(x.layer_dims))
         assert l2_norm(scaled) == pytest.approx(abs(c) * l2_norm(x), rel=1e-12, abs=1e-9)
+
+
+class TestCachedNorms:
+    """A vector sums each block's square once; its norms equal the uncached
+    per-block np.sum summed left to right, bit for bit, whichever norm is
+    asked first and however often."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_scale_vectors(), st.booleans())
+    # four layers of 2^-53 after 1.0: left to right the total stays 1.0, and
+    # a compensated sum (math.fsum, or sum() from Python 3.12) gives a norm
+    # one ulp above 1
+    @example(from_blocks([[1.0]] + 4 * [[2.0**-27, 2.0**-27]]), False)
+    def test_norms_equal_uncached_sums(self, v, layer_first):
+        squares = [float(np.sum(b * b)) for b in v.blocks]
+        total = 0.0
+        for sq in squares:
+            total += sq
+        want_layers = [math.sqrt(sq).hex() for sq in squares]
+        want = math.sqrt(total).hex()
+        for _ in range(2):
+            if layer_first:
+                got_layers = [l2_norm_layer(v, j).hex() for j in range(v.layer_count)]
+                got = l2_norm(v).hex()
+            else:
+                got = l2_norm(v).hex()
+                got_layers = [l2_norm_layer(v, j).hex() for j in range(v.layer_count)]
+            assert got == want and got_layers == want_layers
 
 
 class TestAxpy:
